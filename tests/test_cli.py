@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,26 @@ def test_dump_command_deterministic(capsys):
     assert out1 == out2
     record = json.loads(out1)
     assert record["dim"] == 2 and record["kind"] == "simple"
+
+
+# (byte length, sha256) of `supvar dump M N WEIGHT --module simple` on stdout.  The
+# simple-module basis is chosen by the radical's kernel basis, so these pin the
+# elimination engine's canonical choices as well as the printed matrices.
+GOLDEN_SIMPLE_DUMPS = {
+    (2, 2, "0,0|0,0"): (433, "a77b8a0ea3cb9c0f41f85b0e3f42af3739f1413a60dfe69e878f28e3d25ecbea"),
+    (2, 2, "1,0|0,-1"): (14006, "5fe66252ff52b9b6838ff7801d1f98871a947aebdc67ad524aefb8357b9619de"),
+    (2, 2, "2,-1|1,-2"): (251666, "3ce5a2afce1446b0056ee7ca14669079bf961886cf3dfbc759723df416cc9da9"),
+    (2, 1, "1,0|-1"): (3052, "52e902f5cdef5a692ddf9faec5622fa69626bae0ef13c985016c2797f989356e"),
+    (3, 2, "1,0,0|0,-1"): (60509, "bd816b17a02647ef4b2d729748ed78b573dc677bd26de049531fd5b7c730d0c4"),
+}
+
+
+@pytest.mark.parametrize("m, n, weight", sorted(GOLDEN_SIMPLE_DUMPS))
+def test_dump_simple_golden_bytes(capsys, m, n, weight):
+    code, out = run_cli(capsys, "dump", str(m), str(n), weight, "--module", "simple")
+    data = out.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_SIMPLE_DUMPS[(m, n, weight)]
 
 
 def test_parse_errors_exit_2(capsys):

@@ -117,6 +117,15 @@ def test_vanishing_bounds():
         assert all(d == 0 for d in dims[bound:])
 
 
+def test_ext_with_mixed_condition_keys():
+    # the layer route stacks differential rows keyed ("d", r) with raising rows
+    # keyed (label, (monomial, index)) into one kernel computation
+    lam = parse_weight(2, 2, "-1,-1|1,1")
+    K0 = kac_module(parse_weight(2, 2, "0,0|0,0"))
+    assert kac_ext_dims(lam, K0, 1).dims == (0, 1)
+    assert ext_dims(kac_module(lam), K0, 1).dims == (0, 1)
+
+
 def test_euler_characteristic_independent_of_differential():
     g = gl_superalgebra(1, 1)
     K0 = kac_module(parse_weight(1, 1, "0|0"))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supvar.errors import ImageNotContained
 from supvar.linalg import (
@@ -149,3 +151,80 @@ def test_matrix_algebra():
     assert (A + B - B).entries == A.entries
     assert A.transpose().transpose() == A
     assert A.scale(Fraction(1, 2)).entries[0][1] == 1
+
+
+def reference_rref(rows, n_cols):
+    """Gauss-Jordan reduced row echelon form and its pivot columns."""
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        R[r] = [x / R[r][c] for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                R[i] = [a - R[i][c] * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def reference_kernel(rows, n_cols):
+    R, pivots = reference_rref(rows, n_cols)
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(rows, n_cols, b):
+    R, pivots = reference_rref([list(row) + [x] for row, x in zip(rows, b)], n_cols + 1)
+    if n_cols in pivots:
+        return None
+    x = [Fraction(0)] * n_cols
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][n_cols]
+    return tuple(x)
+
+
+entries = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=4))
+
+
+@st.composite
+def matrices(draw):
+    """Small sparse-ish matrices, sometimes with a forced zero row or column."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    if rows and n_cols and draw(st.booleans()):
+        rows[draw(st.integers(0, n_rows - 1))] = [Fraction(0)] * n_cols
+    if rows and n_cols and draw(st.booleans()):
+        c = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[c] = Fraction(0)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=matrices(), data=st.data())
+@example(rows=[], data=None)
+@example(rows=[[], []], data=None)
+@example(rows=[[0, 0], [0, 0]], data=None)
+def test_engine_matches_gauss_jordan_reference(rows, data):
+    A = RationalMatrix(rows)
+    _, pivots = reference_rref(rows, A.cols)
+    assert rank(A) == len(pivots)
+    assert kernel_basis(A) == reference_kernel(rows, A.cols)
+    if data is None:
+        rhs = [[Fraction(0)] * A.rows, [Fraction(1)] * A.rows]
+    else:
+        rhs = [data.draw(st.lists(entries, min_size=A.rows, max_size=A.rows))]
+        x = data.draw(st.lists(entries, min_size=A.cols, max_size=A.cols))
+        rhs.append([sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows])
+    for b in rhs:
+        assert solve(A, b) == reference_solve(rows, A.cols, b)
