@@ -50,6 +50,7 @@ from .errors import (
     ConstructionOverflow,
     FormInconsistent,
     ImageNotContained,
+    InvariantBroken,
     NotDominant,
     ShapeMismatch,
     SignConventionBroken,
@@ -63,10 +64,7 @@ from .linalg import (
     IncrementalSpan,
     RationalMatrix,
     Scalar,
-    SuperVectorSpace,
     format_scalar,
-    in_span,
-    intersection_basis,
     kernel_basis,
     quotient_dim,
     rank,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import SupvarError
-from .linalg import ONE, ZERO, RationalMatrix
+from .linalg import ONE, ZERO, RationalMatrix, axpy
 from .roots import eps
 
 Label = tuple  # ("E", a, b)
@@ -39,7 +39,7 @@ class LieSuperalgebraData:
     """Finite basis with parities and structure constants."""
 
     def __init__(self, name, labels, parity, structure, weight_of=None, z_degree=None,
-                 m=None, n=None, check=True):
+                 m=None, n=None):
         self.name = name
         self.labels = tuple(labels)
         self.parity = dict(parity)
@@ -49,8 +49,7 @@ class LieSuperalgebraData:
         self.m = m
         self.n = n
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def bracket(self, a: Label, b: Label) -> dict:
         return self.structure.get((a, b), {})
@@ -62,14 +61,9 @@ class LieSuperalgebraData:
             if not ca:
                 continue
             for lb, cb in y.items():
-                if not cb:
-                    continue
-                for lc, cc in self.bracket(la, lb).items():
-                    v = out.get(lc, ZERO) + ca * cb * cc
-                    if v:
-                        out[lc] = v
-                    else:
-                        out.pop(lc, None)
+                br = self.bracket(la, lb)
+                if cb and br:
+                    axpy(out, br.items(), ca * cb)
         return out
 
     def even_labels(self) -> list:
@@ -92,19 +86,16 @@ class LieSuperalgebraData:
         for a in self.labels:
             pa = par[a]
             for b in self.labels:
-                pb = par[b]
                 ab = self.bracket(a, b)
+                sgn = -ONE if (pa and par[b]) else ONE
                 for c in self.labels:
                     # graded Jacobi: [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|} [b,[a,c]]
-                    lhs = self.bracket_elements({a: ONE}, self.bracket(b, c))
+                    bc, ac = self.bracket(b, c), self.bracket(a, c)
+                    if not (ab or bc or ac):
+                        continue  # all three terms vanish
+                    lhs = self.bracket_elements({a: ONE}, bc)
                     rhs = self.bracket_elements(ab, {c: ONE})
-                    sgn = -ONE if (pa and pb) else ONE
-                    for k, v in self.bracket_elements({b: ONE}, self.bracket(a, c)).items():
-                        nv = rhs.get(k, ZERO) + sgn * v
-                        if nv:
-                            rhs[k] = nv
-                        else:
-                            rhs.pop(k, None)
+                    axpy(rhs, self.bracket_elements({b: ONE}, ac).items(), sgn)
                     if lhs != rhs:
                         raise SupvarError(f"graded Jacobi fails on {a}, {b}, {c}")
 
@@ -114,7 +105,7 @@ def _gl_labels(m: int, n: int):
     return [("E", a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
 
 
-def _gl_data(m: int, n: int, labels, name: str, check: bool) -> LieSuperalgebraData:
+def _gl_data(m: int, n: int, labels, name: str) -> LieSuperalgebraData:
     parity = {("E", a, b): 1 if (a <= m) != (b <= m) else 0 for (_, a, b) in labels}
     z_degree = {}
     weights = {}
@@ -136,23 +127,23 @@ def _gl_data(m: int, n: int, labels, name: str, check: bool) -> LieSuperalgebraD
                 structure[(la, lb)] = br
     return LieSuperalgebraData(
         name, labels, parity, structure, weight_of=weights, z_degree=z_degree,
-        m=m, n=n, check=check,
+        m=m, n=n,
     )
 
 
 @lru_cache(maxsize=None)
-def gl_superalgebra(m: int, n: int, check: bool = True) -> LieSuperalgebraData:
+def gl_superalgebra(m: int, n: int) -> LieSuperalgebraData:
     """gl(m|n) with its consistent Z-grading recorded per basis element."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    return _gl_data(m, n, _gl_labels(m, n), f"gl({m}|{n})", check)
+    return _gl_data(m, n, _gl_labels(m, n), f"gl({m}|{n})")
 
 
 @lru_cache(maxsize=None)
-def gl_even_subalgebra(m: int, n: int, check: bool = True) -> LieSuperalgebraData:
+def gl_even_subalgebra(m: int, n: int) -> LieSuperalgebraData:
     """The even part gl(m) + gl(n), as a Lie algebra in its own right."""
     labels = [lab for lab in _gl_labels(m, n) if (lab[1] <= m) == (lab[2] <= m)]
-    return _gl_data(m, n, labels, f"gl({m})+gl({n})", check)
+    return _gl_data(m, n, labels, f"gl({m})+gl({n})")
 
 
 def element_matrix(m: int, n: int, element: dict) -> RationalMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotDominant, TooLarge
+from .errors import InvariantBroken, NotDominant, TooLarge
 from .linalg import RationalMatrix, rank
 from .roots import Root, Weight, bilinear_form, is_dominant_integral, rho, root_system
 
@@ -69,7 +69,8 @@ def atypicality(lam: Weight) -> AtypicalityCertificate:
                 witness.append(Root(m, n, i, j))
                 break
     cert = AtypicalityCertificate(len(witness), tuple(witness))
-    assert cert.value <= defect(m, n)
+    if cert.value > defect(m, n):
+        raise InvariantBroken(f"atypicality {cert.value} exceeds the defect {defect(m, n)}")
     return cert
 
 

@@ -23,13 +23,12 @@ the acceptance gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
 from .errors import ConstructionOverflow, SignConventionBroken, Unsupported
-from .linalg import ONE, ZERO, IncrementalSpan, RationalMatrix, kernel_basis, quotient_dim
+from .linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, quotient_dim
 from .modules import SuperModuleRep, dual, tensor
 from .roots import Weight, zero_weight
 
@@ -77,13 +76,7 @@ def _derive_on_monomial(act: dict, mono: tuple) -> dict:
         seen.add(e)
         mult = mono.count(e)
         removed = mono[:pos] + mono[pos + 1 :]
-        for f, c in act.get(e, {}).items():
-            new_mono = tuple(sorted(removed + (f,)))
-            v = out.get(new_mono, ZERO) + mult * c
-            if v:
-                out[new_mono] = v
-            else:
-                out.pop(new_mono, None)
+        axpy(out, ((tuple(sorted(removed + (f,))), c) for f, c in act.get(e, {}).items()), mult)
     return out
 
 
@@ -121,38 +114,11 @@ def _g0_condition_columns(g, M: SuperModuleRep, odd_labels, keys) -> list[dict]:
     for mono, i in keys:
         col: dict = {}
         for a in g.even_labels():
-            for new_mono, c in _derive_on_monomial(table[a], mono).items():
-                key = (a, (new_mono, i))
-                v = col.get(key, ZERO) + c
-                if v:
-                    col[key] = v
-                else:
-                    col.pop(key, None)
-            for j, c in M.action_column(a, i).items():
-                key = (a, (mono, j))
-                v = col.get(key, ZERO) + c
-                if v:
-                    col[key] = v
-                else:
-                    col.pop(key, None)
+            axpy(col, (((a, (new_mono, i)), c)
+                       for new_mono, c in _derive_on_monomial(table[a], mono).items()), ONE)
+            axpy(col, (((a, (mono, j)), c) for j, c in M.action_column(a, i).items()), ONE)
         columns.append(col)
     return columns
-
-
-def _kernel_from_columns(columns: list[dict]) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : sum_k x_k col_k = 0} for sparse condition columns."""
-    n = len(columns)
-    if n == 0:
-        return []
-    row_keys = sorted({k for col in columns for k in col}, key=repr)
-    if not row_keys:
-        return [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
-    row_index = {k: r for r, k in enumerate(row_keys)}
-    rows = [[ZERO] * n for _ in row_keys]
-    for c, col in enumerate(columns):
-        for k, v in col.items():
-            rows[row_index[k]][c] = v
-    return kernel_basis(RationalMatrix(rows))
 
 
 def _differential_image(g, M: SuperModuleRep, odd_labels, vec: dict) -> dict:
@@ -160,13 +126,8 @@ def _differential_image(g, M: SuperModuleRep, odd_labels, vec: dict) -> dict:
     out: dict = {}
     for (mono, i), coeff in vec.items():
         for e, lab in enumerate(odd_labels):
-            for j, c in M.action_column(lab, i).items():
-                key = (tuple(sorted(mono + (e,))), j)
-                v = out.get(key, ZERO) + coeff * c
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+            new_mono = tuple(sorted(mono + (e,)))
+            axpy(out, (((new_mono, j), c) for j, c in M.action_column(lab, i).items()), coeff)
     return out
 
 
@@ -218,11 +179,7 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     spans = []
     for p in range(p_max + 2):
         keys = _weight_slice(g, M, odd_labels, p, target, budget)
-        conditions = _g0_condition_columns(g, M, odd_labels, keys)
-        basis_vectors = _kernel_from_columns(conditions)
-        basis = tuple(
-            {pos: c for pos, c in enumerate(vec) if c} for vec in basis_vectors
-        )
+        basis = tuple(column_kernel(_g0_condition_columns(g, M, odd_labels, keys)))
         degrees.append(CochainDegree(keys=tuple(keys), basis=basis, dim=len(basis)))
         span = IncrementalSpan()
         for b in basis:
@@ -257,27 +214,10 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
         for col in differentials[p]:
             out: dict = {}
             for k, c in col.items():
-                for k2, c2 in differentials[p + 1][k].items():
-                    v = out.get(k2, ZERO) + c * c2
-                    if v:
-                        out[k2] = v
-                    else:
-                        out.pop(k2, None)
+                axpy(out, differentials[p + 1][k].items(), c)
             if out:
                 raise SignConventionBroken("d . d != 0 on the constructed complex")
     return CochainComplex(g, M, p_max, degrees, differentials)
-
-
-def _kernel_vectors(columns: list[dict], dim_src: int, dim_dst: int):
-    if dim_src == 0:
-        return []
-    if dim_dst == 0:
-        return [tuple(ONE if i == j else ZERO for i in range(dim_src)) for j in range(dim_src)]
-    rows = [[ZERO] * dim_src for _ in range(dim_dst)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][c] = v
-    return kernel_basis(RationalMatrix(rows))
 
 
 def cohomology_dims(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
@@ -288,20 +228,14 @@ def cohomology_dims(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     dims = cx.dims()
     out = []
     for p in range(p_max + 1):
-        kernel_vecs = _kernel_vectors(cx.differentials[p], dims[p], dims[p + 1])
-        if p == 0:
-            image_vecs = []
-        else:
-            image_vecs = []
-            for col in cx.differentials[p - 1]:
-                vec = [ZERO] * dims[p]
-                for r, v in col.items():
-                    vec[r] = v
-                image_vecs.append(tuple(vec))
-        if dims[p] == 0:
+        n = dims[p]
+        if n == 0:
             out.append(0)
             continue
-        out.append(quotient_dim(dims[p], image_vecs, kernel_vecs))
+        kernel_vecs = column_kernel(cx.differentials[p])
+        image_vecs = cx.differentials[p - 1] if p else []
+        out.append(quotient_dim(n, [[v.get(r, ZERO) for r in range(n)] for v in image_vecs],
+                                [[v.get(r, ZERO) for r in range(n)] for v in kernel_vecs]))
     return out
 
 
@@ -374,20 +308,9 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
         for pos, coeff in vec.items():
             mono, i = slices[j][pos]
             for a in raisings:
-                for new_mono, c in _derive_on_monomial(table[a], mono).items():
-                    key = (a, (new_mono, i))
-                    v = out.get(key, ZERO) + coeff * c
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-                for r, c in M.action_column(a, i).items():
-                    key = (a, (mono, r))
-                    v = out.get(key, ZERO) + coeff * c
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+                axpy(out, (((a, (new_mono, i)), c)
+                           for new_mono, c in _derive_on_monomial(table[a], mono).items()), coeff)
+                axpy(out, (((a, (mono, r)), c) for r, c in M.action_column(a, i).items()), coeff)
         return out
 
     diffs = [diff_columns(j) for j in range(p_max + 1)]
@@ -404,15 +327,15 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
             for r, v in diffs[j][k].items():
                 col[("d", r)] = v
             cols.append(col)
-        mult_ker = len(_kernel_from_columns(cols))
+        mult_ker = len(column_kernel(cols))
         # highest weight vectors inside the image of d^{j-1}
         if j == 0 or len(slices[j - 1]) == 0:
             mult_im = 0
         else:
             prev = diffs[j - 1]
-            ker_prev = len(_kernel_from_columns([dict(c) for c in prev]))
+            ker_prev = len(column_kernel(prev))
             composed = [raising_rows(c, j) for c in prev]
-            ker_comp = len(_kernel_from_columns(composed))
+            ker_comp = len(column_kernel(composed))
             mult_im = ker_comp - ker_prev
         value = mult_ker - mult_im
         if value < 0:

@@ -5,6 +5,10 @@ class SupvarError(Exception):
     """Base class for all workbench errors."""
 
 
+class InvariantBroken(SupvarError):
+    """An internal invariant failed: a bug in the workbench, not bad input."""
+
+
 class ShapeMismatch(SupvarError):
     """Operands live over different (m, n) or have incompatible sizes."""
 

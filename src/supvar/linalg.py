@@ -1,16 +1,27 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra over one sparse elimination engine.
 
 All arithmetic is over Q using ``fractions.Fraction`` (arbitrary precision,
-always reduced, positive denominator), so nothing here ever rounds.  Matrices
-are dense and immutable.  Elimination is fraction-free (Bareiss) on a
-row-integerized copy, with a deterministic pivot rule: smallest nonzero
-absolute value in the current column, ties broken by lowest row index.
+always reduced, positive denominator), so nothing here ever rounds.
+``IncrementalSpan`` holds the only elimination loop in the package: sparse
+vectors are reduced one at a time against the rows accepted so far.
+``rank``, ``kernel_basis``, ``solve``, ``column_kernel``, ``span_dim`` and
+``quotient_dim`` are thin wrappers over it, and ``RationalMatrix`` is a dense,
+immutable container for their inputs.
+
+No result depends on the pivot order.  Ranks and span membership are
+invariants of the subspace, and coordinates over independent vectors are
+unique.  Kernels come from column relations: adding the columns in order,
+column j either enlarges the span or is a unique combination of the earlier
+columns that did.  In the second case the kernel vector is 1 at j, minus
+those coefficients on the earlier columns, and 0 elsewhere.  That is the
+basis read off the reduced row echelon form, whichever rows the elimination
+pivots on.  ``solve`` expresses the right-hand side over the same columns, so
+its free variables are 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ImageNotContained, ShapeMismatch
@@ -39,24 +50,18 @@ def format_scalar(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class SuperVectorSpace:
-    """A Z2-graded space recorded as labeled basis vectors with parities."""
+def axpy(out: dict, items: Iterable, c) -> None:
+    """out += c * vec for a sparse vec given as (key, value) pairs.
 
-    def __init__(self, basis_labels: Sequence[tuple[object, int]]):
-        self.basis_labels = tuple((label, parity % 2) for label, parity in basis_labels)
-        self.dim_even = sum(1 for _, p in self.basis_labels if p == 0)
-        self.dim_odd = len(self.basis_labels) - self.dim_even
-
-    @property
-    def dim(self) -> int:
-        return self.dim_even + self.dim_odd
-
-    @property
-    def superdimension(self) -> int:
-        return self.dim_even - self.dim_odd
-
-    def __repr__(self):
-        return f"SuperVectorSpace(dim_even={self.dim_even}, dim_odd={self.dim_odd})"
+    Entries that cancel to zero are removed, so sparse vectors never store
+    zeros and an empty dict is the zero vector.
+    """
+    for k, v in items:
+        nv = out.get(k, ZERO) + c * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
 
 
 class RationalMatrix:
@@ -73,152 +78,148 @@ class RationalMatrix:
             if len(row) != self.cols:
                 raise ShapeMismatch("ragged rows")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RationalMatrix":
-        columns = [tuple(scalar(x) for x in c) for c in columns]
-        if not columns:
-            return cls.zeros(rows or 0, 0)
-        n = len(columns[0])
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return RationalMatrix(zip(*self.entries))
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def scale(self, c) -> "RationalMatrix":
-        c = scalar(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries])
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return RationalMatrix(
-            [[sum((a * b for a, b in zip(row, col)), ZERO) for col in ot] for row in self.entries]
-        )
-
-    def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
-        vec = [scalar(x) for x in vector]
-        if len(vec) != self.cols:
-            raise ShapeMismatch("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in self.entries)
-
-    def _check_same_shape(self, other: "RationalMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch("matrix shapes differ")
 
     def __repr__(self):
         body = "; ".join(" ".join(format_scalar(x) for x in row) for row in self.entries)
         return f"RationalMatrix[{self.rows}x{self.cols}]({body})"
 
 
-def _integerize_rows(entries) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel and rank safe)."""
-    out = []
-    for row in entries:
-        mult = 1
-        for x in row:
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-        out.append([int(x * mult) for x in row])
-    return out
+class IncrementalSpan:
+    """Growable subspace with exact membership and coordinates.
 
+    Vectors are sparse dicts ``{key: value}`` or dense sequences (keys
+    0..n-1).  Keys may be any hashables, of mixed types: each is numbered the
+    first time the span sees it and only those numbers are ever compared.  A
+    new row pivots on its most recently numbered key, which keeps fill-in
+    lower than the oldest key on the zero-block rank test.
 
-def _row_echelon_bareiss(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns the echelonized rows (only the first ``len(pivot_cols)`` rows are
-    meaningful) and the pivot column indices.  Pivot choice: smallest nonzero
-    absolute value in the current column among the remaining rows, ties broken
-    by lowest row index.
+    Each accepted row keeps only the multipliers of its own reduction.  The
+    rows' coordinates over the accepted vectors are assembled from those, in
+    acceptance order, the first time ``express`` needs them, so callers that
+    only add vectors never pay for coordinates.
     """
-    if not mat:
-        return [], []
-    n_rows, n_cols = len(mat), len(mat[0])
-    pivot_cols = []
-    prev_piv = 1
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        best = -1
-        for i in range(r, n_rows):
-            v = mat[i][c]
-            if v != 0 and (best == -1 or abs(v) < abs(mat[best][c])):
-                best = i
-        if best == -1:
-            continue
-        if best != r:
-            mat[r], mat[best] = mat[best], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, n_rows):
-            row_i, row_r = mat[i], mat[r]
-            f = row_i[c]
-            # full Bareiss update even when f == 0 keeps later divisions exact
-            for j in range(c, n_cols):
-                row_i[j] = (row_i[j] * piv - f * row_r[j]) // prev_piv
-        pivot_cols.append(c)
-        prev_piv = piv
-        r += 1
-    return mat, pivot_cols
+
+    def __init__(self):
+        self._numbers: dict = {}  # key -> number, in order of first sight
+        self._rows: list = []     # (pivot, row scaled to pivot entry 1), in acceptance order
+        self._steps: list = []    # per accepted vector: (1 / pivot entry, [(index, multiplier)])
+        self._coords: list = []   # per accepted row: its combination of accepted vectors
+
+    def _sparse(self, vec) -> dict:
+        numbers = self._numbers
+        out = {}
+        for key, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            if x:
+                k = numbers.get(key)
+                if k is None:
+                    k = numbers[key] = len(numbers)
+                out[k] = scalar(x)
+        return out
+
+    def _reduce(self, vec: dict) -> list:
+        """Clear every pivot from vec in place; returns the multipliers used.
+
+        A row is zero at the pivots of the rows accepted before it, so one
+        pass in acceptance order clears them all.
+        """
+        steps = []
+        for index, (pivot, row) in enumerate(self._rows):
+            c = vec.get(pivot)
+            if c:
+                axpy(vec, row.items(), -c)
+                steps.append((index, c))
+                if not vec:
+                    break
+        return steps
+
+    def _place(self, vec) -> list | None:
+        """Accept vec and return None if it is new, else return its multipliers."""
+        vec = self._sparse(vec)
+        steps = self._reduce(vec)
+        if not vec:
+            return steps
+        pivot = max(vec)
+        inv = ONE / vec[pivot]
+        self._rows.append((pivot, {k: v * inv for k, v in vec.items()}))
+        self._steps.append((inv, steps))
+        return None
+
+    def _combine(self, steps: list) -> dict:
+        """Coordinates over the accepted vectors of sum(c * row[index])."""
+        coords = self._coords
+        for inv, row_steps in self._steps[len(coords):]:
+            combo: dict = {}
+            for index, c in row_steps:
+                axpy(combo, coords[index].items(), -c)
+            combo = {k: v * inv for k, v in combo.items()}
+            combo[len(coords)] = inv
+            coords.append(combo)
+        out: dict = {}
+        for index, c in steps:
+            axpy(out, coords[index].items(), c)
+        return out
+
+    def add(self, vec) -> bool:
+        """Add a vector; returns True if it enlarged the span."""
+        return self._place(vec) is None
+
+    def express(self, vec) -> dict | None:
+        """Coordinates of vec over the accepted vectors, or None if outside.
+
+        Keys are acceptance indices: 0 is the first vector that enlarged the
+        span.
+        """
+        vec = self._sparse(vec)
+        steps = self._reduce(vec)
+        return None if vec else self._combine(steps)
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+
+def column_kernel(columns: Sequence) -> list[dict]:
+    """Reduced-echelon basis of {x : sum_j x_j columns[j] = 0}.
+
+    Columns are sparse dicts or dense sequences; the basis vectors are sparse
+    dicts over column positions, one per column that depends on earlier ones.
+    """
+    span = IncrementalSpan()
+    independent = []  # positions of the columns that enlarged the span
+    basis = []
+    for j, col in enumerate(columns):
+        steps = span._place(col)
+        if steps is None:
+            independent.append(j)
+        else:
+            vec = {independent[i]: -c for i, c in span._combine(steps).items()}
+            vec[j] = ONE
+            basis.append(vec)
+    return basis
+
+
+def span_dim(vectors: Iterable) -> int:
+    """Dimension of the span of the given vectors."""
+    span = IncrementalSpan()
+    for v in vectors:
+        span._place(v)
+    return span.dim
 
 
 def rank(A: RationalMatrix) -> int:
     """Exact rank over Q."""
-    mat, pivots = _row_echelon_bareiss(_integerize_rows(A.entries))
-    return len(pivots)
+    return span_dim(A.entries)
 
 
 def kernel_basis(A: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of the right null space (free variable set to 1)."""
-    mat, pivots = _row_echelon_bareiss(_integerize_rows(A.entries))
-    n_cols = A.cols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [ZERO] * n_cols
-        vec[f] = ONE
-        for i in reversed(range(len(pivots))):
-            pc = pivots[i]
-            s = sum((Fraction(mat[i][j]) * vec[j] for j in range(pc + 1, n_cols) if vec[j]), ZERO)
-            vec[pc] = -s / Fraction(mat[i][pc])
-        basis.append(tuple(vec))
-    return basis
+    """Reduced-echelon basis of the right null space (free variable set to 1)."""
+    return [tuple(vec.get(j, ZERO) for j in range(A.cols))
+            for vec in column_kernel(list(zip(*A.entries)))]
 
 
 def solve(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -226,147 +227,27 @@ def solve(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     b = [scalar(x) for x in b]
     if len(b) != A.rows:
         raise ShapeMismatch("right-hand side length does not match row count")
-    aug = [list(row) + [bb] for row, bb in zip(A.entries, b)]
-    mat, pivots = _row_echelon_bareiss(_integerize_rows(aug))
-    n_cols = A.cols
-    if n_cols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [ZERO] * n_cols
-    for i in reversed(range(len(pivots))):
-        pc = pivots[i]
-        s = sum((Fraction(mat[i][j]) * x[j] for j in range(pc + 1, n_cols) if x[j]), ZERO)
-        x[pc] = (Fraction(mat[i][n_cols]) - s) / Fraction(mat[i][pc])
+    span = IncrementalSpan()
+    independent = [j for j, col in enumerate(zip(*A.entries)) if span._place(col) is None]
+    coords = span.express(b)
+    if coords is None:
+        return None
+    x = [ZERO] * A.cols
+    for i, c in coords.items():
+        x[independent[i]] = c
     return tuple(x)
-
-
-def span_dim(vectors: Sequence[Sequence]) -> int:
-    """Dimension of the span of the given vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    return rank(RationalMatrix(vectors))
-
-
-def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
-    """True iff v lies in the span of the given vectors."""
-    vectors = [tuple(scalar(x) for x in w) for w in vectors]
-    v = tuple(scalar(x) for x in v)
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    return solve(RationalMatrix.from_columns(vectors), v) is not None
-
-
-def intersection_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of span(U) intersected with span(V)."""
-    U = [tuple(scalar(x) for x in u) for u in U]
-    V = [tuple(scalar(x) for x in v) for v in V]
-    if not U or not V:
-        return []
-    n = len(U[0])
-    if any(len(v) != n for v in U + V):
-        raise ShapeMismatch("ambient dimensions differ")
-    columns = [list(u) for u in U] + [[-x for x in v] for v in V]
-    combos = kernel_basis(RationalMatrix.from_columns(columns))
-    vectors = []
-    for c in combos:
-        vec = [ZERO] * n
-        for coeff, u in zip(c[: len(U)], U):
-            if coeff:
-                for i, x in enumerate(u):
-                    vec[i] += coeff * x
-        vectors.append(tuple(vec))
-    span = IncrementalSpan(n)
-    return [v for v in vectors if span.add(v)]
 
 
 def quotient_dim(ambient_dim: int, image: Sequence[Sequence], kernel_sub: Sequence[Sequence]) -> int:
     """dim span(kernel_sub) - dim span(image), checking the containment."""
-    image = [tuple(scalar(x) for x in v) for v in image]
-    kernel_sub = [tuple(scalar(x) for x in v) for v in kernel_sub]
-    for v in image + kernel_sub:
+    for v in list(image) + list(kernel_sub):
         if len(v) != ambient_dim:
             raise ShapeMismatch("vector length does not match ambient dimension")
-    k_dim = span_dim(kernel_sub)
-    if image:
-        combined = span_dim(list(kernel_sub) + list(image))
-        if combined != k_dim:
-            raise ImageNotContained(
-                "an image vector lies outside the kernel span "
-                "(differential sign or complex construction bug)"
-            )
+    span = IncrementalSpan()
+    k_dim = sum(span._place(v) is None for v in kernel_sub)
+    if any(span._place(v) is None for v in image):
+        raise ImageNotContained(
+            "an image vector lies outside the kernel span "
+            "(differential sign or complex construction bug)"
+        )
     return k_dim - span_dim(image)
-
-
-class IncrementalSpan:
-    """Growable subspace supporting exact membership and coordinates.
-
-    Vectors are sparse dicts {index: Fraction}.  Each reduced row remembers
-    its expression in the originally added vectors, so ``express`` can return
-    coordinates in that original generating set.
-    """
-
-    def __init__(self, ambient_dim: int | None = None):
-        self.ambient_dim = ambient_dim
-        self._rows: list[tuple[int, dict, dict]] = []  # (pivot, reduced vector, combo)
-        self.count = 0  # vectors accepted so far
-
-    @staticmethod
-    def _to_sparse(vec) -> dict:
-        if isinstance(vec, dict):
-            return {k: scalar(v) for k, v in vec.items() if v}
-        return {i: scalar(x) for i, x in enumerate(vec) if x}
-
-    def _reduce(self, vec: dict) -> tuple[dict, dict]:
-        vec = dict(vec)
-        combo: dict = {}
-        for pivot, row, row_combo in self._rows:
-            c = vec.get(pivot)
-            if not c:
-                continue
-            for k, v in row.items():
-                nv = vec.get(k, ZERO) - c * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for k, v in row_combo.items():
-                nv = combo.get(k, ZERO) + c * v
-                if nv:
-                    combo[k] = nv
-                else:
-                    combo.pop(k, None)
-        return vec, combo
-
-    def add(self, vec) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        sparse = self._to_sparse(vec)
-        reduced, combo = self._reduce(sparse)
-        if not reduced:
-            return False
-        index = self.count
-        self.count += 1
-        pivot = min(reduced)
-        inv = ONE / reduced[pivot]
-        row = {k: v * inv for k, v in reduced.items()}
-        row_combo = {k: -v * inv for k, v in combo.items()}
-        row_combo[index] = inv
-        self._rows.append((pivot, row, row_combo))
-        self._rows.sort(key=lambda t: t[0])
-        return True
-
-    def express(self, vec) -> dict | None:
-        """Coordinates of vec over the accepted vectors, or None."""
-        sparse = self._to_sparse(vec)
-        reduced, combo = self._reduce(sparse)
-        if reduced:
-            return None
-        return combo
-
-    def pivots(self) -> set:
-        return {pivot for pivot, _, _ in self._rows}
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)

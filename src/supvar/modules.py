@@ -44,11 +44,10 @@ from .linalg import (
     ZERO,
     IncrementalSpan,
     RationalMatrix,
-    SuperVectorSpace,
+    axpy,
+    column_kernel,
     format_scalar,
-    kernel_basis,
     rank,
-    solve,
 )
 from .roots import Weight, dim_L0, format_weight, is_dominant_integral, weight, zero_weight
 
@@ -75,10 +74,6 @@ class SuperModuleRep:
         return len(self.parities)
 
     @property
-    def space(self) -> SuperVectorSpace:
-        return SuperVectorSpace(list(zip(self.basis_names, self.parities)))
-
-    @property
     def superdimension(self) -> int:
         return sum(1 if p == 0 else -1 for p in self.parities)
 
@@ -89,27 +84,15 @@ class SuperModuleRep:
         cols = self.actions.get(label, {})
         out: dict = {}
         for i, c in vec.items():
-            if not c:
-                continue
-            for j, a in cols.get(i, {}).items():
-                v = out.get(j, ZERO) + c * a
-                if v:
-                    out[j] = v
-                else:
-                    out.pop(j, None)
+            if c:
+                axpy(out, cols.get(i, {}).items(), c)
         return out
 
     def apply_element(self, element: dict, vec: dict) -> dict:
         out: dict = {}
         for label, coeff in element.items():
-            if not coeff:
-                continue
-            for j, a in self.apply_label(label, vec).items():
-                v = out.get(j, ZERO) + coeff * a
-                if v:
-                    out[j] = v
-                else:
-                    out.pop(j, None)
+            if coeff:
+                axpy(out, self.apply_label(label, vec).items(), coeff)
         return out
 
     def action_matrix(self, label) -> RationalMatrix:
@@ -145,14 +128,8 @@ def _apply_unit_tensor(a: int, b: int, vec: dict) -> dict:
     """E_ab acting on a tensor-power vector {index tuple: coeff} (1-based)."""
     out: dict = {}
     for idx, coeff in vec.items():
-        for pos, entry in enumerate(idx):
-            if entry == b:
-                nidx = idx[:pos] + (a,) + idx[pos + 1 :]
-                v = out.get(nidx, ZERO) + coeff
-                if v:
-                    out[nidx] = v
-                else:
-                    out.pop(nidx, None)
+        axpy(out, ((idx[:pos] + (a,) + idx[pos + 1 :], coeff)
+                   for pos, entry in enumerate(idx) if entry == b), ONE)
     return out
 
 
@@ -215,12 +192,7 @@ def _gl_factor_module(k: int, block: tuple, budget: int):
             for col, v in enumerate(basis_vecs):
                 w = _apply_unit_tensor(a, b, v)
                 if a == b and shift:
-                    for idx, c in v.items():
-                        nv = w.get(idx, ZERO) + Fraction(shift) * c
-                        if nv:
-                            w[idx] = nv
-                        else:
-                            w.pop(idx, None)
+                    axpy(w, v.items(), Fraction(shift))
                 if not w:
                     continue
                 coords = span.express(w)
@@ -326,12 +298,7 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
             pos += 1
         if pos % 2:
             coeff = -coeff
-        key = (S[:pos] + (h,) + S[pos:], t)
-        v = out.get(key, ZERO) + coeff
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        axpy(out, [((S[:pos] + (h,) + S[pos:], t), coeff)], ONE)
 
     memo: dict = {}
 
@@ -351,12 +318,7 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
             h, rest = S[0], S[1:]
             y_lab = y_labels[h]
             for lab2, cb in g.bracket(label, y_lab).items():
-                for (S2, t2), c in act(lab2, rest, t).items():
-                    v = out.get((S2, t2), ZERO) + cb * c
-                    if v:
-                        out[(S2, t2)] = v
-                    else:
-                        out.pop((S2, t2), None)
+                axpy(out, act(lab2, rest, t).items(), cb)
             sign = -ONE if g.parity[label] else ONE
             for (S2, t2), c in act(label, rest, t).items():
                 prepend(h, S2, t2, sign * c, out)
@@ -502,31 +464,36 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget,
     if verify_form is True or (verify_form == "auto" and K.dim <= FORM_VERIFY_DIM_LIMIT):
         _verify_form_adjointness(K, blocks)
 
+    # Per weight block, one span holds the radical and then the unit vectors
+    # e_p kept as quotient basis.  Offering e_p for p from the top down keeps
+    # exactly the positions where no radical vector has its first nonzero
+    # entry, and makes every block vector a unique combination of the two.
     kept: list[int] = []
-    radical: dict = {}  # weight coords -> list of sparse radical vectors (local coords)
-    kept_local: dict = {}  # weight coords -> list of local positions kept
+    kept_local: dict = {}  # weight coords -> kept local positions
+    spans: dict = {}  # weight coords -> (span, {acceptance index: kept local position})
     for wcoords, (idxs, rows) in blocks.items():
-        size = len(idxs)
-        rad = kernel_basis(RationalMatrix(rows)) if size else []
-        if rad:
+        radical = column_kernel(rows)  # a symmetric block's rows are its columns
+        if radical:
             span = IncrementalSpan()
-            for v in rad:
-                span.add({k: c for k, c in enumerate(v) if c})
-            local_kept = [p for p in range(size) if p not in span.pivots()]
+            for v in radical:
+                span.add(v)
+            units = {}
+            for p in reversed(range(len(idxs))):
+                if span.add({p: ONE}):
+                    units[span.dim - 1] = p
+            spans[wcoords] = (span, units)
+            local_kept = sorted(units.values())
         else:
-            local_kept = list(range(size))
-        radical[wcoords] = [dict((k, c) for k, c in enumerate(v) if c) for v in rad]
+            local_kept = list(range(len(idxs)))
         kept_local[wcoords] = local_kept
         kept.extend(idxs[p] for p in local_kept)
     kept.sort()
     new_index = {old: new for new, old in enumerate(kept)}
 
-    # quotient coordinates: solve against radical + kept unit vectors per block
     block_of = {}
     for wcoords, (idxs, _) in blocks.items():
         for pos, i in enumerate(idxs):
             block_of[i] = (wcoords, pos)
-    solvers: dict = {}
 
     def reduce_to_kept(vec: dict) -> dict:
         """Express vec (sparse over K) modulo the radical in kept coordinates."""
@@ -537,26 +504,17 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget,
             grouped.setdefault(wcoords, {})[pos] = c
         for wcoords, local_vec in grouped.items():
             idxs, _ = blocks[wcoords]
-            rad = radical[wcoords]
-            lk = kept_local[wcoords]
-            if not rad:
+            if wcoords not in spans:
                 for pos, c in local_vec.items():
                     out[new_index[idxs[pos]]] = c
                 continue
-            solver = solvers.get(wcoords)
-            if solver is None:
-                cols = [[v.get(r, ZERO) for r in range(len(idxs))] for v in rad]
-                cols += [[ONE if r == p else ZERO for r in range(len(idxs))] for p in lk]
-                solver = RationalMatrix.from_columns(cols)
-                solvers[wcoords] = solver
-            target = [local_vec.get(r, ZERO) for r in range(len(idxs))]
-            coords = solve(solver, target)
+            span, units = spans[wcoords]
+            coords = span.express(local_vec)
             if coords is None:
-                raise FormInconsistent("quotient solve failed inside a weight block")
-            for k, p in enumerate(lk):
-                c = coords[len(rad) + k]
-                if c:
-                    out[new_index[idxs[p]]] = c
+                raise FormInconsistent("quotient coordinates failed inside a weight block")
+            for k, c in coords.items():
+                if k in units:
+                    out[new_index[idxs[units[k]]]] = c
         return out
 
     actions = {}
@@ -616,13 +574,7 @@ def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
                 col: dict = {}
                 for r, c in m_cols.get(i, {}).items():
                     col[pair(r, j)] = c
-                for r, c in n_cols.get(j, {}).items():
-                    key = pair(i, r)
-                    v = col.get(key, ZERO) + sign * c
-                    if v:
-                        col[key] = v
-                    else:
-                        col.pop(key, None)
+                axpy(col, ((pair(i, r), c) for r, c in n_cols.get(j, {}).items()), sign)
                 if col:
                     cols[pair(i, j)] = col
         actions[label] = cols
@@ -641,13 +593,8 @@ def dual(M: SuperModuleRep) -> SuperModuleRep:
         cols: dict = {}
         for j, entries in M.actions.get(label, {}).items():
             for k, c in entries.items():
-                sign = -ONE if (pa and M.parities[k]) else ONE
-                col = cols.setdefault(k, {})
-                v = col.get(j, ZERO) - sign * c
-                if v:
-                    col[j] = v
-                else:
-                    col.pop(j, None)
+                sign = ONE if (pa and M.parities[k]) else -ONE
+                axpy(cols.setdefault(k, {}), [(j, c)], sign)
         actions[label] = {k: col for k, col in cols.items() if col}
     weights = [-w for w in M.weights]
     names = [f"{name}*" for name in M.basis_names]
@@ -728,20 +675,8 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
             for i in range(M.dim):
                 e = {i: ONE}
                 lhs = M.apply_label(a, M.apply_label(b, e))
-                for k, c in M.apply_label(b, M.apply_label(a, e)).items():
-                    v = lhs.get(k, ZERO) - sign * c
-                    if v:
-                        lhs[k] = v
-                    else:
-                        lhs.pop(k, None)
-                rhs: dict = {}
-                for d_label, cd in br.items():
-                    for k, c in M.apply_label(d_label, e).items():
-                        v = rhs.get(k, ZERO) + cd * c
-                        if v:
-                            rhs[k] = v
-                        else:
-                            rhs.pop(k, None)
+                axpy(lhs, M.apply_label(b, M.apply_label(a, e)).items(), -sign)
+                rhs = M.apply_element(br, e)
                 if lhs != rhs:
                     problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")
                     break

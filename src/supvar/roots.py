@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotDominant, ShapeMismatch, WeightParseError
+from .errors import InvariantBroken, NotDominant, ShapeMismatch, WeightParseError
 from .linalg import ONE, ZERO, format_scalar, scalar
 
 
@@ -194,5 +194,6 @@ def dim_L0(w: Weight) -> int:
     if not is_dominant_integral(w):
         raise NotDominant(f"{format_weight(w)} is not dominant integral")
     d = _weyl_block_dim(w.first_block) * _weyl_block_dim(w.second_block)
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise InvariantBroken(f"Weyl dimension {d} is not a positive integer")
     return int(d)

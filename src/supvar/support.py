@@ -29,7 +29,7 @@ from .algebra import detecting_subalgebra
 from .atypicality import SupportDescription, defect, theoretical_support
 from .config import DEFAULT_SEED, RunConfig
 from .errors import ShapeMismatch, ZeroPoint
-from .linalg import ZERO, scalar
+from .linalg import ZERO, IncrementalSpan, axpy, scalar
 from .modules import SuperModuleRep, simple_module
 from .roots import Weight
 
@@ -97,51 +97,25 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     if size % 2:
         return False
 
-    local = {i: k for k, i in enumerate(zero_block)}
+    in_block = set(zero_block)
     columns = []
     for i in zero_block:
         col: dict = {}
         for t in range(r):
-            if not a[t]:
-                continue
-            for lab in det.generator_labels(t + 1):
-                for row, val in M.action_column(lab, i).items():
-                    v = col.get(row, ZERO) + a[t] * val
-                    if v:
-                        col[row] = v
-                    else:
-                        col.pop(row, None)
-        for row in col:
-            if row not in local:
-                raise ShapeMismatch("zero eigenblock is not action stable")
-        if col:
-            columns.append({local[row]: val for row, val in col.items()})
+            if a[t]:
+                for lab in det.generator_labels(t + 1):
+                    axpy(col, M.action_column(lab, i).items(), a[t])
+        if not in_block.issuperset(col):
+            raise ShapeMismatch("zero eigenblock is not action stable")
+        columns.append(col)
 
-    # sparse column elimination; rank(X|M0) <= size/2 since X|M0 squares to 0,
-    # so stop as soon as that bound is reached
+    # rank(X|M0) <= size/2 since X|M0 squares to 0, so stop once that bound is hit
     target = size // 2
-    rank_val = 0
-    reduced: list[tuple[int, dict]] = []
+    span = IncrementalSpan()
     for col in columns:
-        cur = dict(col)
-        for piv, row in reduced:
-            c = cur.get(piv)
-            if not c:
-                continue
-            for k, v in row.items():
-                nv = cur.get(k, ZERO) - c * v
-                if nv:
-                    cur[k] = nv
-                else:
-                    cur.pop(k, None)
-        if cur:
-            piv = min(cur)
-            inv = Fraction(1) / cur[piv]
-            reduced.append((piv, {k: v * inv for k, v in cur.items()}))
-            rank_val += 1
-            if rank_val == target:
-                return True
-    return 2 * rank_val == size
+        if span.add(col) and span.dim == target:
+            return True
+    return 2 * span.dim == size
 
 
 def is_projective_at(M: SuperModuleRep, point: OddPoint) -> bool:

@@ -84,4 +84,6 @@ def test_element_matrix():
     assert x1.entries[1][2] == 1 and x1.entries[2][1] == 1
     assert sum(1 for row in x1.entries for v in row if v != 0) == 2
     sq = element_matrix(2, 2, d.squares[0])
-    assert (x1 @ x1).entries == sq.entries
+    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*x1.entries)]
+              for row in x1.entries]
+    assert tuple(map(tuple, square)) == sq.entries

@@ -10,8 +10,6 @@ from supvar.linalg import (
     IncrementalSpan,
     RationalMatrix,
     format_scalar,
-    in_span,
-    intersection_basis,
     kernel_basis,
     quotient_dim,
     rank,
@@ -29,6 +27,18 @@ def rand_matrix(rng, rows, cols, bound=6):
     return RationalMatrix([[rand_fraction(rng, bound) for _ in range(cols)] for _ in range(rows)])
 
 
+def identity(n):
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zeros(rows, cols):
+    return RationalMatrix([[0] * cols for _ in range(rows)])
+
+
+def apply(A, v):
+    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A.entries)
+
+
 def test_scalar_parsing():
     assert scalar("3/4") == Fraction(3, 4)
     assert scalar(-2) == Fraction(-2)
@@ -37,14 +47,14 @@ def test_scalar_parsing():
 
 
 def test_rank_examples():
-    assert rank(RationalMatrix.identity(2)) == 2
-    assert rank(RationalMatrix.zeros(2, 2)) == 0
+    assert rank(identity(2)) == 2
+    assert rank(zeros(2, 2)) == 0
     assert rank(RationalMatrix([[1, 2], [2, 4]])) == 1
 
 
 def test_kernel_examples():
-    assert kernel_basis(RationalMatrix.identity(3)) == []
-    zero_kernel = kernel_basis(RationalMatrix.zeros(3, 3))
+    assert kernel_basis(identity(3)) == []
+    zero_kernel = kernel_basis(zeros(3, 3))
     assert len(zero_kernel) == 3
     assert span_dim(zero_kernel) == 3
     (v,) = kernel_basis(RationalMatrix([[1, 1]]))
@@ -60,7 +70,7 @@ def test_rank_nullity_and_exact_kernels():
         ker = kernel_basis(A)
         assert rank(A) + len(ker) == cols
         for v in ker:
-            assert all(x == 0 for x in A.apply(v))
+            assert all(x == 0 for x in apply(A, v))
 
 
 def test_solve_random_and_inconsistent():
@@ -69,10 +79,10 @@ def test_solve_random_and_inconsistent():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         A = rand_matrix(rng, rows, cols)
         x = [rand_fraction(rng) for _ in range(cols)]
-        b = A.apply(x)
+        b = apply(A, x)
         got = solve(A, b)
         assert got is not None
-        assert A.apply(got) == b
+        assert apply(A, got) == b
     assert solve(RationalMatrix([[1, 0], [1, 0]]), [1, 2]) is None
 
 
@@ -116,15 +126,6 @@ def test_arithmetic_round_trips():
             assert (a * b) / b == a
 
 
-def test_in_span_and_intersection():
-    u = [(1, 0, 0), (0, 1, 0)]
-    assert in_span(u, (2, 3, 0))
-    assert not in_span(u, (0, 0, 1))
-    inter = intersection_basis([(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 0, 1)])
-    assert span_dim(inter) == 1
-    assert in_span([(0, 1, 0)], inter[0])
-
-
 def test_incremental_span_coordinates():
     span = IncrementalSpan()
     v1 = {0: Fraction(2), 1: Fraction(1)}
@@ -134,23 +135,19 @@ def test_incremental_span_coordinates():
     coords = span.express({0: Fraction(4), 1: Fraction(5)})
     assert coords == {0: Fraction(2), 1: Fraction(1)}
     assert span.express({2: Fraction(1)}) is None
-
-
-def test_super_vector_space():
-    from supvar.linalg import SuperVectorSpace
-
-    V = SuperVectorSpace([("a", 0), ("b", 1), ("c", 1)])
-    assert V.dim == 3 and V.dim_even == 1 and V.dim_odd == 2
-    assert V.superdimension == -1
+    # keys of mixed types are never compared with each other
+    mixed = IncrementalSpan()
+    assert mixed.add({("d", 0): 1, (("E", 1, 2), ((0,), 1)): 2})
+    assert mixed.add({("d", 0): 1})
+    assert not mixed.add({(("E", 1, 2), ((0,), 1)): 3})
+    assert mixed.express({(("E", 1, 2), ((0,), 1)): 4, ("d", 0): 1}) == {0: 2, 1: -1}
 
 
 def test_matrix_algebra():
     A = RationalMatrix([[1, 2], [3, 4]])
-    B = RationalMatrix([[0, 1], [1, 0]])
-    assert (A @ B).entries == RationalMatrix([[2, 1], [4, 3]]).entries
-    assert (A + B - B).entries == A.entries
+    assert A.transpose().entries == ((1, 3), (2, 4))
     assert A.transpose().transpose() == A
-    assert A.scale(Fraction(1, 2)).entries[0][1] == 1
+    assert RationalMatrix([[], []]).transpose() == RationalMatrix([])
 
 
 def reference_rref(rows, n_cols):

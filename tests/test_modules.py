@@ -59,8 +59,7 @@ def test_kac_dimensions():
     lam = parse_weight(2, 2, "2,1|1,0")
     K = kac_module(lam)
     assert K.dim == 16 * dim_L0(lam)
-    assert K.space.dim == K.dim
-    assert K.space.superdimension == K.superdimension == 0
+    assert K.superdimension == 0
 
 
 def test_kac_superdimension_vanishes():
