@@ -669,13 +669,13 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     for a in g.labels:
         pa = g.parity[a]
         for b in g.labels:
-            pb = g.parity[b]
-            sign = -ONE if (pa and pb) else ONE
+            # [a, b] = ab - (-1)^{|a||b|} ba
+            minus_sign = ONE if (pa and g.parity[b]) else -ONE
             br = g.bracket(a, b)
             for i in range(M.dim):
                 e = {i: ONE}
                 lhs = M.apply_label(a, M.apply_label(b, e))
-                axpy(lhs, M.apply_label(b, M.apply_label(a, e)).items(), -sign)
+                axpy(lhs, M.apply_label(b, M.apply_label(a, e)).items(), minus_sign)
                 rhs = M.apply_element(br, e)
                 if lhs != rhs:
                     problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")
