@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from supvar.atypicality import (
     defect,
     theoretical_support,
 )
-from supvar.errors import NotDominant, TooLarge
+from supvar.errors import InvariantBroken, NotDominant, TooLarge
 from supvar.roots import bilinear_form, parse_weight, rho, weight
 
 
@@ -61,12 +62,16 @@ def test_certificate_is_valid():
                     assert bilinear_form(a.as_weight(), b.as_weight()) == 0
 
 
-def test_atyp_bounded_by_defect():
+def test_atyp_bounded_by_defect(monkeypatch):
     rng = random.Random(31)
     for _ in range(50):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         lam = weight(m, n, [rng.randint(-5, 5) for _ in range(m + n)])
         assert atypicality(lam).value <= defect(m, n)
+    # the bound is an invariant check that raises, so it also runs under python -O
+    monkeypatch.setattr(importlib.import_module("supvar.atypicality"), "defect", lambda m, n: 0)
+    with pytest.raises(InvariantBroken):
+        atypicality(parse_weight(1, 1, "0|0"))
 
 
 def test_theoretical_support_shapes():

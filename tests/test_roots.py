@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from supvar.errors import NotDominant, ShapeMismatch, WeightParseError
+from supvar.errors import InvariantBroken, NotDominant, ShapeMismatch, WeightParseError
 from supvar.roots import (
     bilinear_form,
     dim_L0,
@@ -83,12 +83,16 @@ def test_dominance():
     assert not is_dominant_integral(parse_weight(1, 1, "1/2|0"))
 
 
-def test_dim_L0_examples():
+def test_dim_L0_examples(monkeypatch):
     assert dim_L0(parse_weight(2, 2, "0,0|0,0")) == 1
     assert dim_L0(parse_weight(2, 1, "1,0|0")) == 2
     assert dim_L0(parse_weight(2, 1, "2,0|0")) == 3
     with pytest.raises(NotDominant):
         dim_L0(parse_weight(2, 1, "0,1|0"))
+    # a non-integral Weyl dimension is an invariant failure, raised even under python -O
+    monkeypatch.setattr("supvar.roots._weyl_block_dim", lambda block: Fraction(1, 2))
+    with pytest.raises(InvariantBroken):
+        dim_L0(parse_weight(2, 1, "1,0|0"))
 
 
 def _det(rows):
