@@ -74,7 +74,6 @@ from .linalg import (
 )
 from .modules import (
     SuperModuleRep,
-    contravariant_form,
     direct_sum,
     dual,
     dump_module,

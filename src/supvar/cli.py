@@ -1,7 +1,8 @@
 """Command line interface with deterministic JSON (or table) reports.
 
 Exit codes: 0 success, 1 verdict failure (a --compare mismatch or a failed
-divisibility check), 2 malformed input, 3 dimension budget exceeded.
+divisibility check), 2 malformed input, 3 dimension budget exceeded,
+4 internal invariant broken (a bug in the workbench, not in the input).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .atypicality import atypicality, defect, theoretical_support
 from .clifford import classify_block, form_from_subalgebra, simple_divisibility
 from .cohomology import cohomology_dims, ext_dims, kac_ext_dims
 from .config import load_config
-from .errors import ConstructionOverflow, SupvarError, WeightParseError
+from .errors import ConstructionOverflow, InvariantBroken, SupvarError, WeightParseError
 from .modules import (
     L0_module,
     dump_module,
@@ -26,7 +27,7 @@ from .modules import (
 from .roots import format_weight, parse_weight
 from .support import compare_support, empirical_support
 
-OK, VERDICT_FAIL, PARSE_ERROR, BUDGET_EXCEEDED = 0, 1, 2, 3
+OK, VERDICT_FAIL, PARSE_ERROR, BUDGET_EXCEEDED, INVARIANT_BROKEN = 0, 1, 2, 3, 4
 
 
 def _module_from_spec(spec: str, m: int, n: int, budget: int):
@@ -293,12 +294,12 @@ def main(argv=None) -> int:
         if getattr(args, "m", 1) < 1 or getattr(args, "n", 1) < 1:
             raise WeightParseError("m and n must be >= 1")
         code, payload = args.func(args, cfg)
-    except WeightParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
     except ConstructionOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_EXCEEDED
+    except InvariantBroken as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return INVARIANT_BROKEN
     except SupvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

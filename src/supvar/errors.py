@@ -17,7 +17,7 @@ class NotDominant(SupvarError):
     """Weight is not dominant integral for gl(m) x gl(n)."""
 
 
-class ImageNotContained(SupvarError):
+class ImageNotContained(InvariantBroken):
     """A supplied image vector is outside the kernel span."""
 
 
@@ -29,7 +29,7 @@ class AlgebraMismatch(SupvarError):
     """Modules over different algebras were combined."""
 
 
-class FormInconsistent(SupvarError):
+class FormInconsistent(InvariantBroken):
     """Contravariant-form adjointness verification failed."""
 
 
@@ -41,7 +41,7 @@ class TooLarge(SupvarError):
     """Input exceeds an enumeration bound."""
 
 
-class SignConventionBroken(SupvarError):
+class SignConventionBroken(InvariantBroken):
     """No consistent sign convention satisfies d . d = 0."""
 
 

@@ -23,12 +23,23 @@ Construction chain:
 
 All reps are immutable after construction; actions are stored as sparse
 columns and materialize to ``RationalMatrix`` on demand.
+
+Both representation checks are sparse matrix identities over the integers,
+on actions scaled by one common denominator per module.  Adjointness
+G A_a = A_{tau a}^T G is checked on every Kac form ``simple_module`` builds,
+whatever its size; G is symmetric (asserted per block), so the identity for
+tau(a) is the transpose of the one for a and each pair {a, tau a} is checked
+once.  ``verify_rep`` checks A_a A_b - s A_b A_a = A_[a,b], s = (-1)^{|a||b|},
+for every label pair a <= b: by super-antisymmetry, which
+``LieSuperalgebraData`` asserts, the (b, a) identity is this one times -s.
+a = b is skipped only for even a; for odd a it says 2 A_a^2 = A_[a,a].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
 from .config import RunConfig
@@ -50,8 +61,6 @@ from .linalg import (
     rank,
 )
 from .roots import Weight, dim_L0, format_weight, is_dominant_integral, weight, zero_weight
-
-FORM_VERIFY_DIM_LIMIT = 80  # full adjointness check below this dimension
 
 
 class SuperModuleRep:
@@ -79,21 +88,6 @@ class SuperModuleRep:
 
     def action_column(self, label, col: int) -> dict:
         return self.actions.get(label, {}).get(col, {})
-
-    def apply_label(self, label, vec: dict) -> dict:
-        cols = self.actions.get(label, {})
-        out: dict = {}
-        for i, c in vec.items():
-            if c:
-                axpy(out, cols.get(i, {}).items(), c)
-        return out
-
-    def apply_element(self, element: dict, vec: dict) -> dict:
-        out: dict = {}
-        for label, coeff in element.items():
-            if coeff:
-                axpy(out, self.apply_label(label, vec).items(), coeff)
-        return out
 
     def action_matrix(self, label) -> RationalMatrix:
         d = self.dim
@@ -349,9 +343,42 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
         g, parities, weights, actions, basis_names=names,
         meta={
             "kind": "kac", "weight": lam, "l0_gram": L0.meta["gram"],
-            "l0_dim": L0.dim, "basis": basis, "y_labels": y_labels,
+            "l0_dim": L0.dim, "basis": basis, "basis_index": basis_index,
+            "y_labels": y_labels,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# sparse integer products for the representation checks
+
+
+def _integerize(matrices: dict) -> tuple[int, dict]:
+    """One common denominator d, and d times each sparse-column matrix, as ints."""
+    d = lcm(*{x.denominator for cols in matrices.values()
+              for col in cols.values() for x in col.values()})
+    return d, {
+        key: {j: {i: x.numerator * (d // x.denominator) for i, x in col.items()}
+              for j, col in cols.items()}
+        for key, cols in matrices.items()
+    }
+
+
+def _int_mul_add(out: dict, A: dict, B: dict, c: int) -> None:
+    """out += c * A B for int sparse-column matrices; cancelled entries stay as 0."""
+    for j, bcol in B.items():
+        ocol = out.setdefault(j, {})
+        for k, b in bcol.items():
+            acol = A.get(k)
+            if acol:
+                f = c * b
+                for i, a in acol.items():
+                    ocol[i] = ocol.get(i, 0) + f * a
+
+
+def _nonzero_column(out: dict):
+    """The least column of out with a nonzero entry, or None."""
+    return min((j for j, col in out.items() if any(col.values())), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +390,24 @@ def _transpose_label(label):
     return ("E", b, a)
 
 
-def _form_blocks(K: SuperModuleRep, gram_scale: Fraction = ONE) -> dict:
+def _form_blocks(K: SuperModuleRep) -> list:
     """Weight blocks of the contravariant form on a Kac module.
 
-    Returns {weight coords: (global indices, matrix rows)}.  Entries follow
-    the peel rule <y_h u', w> = <u', tau(y_h) w> down to the top layer, where
-    the form is the L0 inner product.  Distinct weight spaces pair to zero
-    because each block weight pins the monomial length.
+    Returns [(global indices, matrix rows)], one entry per weight, ordered by
+    layer and then weight.  Entries follow the peel rule
+    <y_h u', w> = <u', tau(y_h) w> down to the top layer, where the form is
+    the L0 inner product.  Distinct weight spaces pair to zero because each
+    block weight pins the monomial length.
     """
     if K.meta.get("kind") != "kac":
         raise FormInconsistent("the contravariant form is seeded on Kac modules")
     basis = K.meta["basis"]
     y_labels = K.meta["y_labels"]
     l0_gram = K.meta["l0_gram"]
-    K.meta.setdefault("basis_index", {key: i for i, key in enumerate(basis)})
     by_weight: dict = {}
     for i, (S, t) in enumerate(basis):
         by_weight.setdefault(K.weights[i].coords, []).append(i)
-    blocks: dict = {}
+    blocks = []
     layer_of = {w: len(basis[idxs[0]][0]) for w, idxs in by_weight.items()}
     value_cache: dict = {}
 
@@ -391,87 +418,60 @@ def _form_blocks(K: SuperModuleRep, gram_scale: Fraction = ONE) -> dict:
         S, t = basis[i]
         if not S:
             S2, t2 = basis[j]
-            val = (l0_gram[t][t2] if not S2 else ZERO) * gram_scale
+            val = l0_gram[t][t2] if not S2 else ZERO
         else:
             h, rest = S[0], S[1:]
-            up = K.apply_label(_transpose_label(y_labels[h]), {j: ONE})
+            up = K.action_column(_transpose_label(y_labels[h]), j)
             i2 = K.meta["basis_index"][(rest, t)]
             val = sum((c * block_value(i2, z) for z, c in up.items()), ZERO)
         value_cache[(i, j)] = val
         return val
 
-    for wcoords, idxs in sorted(by_weight.items(), key=lambda kv: (layer_of[kv[0]], kv[0])):
+    for _, idxs in sorted(by_weight.items(), key=lambda kv: (layer_of[kv[0]], kv[0])):
         rows = [[block_value(i, j) for j in idxs] for i in idxs]
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
                 if rows[a][b] != rows[b][a]:
                     raise FormInconsistent("contravariant form block is not symmetric")
-        blocks[wcoords] = (idxs, rows)
+        blocks.append((idxs, rows))
     return blocks
 
 
-def _verify_form_adjointness(K: SuperModuleRep, blocks: dict):
-    """Check <a.u, u'> = <u, tau(a).u'> for every algebra basis element."""
-    lookup = {}
-    for wcoords, (idxs, rows) in blocks.items():
-        for a, i in enumerate(idxs):
-            for b, j in enumerate(idxs):
-                lookup[(i, j)] = rows[a][b]
-
-    def form(vec1: dict, vec2: dict) -> Fraction:
-        total = ZERO
-        for i, c1 in vec1.items():
-            for j, c2 in vec2.items():
-                v = lookup.get((i, j))
-                if v:
-                    total += c1 * c2 * v
-        return total
-
-    for label in K.algebra.labels:
-        tl = _transpose_label(label)
-        for i in range(K.dim):
-            left = K.apply_label(label, {i: ONE})
-            for j in range(K.dim):
-                lhs = form(left, {j: ONE})
-                rhs = form({i: ONE}, K.apply_label(tl, {j: ONE}))
-                if lhs != rhs:
-                    raise FormInconsistent(
-                        f"adjointness fails for {label} on basis pair ({i},{j})"
-                    )
+def _check_form_adjointness(K: SuperModuleRep, blocks: list):
+    """Check <a.u, u'> = <u, tau(a).u'>, as G A_a = A_{tau a}^T G on ints."""
+    form = {}
+    for idxs, rows in blocks:
+        for b, j in enumerate(idxs):
+            form[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
+    _, ints = _integerize({**K.actions, "form": form})
+    G = ints["form"]
+    for label in [lab for lab in K.algebra.labels if lab[1] <= lab[2]]:
+        transposed: dict = {}
+        for j, col in ints[_transpose_label(label)].items():
+            for i, x in col.items():
+                transposed.setdefault(i, {})[j] = x
+        out: dict = {}
+        _int_mul_add(out, G, ints[label], 1)
+        _int_mul_add(out, transposed, G, -1)
+        col = _nonzero_column(out)
+        if col is not None:
+            raise FormInconsistent(f"adjointness fails for {label} on column {col}")
 
 
-def contravariant_form(K: SuperModuleRep, verify: str | bool = "auto",
-                       gram_scale: Fraction = ONE) -> RationalMatrix:
-    """The contravariant form of a Kac module as a symmetric matrix."""
-    blocks = _form_blocks(K, gram_scale=gram_scale)
-    if verify is True or (verify == "auto" and K.dim <= FORM_VERIFY_DIM_LIMIT):
-        _verify_form_adjointness(K, blocks)
-    d = K.dim
-    rows = [[ZERO] * d for _ in range(d)]
-    for _, (idxs, block_rows) in blocks.items():
-        for a, i in enumerate(idxs):
-            for b, j in enumerate(idxs):
-                rows[i][j] = block_rows[a][b]
-    return RationalMatrix(rows)
-
-
-def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget,
-                  verify_form: str | bool = "auto",
-                  gram_scale: Fraction = ONE) -> SuperModuleRep:
+def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperModuleRep:
     """Simple head of the Kac module: quotient by the form radical."""
     K = kac_module(lam, budget)
-    blocks = _form_blocks(K, gram_scale=gram_scale)
-    if verify_form is True or (verify_form == "auto" and K.dim <= FORM_VERIFY_DIM_LIMIT):
-        _verify_form_adjointness(K, blocks)
+    blocks = _form_blocks(K)
+    _check_form_adjointness(K, blocks)
 
     # Per weight block, one span holds the radical and then the unit vectors
     # e_p kept as quotient basis.  Offering e_p for p from the top down keeps
     # exactly the positions where no radical vector has its first nonzero
     # entry, and makes every block vector a unique combination of the two.
     kept: list[int] = []
-    kept_local: dict = {}  # weight coords -> kept local positions
-    spans: dict = {}  # weight coords -> (span, {acceptance index: kept local position})
-    for wcoords, (idxs, rows) in blocks.items():
+    kept_local = []  # per block: kept local positions
+    spans = []  # per block: None, or (span, {acceptance index: kept local position})
+    for idxs, rows in blocks:
         radical = column_kernel(rows)  # a symmetric block's rows are its columns
         if radical:
             span = IncrementalSpan()
@@ -481,34 +481,32 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget,
             for p in reversed(range(len(idxs))):
                 if span.add({p: ONE}):
                     units[span.dim - 1] = p
-            spans[wcoords] = (span, units)
+            spans.append((span, units))
             local_kept = sorted(units.values())
         else:
+            spans.append(None)
             local_kept = list(range(len(idxs)))
-        kept_local[wcoords] = local_kept
+        kept_local.append(local_kept)
         kept.extend(idxs[p] for p in local_kept)
     kept.sort()
     new_index = {old: new for new, old in enumerate(kept)}
 
-    block_of = {}
-    for wcoords, (idxs, _) in blocks.items():
-        for pos, i in enumerate(idxs):
-            block_of[i] = (wcoords, pos)
+    block_of = {i: (b, pos) for b, (idxs, _) in enumerate(blocks) for pos, i in enumerate(idxs)}
 
     def reduce_to_kept(vec: dict) -> dict:
         """Express vec (sparse over K) modulo the radical in kept coordinates."""
         out: dict = {}
         grouped: dict = {}
         for i, c in vec.items():
-            wcoords, pos = block_of[i]
-            grouped.setdefault(wcoords, {})[pos] = c
-        for wcoords, local_vec in grouped.items():
-            idxs, _ = blocks[wcoords]
-            if wcoords not in spans:
+            b, pos = block_of[i]
+            grouped.setdefault(b, {})[pos] = c
+        for b, local_vec in grouped.items():
+            idxs = blocks[b][0]
+            if spans[b] is None:
                 for pos, c in local_vec.items():
                     out[new_index[idxs[pos]]] = c
                 continue
-            span, units = spans[wcoords]
+            span, units = spans[b]
             coords = span.express(local_vec)
             if coords is None:
                 raise FormInconsistent("quotient coordinates failed inside a weight block")
@@ -521,8 +519,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget,
     for label in K.algebra.labels:
         cols = {}
         for new_col, old in enumerate(kept):
-            img = K.apply_label(label, {old: ONE})
-            red = reduce_to_kept(img)
+            red = reduce_to_kept(K.action_column(label, old))
             if red:
                 cols[new_col] = red
         actions[label] = cols
@@ -531,8 +528,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget,
     names = [K.basis_names[i] for i in kept]
 
     # the induced form on the quotient must be nondegenerate
-    for wcoords, (idxs, rows) in blocks.items():
-        lk = kept_local[wcoords]
+    for (idxs, rows), lk in zip(blocks, kept_local):
         if lk:
             sub = RationalMatrix([[rows[p][q] for q in lk] for p in lk])
             if rank(sub) != len(lk):
@@ -641,10 +637,11 @@ def direct_sum(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
 
 
 def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
-    """Exact parity, weight, and bracket compatibility on every basis pair.
+    """Exact parity, weight, and bracket compatibility of the actions.
 
     Cartan elements must act diagonally by the labeled weight coordinates;
-    the rank-variety tests rely on that.
+    the rank-variety tests rely on that.  Brackets are checked as
+    A_a A_b - s A_b A_a = d [a, b] on the actions scaled by d (module notes).
     """
     problems = []
     g = M.algebra
@@ -666,20 +663,22 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
             expected = M.weights[i].coords[a - 1]
             if col != ({i: expected} if expected else {}):
                 problems.append(f"Cartan element {label} is not diagonal on column {i}")
-    for a in g.labels:
+    d, A = _integerize({label: M.actions.get(label, {}) for label in g.labels})
+    identity = {i: {i: 1} for i in range(M.dim)}
+    for k, a in enumerate(g.labels):
         pa = g.parity[a]
-        for b in g.labels:
-            # [a, b] = ab - (-1)^{|a||b|} ba
-            minus_sign = ONE if (pa and g.parity[b]) else -ONE
+        for b in g.labels[k if pa else k + 1:]:
             br = g.bracket(a, b)
-            for i in range(M.dim):
-                e = {i: ONE}
-                lhs = M.apply_label(a, M.apply_label(b, e))
-                axpy(lhs, M.apply_label(b, M.apply_label(a, e)).items(), minus_sign)
-                rhs = M.apply_element(br, e)
-                if lhs != rhs:
-                    problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")
-                    break
+            q = lcm(*(c.denominator for c in br.values()))  # clears the structure constants
+            s = -1 if (pa and g.parity[b]) else 1
+            out: dict = {}
+            _int_mul_add(out, A[a], A[b], q)
+            _int_mul_add(out, A[b], A[a], -s * q)
+            for e, c in br.items():
+                _int_mul_add(out, A[e], identity, -d * int(c * q))
+            i = _nonzero_column(out)
+            if i is not None:
+                problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")
     return not problems, problems
 
 

@@ -1,10 +1,23 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supvar.cli
 from supvar.cli import main
 from supvar.config import DEFAULT_SEED, RunConfig, load_config
+from supvar.errors import (
+    FormInconsistent,
+    ImageNotContained,
+    InvariantBroken,
+    SignConventionBroken,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +141,33 @@ def test_parse_errors_exit_2(capsys):
 def test_budget_exceeded_exit_3(capsys):
     assert main(["dump", "2", "2", "0,0|0,0", "--module", "kac", "--budget", "10"]) == 3
     capsys.readouterr()
+
+
+def test_invariant_broken_exit_4(capsys, monkeypatch):
+    # an internal invariant failure is a bug, not malformed input
+    for exc in (FormInconsistent, ImageNotContained, SignConventionBroken):
+        assert issubclass(exc, InvariantBroken)
+
+    def broken(*args):
+        raise FormInconsistent("adjointness fails")
+
+    monkeypatch.setattr(supvar.cli, "simple_module", broken)
+    assert main(["dump", "1", "1", "1|0", "--module", "simple"]) == 4
+    assert "adjointness fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "2", "2", "1,0|0,-1", "--module", "simple"],
+    ["support", "2", "2", "0,0|0,0", "--empirical", "--module", "simple"],
+])
+def test_stdout_identical_across_hash_seeds(argv):
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-m", "supvar.cli", *argv], env=env,
+                             capture_output=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_output_identical_across_runs(capsys):

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import supvar.modules
 from supvar.algebra import gl_superalgebra
-from supvar.errors import AlgebraMismatch, ConstructionOverflow, NotDominant
-from supvar.linalg import ONE, ZERO
+from supvar.errors import AlgebraMismatch, ConstructionOverflow, FormInconsistent, NotDominant
+from supvar.linalg import ONE, ZERO, column_kernel
 from supvar.modules import (
     L0_module,
     SuperModuleRep,
-    contravariant_form,
+    _form_blocks,
+    _check_form_adjointness,
     direct_sum,
     dual,
     dump_module,
@@ -20,7 +22,7 @@ from supvar.modules import (
     trivial_module,
     verify_rep,
 )
-from supvar.roots import dim_L0, format_weight, parse_weight
+from supvar.roots import dim_L0, format_weight, parse_weight, weight
 
 
 def test_L0_examples():
@@ -72,27 +74,52 @@ def test_kac_budget_guard():
         kac_module(parse_weight(2, 2, "0,0|0,0"), budget=10)
 
 
+def checked_form(K):
+    """The contravariant form of K as a dense matrix, after the adjointness check."""
+    blocks = _form_blocks(K)
+    _check_form_adjointness(K, blocks)
+    G = [[ZERO] * K.dim for _ in range(K.dim)]
+    for idxs, rows in blocks:
+        for a, i in enumerate(idxs):
+            for b, j in enumerate(idxs):
+                G[i][j] = rows[a][b]
+    return G
+
+
 def test_contravariant_form_values():
     K = kac_module(parse_weight(1, 1, "0|0"))
-    G = contravariant_form(K, verify=True)
-    assert G.entries[0][0] == 1  # highest weight vector is normalized
-    assert G.entries[1][1] == 0  # y.v pairs to zero at weight zero
+    G = checked_form(K)
+    assert G[0][0] == 1  # highest weight vector is normalized
+    assert G[1][1] == 0  # y.v pairs to zero at weight zero
     K = kac_module(parse_weight(1, 1, "1|0"))
-    G = contravariant_form(K, verify=True)
-    assert G.entries[0][0] == 1
-    assert G.entries[1][1] == 1
+    G = checked_form(K)
+    assert G[0][0] == 1
+    assert G[1][1] == 1
     K = kac_module(parse_weight(2, 1, "2,1|1"))
-    G = contravariant_form(K, verify=True)
-    assert G.entries[0][0] == 1
-    assert G == G.transpose()
+    G = checked_form(K)
+    assert G[0][0] == 1
+    assert G == [list(col) for col in zip(*G)]
 
 
-def test_contravariant_form_adjointness_beyond_auto_limit():
-    # force the full adjointness sweep on a module above the automatic cutoff
-    K = kac_module(parse_weight(2, 2, "2,0|0,-1"))
-    assert K.dim == 96
-    G = contravariant_form(K, verify=True)
-    assert G == G.transpose()
+def test_form_check_runs_beyond_the_old_size_limit(monkeypatch):
+    # every Kac form simple_module builds is checked: a form that is off by
+    # one entry on a module of dim 96 must be caught
+    lam = parse_weight(2, 2, "2,0|0,-1")
+    assert kac_module(lam).dim == 96
+    original = supvar.modules._form_blocks
+
+    def broken_blocks(K):
+        blocks = original(K)
+        idxs, rows = blocks[len(blocks) // 2]
+        rows = [list(row) for row in rows]
+        rows[0][0] += 1
+        blocks[len(blocks) // 2] = (idxs, rows)
+        return blocks
+
+    simple_module(lam)
+    monkeypatch.setattr(supvar.modules, "_form_blocks", broken_blocks)
+    with pytest.raises(FormInconsistent):
+        simple_module(lam)
 
 
 def test_simple_module_dimensions():
@@ -110,13 +137,19 @@ def test_simple_typical_weight_keeps_kac_dimension():
 
 
 def test_radical_ignores_contravariant_rescaling():
+    # scaling the top-layer inner product scales every block of the form by
+    # the same factor and leaves every radical unchanged
     for text in ["1,0|0", "0,0|0", "2,1|0"]:
         lam = parse_weight(2, 1, text)
-        a = simple_module(lam, verify_form=True)
-        b = simple_module(lam, verify_form=True, gram_scale=Fraction(3))
-        assert a.dim == b.dim
-        for label in a.algebra.labels:
-            assert a.actions[label] == b.actions[label]
+        K = kac_module(lam)
+        blocks = _form_blocks(K)
+        K.meta["l0_gram"] = [[3 * x for x in row] for row in K.meta["l0_gram"]]
+        scaled = _form_blocks(K)
+        _check_form_adjointness(K, scaled)
+        assert [idxs for idxs, _ in scaled] == [idxs for idxs, _ in blocks]
+        for (_, rows), (_, rows3) in zip(blocks, scaled):
+            assert rows3 == [[3 * x for x in row] for row in rows]
+            assert column_kernel(rows3) == column_kernel(rows)
 
 
 def test_atypical_gl11_simples_are_one_dimensional():
@@ -176,6 +209,23 @@ def test_verify_rep_detects_mutation():
     broken = SuperModuleRep(K.algebra, K.parities, K.weights, actions)
     ok, problems = verify_rep(broken)
     assert not ok and problems
+
+
+def test_verify_rep_checks_odd_squares():
+    # gl(1|1) on v0 (even), v1 (odd), v2 (even) with E12: v0 -> v1 -> v2 and
+    # E21 = 0 satisfies every bracket except [E12, E12] = 0 = 2 E12^2
+    g = gl_superalgebra(1, 1)
+    weights = [weight(1, 1, (k, -k)) for k in range(3)]
+    actions = {
+        ("E", 1, 1): {1: {1: ONE}, 2: {2: Fraction(2)}},
+        ("E", 1, 2): {0: {1: ONE}, 1: {2: ONE}},
+        ("E", 2, 1): {},
+        ("E", 2, 2): {1: {1: -ONE}, 2: {2: Fraction(-2)}},
+    }
+    M = SuperModuleRep(g, [0, 1, 0], weights, actions)
+    ok, problems = verify_rep(M)
+    assert not ok
+    assert problems == [f"bracket compatibility fails on ({('E', 1, 2)}, {('E', 1, 2)}) column 0"]
 
 
 def test_tensor_dual_parity():
