@@ -54,13 +54,14 @@ def axpy(out: dict, items: Iterable, c) -> None:
     """out += c * vec for a sparse vec given as (key, value) pairs.
 
     Entries that cancel to zero are removed, so sparse vectors never store
-    zeros and an empty dict is the zero vector.  The product is skipped for
-    c = ONE, the coefficient of basis vectors, which saves a Fraction
-    multiplication per entry on the commonest call.
+    zeros and an empty dict is the zero vector.  Missing keys start at int 0,
+    so Fraction inputs give Fractions and int inputs stay ints.  The product
+    is skipped for c = ONE, the coefficient of basis vectors, which saves a
+    Fraction multiplication per entry on the commonest call.
     """
     unit = c is ONE
     for k, v in items:
-        nv = out.get(k, ZERO) + (v if unit else c * v)
+        nv = out.get(k, 0) + (v if unit else c * v)
         if nv:
             out[k] = nv
         else:

@@ -11,9 +11,13 @@ Construction chain:
 
 * ``kac_module`` induces from L0 inflated to the parabolic g0 + g1.  The PBW
   basis is y_S tensor v with S a subset of the mn odd negative root vectors
-  E_{j,i} (i <= m < j) in a fixed row-major order; action matrices come from
-  straightening: supercommute the acting element past the monomial, let g1
-  annihilate the top layer and g0 act on L0 at the right end.
+  E_{j,i} (i <= m < j) in a fixed row-major order, so as a g0-module K is
+  Lambda(g_-1) tensor L0.  Straightening (supercommute the acting element
+  past the monomial, let g1 annihilate the top layer and g0 act on L0 at the
+  right end) touches only the Lambda(g_-1) factor, and every gl(m|n)
+  structure constant is an integer: it runs once per (m, n) on the subsets
+  alone, into a cached integer table, and each action is that table
+  combined with the integerized L0 actions.
 
 * ``simple_module`` is the quotient of the Kac module by the radical of its
   contravariant form.  The form pairs weight spaces orthogonally, declares
@@ -25,7 +29,8 @@ All reps are immutable after construction; actions are stored as sparse
 columns and materialize to ``RationalMatrix`` on demand.
 
 Both representation checks are sparse matrix identities over the integers,
-on actions scaled by one common denominator per module.  Adjointness
+on actions scaled by one common denominator per module, and the form blocks
+are filled from the same integer actions.  Adjointness
 G A_a = A_{tau a}^T G is checked on every Kac form ``simple_module`` builds,
 whatever its size; G is symmetric (asserted per block), so the identity for
 tau(a) is the transpose of the one for a and each pair {a, tau a} is checked
@@ -37,7 +42,9 @@ a = b is skipped only for even a; for odd a it says 2 A_a^2 = A_[a,a].
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import lcm
 
@@ -47,6 +54,7 @@ from .errors import (
     AlgebraMismatch,
     ConstructionOverflow,
     FormInconsistent,
+    InvariantBroken,
     NotDominant,
     ShapeMismatch,
 )
@@ -88,6 +96,11 @@ class SuperModuleRep:
 
     def action_column(self, label, col: int) -> dict:
         return self.actions.get(label, {}).get(col, {})
+
+    @cached_property
+    def _integer_actions(self) -> tuple[int, dict]:
+        """One common denominator d and d times every action, as ints."""
+        return _integerize(self.actions)
 
     def action_matrix(self, label) -> RationalMatrix:
         d = self.dim
@@ -257,11 +270,65 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
 
 
 # ---------------------------------------------------------------------------
-# Kac modules by PBW straightening
+# Kac modules as Lambda(g_-1) tensor L0
 
 
 def _odd_negative_labels(m: int, n: int) -> list:
     return [("E", a, b) for a in range(m + 1, m + n + 1) for b in range(1, m + 1)]
+
+
+def _prepend(h: int, terms: dict):
+    """y_h times each term {(S, e): c}, reordered to PBW order with its sign."""
+    for (S, e), c in terms.items():
+        if h not in S:
+            pos = bisect_left(S, h)
+            yield (S[:pos] + (h,) + S[pos:], e), -c if pos % 2 else c
+
+
+@lru_cache(maxsize=None)
+def _exterior_actions(m: int, n: int) -> tuple[list, dict]:
+    """PBW straightening on Lambda(g_-1) alone, as integer terms.
+
+    Returns the subsets S of odd negative root positions in PBW order and,
+    per label of gl(m|n) and column subset j, the terms (i, e, c): the label
+    sends y_{S_j} v to c y_{S_i} (e.v), where e is the g0 label acting on L0
+    at the right end, or None for v itself.
+    """
+    g = gl_superalgebra(m, n)
+    y_labels = _odd_negative_labels(m, n)
+    y_pos = {lab: i for i, lab in enumerate(y_labels)}
+    mn = len(y_labels)
+    subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
+                     key=lambda S: (len(S), S))
+    memo: dict = {}
+
+    def act(label, S: tuple) -> dict:
+        cached = memo.get((label, S))
+        if cached is not None:
+            return cached
+        out: dict = {}
+        deg = g.z_degree[label]
+        if not S:
+            if deg == -1:
+                out[((y_pos[label],), None)] = 1
+            elif deg == 0:
+                out[((), label)] = 1
+        else:
+            # a y_h y_rest = [a, y_h] y_rest + (-1)^{|a|} y_h a y_rest
+            h, rest = S[0], S[1:]
+            for lab2, cb in g.bracket(label, y_labels[h]).items():
+                if cb.denominator != 1:
+                    raise InvariantBroken(f"[{label}, {y_labels[h]}] is not integral")
+                axpy(out, act(lab2, rest).items(), cb.numerator)
+            axpy(out, _prepend(h, act(label, rest)), -1 if g.parity[label] else 1)
+        memo[(label, S)] = out
+        return out
+
+    index = {S: i for i, S in enumerate(subsets)}
+    return subsets, {
+        label: [[(index[S2], e, c) for (S2, e), c in act(label, S).items()] for S in subsets]
+        for label in g.labels
+    }
 
 
 def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperModuleRep:
@@ -270,80 +337,46 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
     g = gl_superalgebra(m, n)
     L0 = L0_module(lam, budget)
     y_labels = _odd_negative_labels(m, n)
-    y_pos = {lab: i for i, lab in enumerate(y_labels)}
-    mn = len(y_labels)
-    dim = (1 << mn) * L0.dim
+    D = L0.dim
+    dim = (1 << len(y_labels)) * D
     if dim > budget:
         raise ConstructionOverflow(f"Kac module dimension {dim} exceeds budget {budget}")
 
-    subsets = []
-    for mask in range(1 << mn):
-        subsets.append(tuple(i for i in range(mn) if mask >> i & 1))
-    subsets.sort(key=lambda s: (len(s), s))
-    basis = [(S, t) for S in subsets for t in range(L0.dim)]
+    subsets, table = _exterior_actions(m, n)
+    basis = [(S, t) for S in subsets for t in range(D)]
     basis_index = {key: i for i, key in enumerate(basis)}
 
-    def prepend(h: int, S: tuple, t: int, coeff: Fraction, out: dict):
-        """Add coeff * y_h y_S v_t, straightened, into out."""
-        if h in S:
-            return
-        pos = 0
-        while pos < len(S) and S[pos] < h:
-            pos += 1
-        if pos % 2:
-            coeff = -coeff
-        axpy(out, [((S[:pos] + (h,) + S[pos:], t), coeff)], ONE)
-
-    memo: dict = {}
-
-    def act(label, S: tuple, t: int) -> dict:
-        cached = memo.get((label, S, t))
-        if cached is not None:
-            return cached
-        out: dict = {}
-        deg = g.z_degree[label]
-        if not S:
-            if deg == -1:
-                out[((y_pos[label],), t)] = ONE
-            elif deg == 0:
-                for r, c in L0.action_column(label, t).items():
-                    out[((), r)] = c
-        else:
-            h, rest = S[0], S[1:]
-            y_lab = y_labels[h]
-            for lab2, cb in g.bracket(label, y_lab).items():
-                axpy(out, act(lab2, rest, t).items(), cb)
-            sign = -ONE if g.parity[label] else ONE
-            for (S2, t2), c in act(label, rest, t).items():
-                prepend(h, S2, t2, sign * c, out)
-        memo[(label, S, t)] = out
-        return out
-
-    actions = {}
+    # y_{S_j} v_t is column j D + t.  right[e][t] is e.v_t as (row, int)
+    # pairs scaled by d0, and right[None][t] is v_t itself.
+    d0, L0_ints = _integerize(L0.actions)
+    right = {e: [list(cols.get(t, {}).items()) for t in range(D)] for e, cols in L0_ints.items()}
+    right[None] = [[(t, d0)] for t in range(D)]
+    int_actions = {}
     for label in g.labels:
         cols = {}
-        for col, (S, t) in enumerate(basis):
-            res = act(label, S, t)
-            if res:
-                cols[col] = {basis_index[key]: c for key, c in res.items()}
-        actions[label] = cols
+        for j, terms in enumerate(table[label]):
+            if not terms:
+                continue
+            for t in range(D):
+                col: dict = {}
+                axpy(col, ((i * D + r, c * x) for i, e, c in terms for r, x in right[e][t]), ONE)
+                if col:
+                    cols[j * D + t] = col
+        int_actions[label] = cols
+    exact = {x: Fraction(x, d0) for x in {x for cols in int_actions.values()
+                                          for col in cols.values() for x in col.values()}}
+    actions = {label: {j: {i: exact[x] for i, x in col.items()} for j, col in cols.items()}
+               for label, cols in int_actions.items()}
 
-    weights = []
-    parities = []
-    names = []
-    for S, t in basis:
-        w = L0.weights[t]
-        for h in S:
-            _, a, b = y_labels[h]
-            w = w + g.weight_of[("E", a, b)]
-        weights.append(w)
-        parities.append(len(S) % 2)
-        names.append("y[" + ",".join(str(h + 1) for h in S) + f"]v{t}")
+    offsets = {S: sum((g.weight_of[y_labels[h]] for h in S), zero_weight(m, n)) for S in subsets}
+    weights = [L0.weights[t] + offsets[S] for S, t in basis]
+    parities = [len(S) % 2 for S, _ in basis]
+    names = ["y[" + ",".join(str(h + 1) for h in S) + f"]v{t}" for S, t in basis]
     return SuperModuleRep(
         g, parities, weights, actions, basis_names=names,
         meta={
             "kind": "kac", "weight": lam, "l0_gram": L0.meta["gram"],
-            "l0_dim": L0.dim, "basis": basis, "basis_index": basis_index,
+            "l0_dim": D, "basis": basis, "basis_index": basis_index,
             "y_labels": y_labels,
         },
     )
@@ -397,38 +430,41 @@ def _form_blocks(K: SuperModuleRep) -> list:
     layer and then weight.  Entries follow the peel rule
     <y_h u', w> = <u', tau(y_h) w> down to the top layer, where the form is
     the L0 inner product.  Distinct weight spaces pair to zero because each
-    block weight pins the monomial length.
+    block weight pins the monomial length, so each layer is filled from the
+    blocks of the layer above, in ints: with d and g the common denominators
+    of the actions and of the L0 inner product, layer k holds g d^k times
+    the form.
     """
     if K.meta.get("kind") != "kac":
         raise FormInconsistent("the contravariant form is seeded on Kac modules")
     basis = K.meta["basis"]
+    basis_index = K.meta["basis_index"]
     y_labels = K.meta["y_labels"]
-    l0_gram = K.meta["l0_gram"]
+    d, A = K._integer_actions
+    g, top = _integerize({"gram": {t: dict(enumerate(row))
+                                   for t, row in enumerate(K.meta["l0_gram"])}})
+    top = top["gram"]
     by_weight: dict = {}
     for i, (S, t) in enumerate(basis):
         by_weight.setdefault(K.weights[i].coords, []).append(i)
     blocks = []
     layer_of = {w: len(basis[idxs[0]][0]) for w, idxs in by_weight.items()}
-    value_cache: dict = {}
+    value: dict = {}  # (i, j) in one weight block -> g d^layer <u_i, u_j>
 
-    def block_value(i: int, j: int) -> Fraction:
-        got = value_cache.get((i, j))
-        if got is not None:
-            return got
-        S, t = basis[i]
-        if not S:
-            S2, t2 = basis[j]
-            val = l0_gram[t][t2] if not S2 else ZERO
-        else:
-            h, rest = S[0], S[1:]
-            up = K.action_column(_transpose_label(y_labels[h]), j)
-            i2 = K.meta["basis_index"][(rest, t)]
-            val = sum((c * block_value(i2, z) for z, c in up.items()), ZERO)
-        value_cache[(i, j)] = val
-        return val
-
-    for _, idxs in sorted(by_weight.items(), key=lambda kv: (layer_of[kv[0]], kv[0])):
-        rows = [[block_value(i, j) for j in idxs] for i in idxs]
+    for w, idxs in sorted(by_weight.items(), key=lambda kv: (layer_of[kv[0]], kv[0])):
+        for i in idxs:
+            S, t = basis[i]
+            if not S:
+                value.update(((i, j), top[t][basis[j][1]]) for j in idxs)
+                continue
+            up = A[_transpose_label(y_labels[S[0]])]
+            i2 = basis_index[(S[1:], t)]
+            value.update(((i, j), sum(c * value[i2, z] for z, c in up.get(j, {}).items()))
+                         for j in idxs)
+        ints = [[value[i, j] for j in idxs] for i in idxs]
+        scale = g * d ** layer_of[w]
+        exact = {x: Fraction(x, scale) for x in {x for row in ints for x in row}}
+        rows = [[exact[x] for x in row] for row in ints]
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
                 if rows[a][b] != rows[b][a]:
@@ -443,15 +479,15 @@ def _check_form_adjointness(K: SuperModuleRep, blocks: list):
     for idxs, rows in blocks:
         for b, j in enumerate(idxs):
             form[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
-    _, ints = _integerize({**K.actions, "form": form})
-    G = ints["form"]
+    _, A = K._integer_actions
+    G = _integerize({"form": form})[1]["form"]
     for label in [lab for lab in K.algebra.labels if lab[1] <= lab[2]]:
         transposed: dict = {}
-        for j, col in ints[_transpose_label(label)].items():
+        for j, col in A[_transpose_label(label)].items():
             for i, x in col.items():
                 transposed.setdefault(i, {})[j] = x
         out: dict = {}
-        _int_mul_add(out, G, ints[label], 1)
+        _int_mul_add(out, G, A[label], 1)
         _int_mul_add(out, transposed, G, -1)
         col = _nonzero_column(out)
         if col is not None:

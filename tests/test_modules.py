@@ -1,12 +1,20 @@
+import copy
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 import supvar.modules
 from supvar.algebra import gl_superalgebra
-from supvar.errors import AlgebraMismatch, ConstructionOverflow, FormInconsistent, NotDominant
-from supvar.linalg import ONE, ZERO, column_kernel
+from supvar.errors import (
+    AlgebraMismatch,
+    ConstructionOverflow,
+    FormInconsistent,
+    InvariantBroken,
+    NotDominant,
+)
+from supvar.linalg import ONE, ZERO, axpy, column_kernel
 from supvar.modules import (
     L0_module,
     SuperModuleRep,
@@ -74,6 +82,110 @@ def test_kac_budget_guard():
         kac_module(parse_weight(2, 2, "0,0|0,0"), budget=10)
 
 
+def reference_kac(lam):
+    """Basis and actions of K(lam) by PBW straightening over Fractions.
+
+    A test-only oracle: label . y_S v_t is straightened recursively through
+    label y_h y_rest = [label, y_h] y_rest + (-1)^{|label|} y_h label y_rest,
+    with g1 killing the top layer and g0 acting on L0 at the right end.
+    """
+    m, n = lam.m, lam.n
+    g = gl_superalgebra(m, n)
+    L0 = L0_module(lam)
+    y_labels = [("E", a, b) for a in range(m + 1, m + n + 1) for b in range(1, m + 1)]
+    y_pos = {lab: i for i, lab in enumerate(y_labels)}
+    mn = len(y_labels)
+    subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
+                     key=lambda s: (len(s), s))
+    basis = [(S, t) for S in subsets for t in range(L0.dim)]
+    basis_index = {key: i for i, key in enumerate(basis)}
+
+    def prepend(h, S, t, coeff, out):
+        """Add coeff * y_h y_S v_t, straightened, into out."""
+        if h in S:
+            return
+        pos = 0
+        while pos < len(S) and S[pos] < h:
+            pos += 1
+        if pos % 2:
+            coeff = -coeff
+        axpy(out, [((S[:pos] + (h,) + S[pos:], t), coeff)], ONE)
+
+    memo = {}
+
+    def act(label, S, t):
+        cached = memo.get((label, S, t))
+        if cached is not None:
+            return cached
+        out = {}
+        deg = g.z_degree[label]
+        if not S:
+            if deg == -1:
+                out[((y_pos[label],), t)] = ONE
+            elif deg == 0:
+                for r, c in L0.action_column(label, t).items():
+                    out[((), r)] = c
+        else:
+            h, rest = S[0], S[1:]
+            for lab2, cb in g.bracket(label, y_labels[h]).items():
+                axpy(out, act(lab2, rest, t).items(), cb)
+            sign = -ONE if g.parity[label] else ONE
+            for (S2, t2), c in act(label, rest, t).items():
+                prepend(h, S2, t2, sign * c, out)
+        memo[(label, S, t)] = out
+        return out
+
+    actions = {}
+    for label in g.labels:
+        cols = {}
+        for col, (S, t) in enumerate(basis):
+            res = act(label, S, t)
+            if res:
+                cols[col] = {basis_index[key]: c for key, c in res.items()}
+        actions[label] = cols
+    return basis, actions
+
+
+def assert_kac_matches_reference(lam):
+    K = kac_module(lam)
+    basis, actions = reference_kac(lam)
+    assert K.meta["basis"] == basis
+    for label in K.algebra.labels:
+        assert K.actions[label] == actions[label], (format_weight(lam), label)
+
+
+def test_kac_actions_match_reference_straightening():
+    count = 0
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]:
+        for first in combinations_with_replacement([1, 0, -1], m):
+            for second in combinations_with_replacement([1, 0, -1], n):
+                assert_kac_matches_reference(weight(m, n, first + second))
+                count += 1
+    assert count == 141
+    assert_kac_matches_reference(parse_weight(3, 2, "1,0,-1|1,-1"))
+    assert_kac_matches_reference(parse_weight(3, 1, "0,-2,-2|0"))  # L0 denominator 2
+
+
+def test_exterior_table_rejects_non_integral_brackets(monkeypatch):
+    # the table runs over ints: a structure constant 1/2 must raise, not truncate
+    real = gl_superalgebra(1, 1)
+    fake = copy.copy(real)
+    key = (("E", 1, 1), ("E", 2, 1))
+    fake.structure = {**real.structure, key: {k: v / 2 for k, v in real.structure[key].items()}}
+    supvar.modules._exterior_actions.cache_clear()
+    monkeypatch.setattr(supvar.modules, "gl_superalgebra", lambda m, n: fake)
+    with pytest.raises(InvariantBroken):
+        kac_module(parse_weight(1, 1, "0|0"))
+
+
+def test_verify_rep_gl3_kac_modules():
+    for lam in [parse_weight(3, 2, "1,0,0|0,-1"), parse_weight(3, 3, "0,0,0|0,0,0")]:
+        K = kac_module(lam)
+        assert K.dim == {(3, 2): 384, (3, 3): 512}[(lam.m, lam.n)]
+        ok, problems = verify_rep(K)
+        assert ok, problems[:3]
+
+
 def checked_form(K):
     """The contravariant form of K as a dense matrix, after the adjointness check."""
     blocks = _form_blocks(K)
@@ -99,6 +211,18 @@ def test_contravariant_form_values():
     G = checked_form(K)
     assert G[0][0] == 1
     assert G == [list(col) for col in zip(*G)]
+
+
+def test_form_blocks_over_fractional_actions():
+    # L0(0,-2,-2) of gl(3) acts with denominator 2, so the layers of the form
+    # carry different powers of it; adjointness ties each layer to the next
+    lam = parse_weight(3, 1, "0,-2,-2|2")
+    K = kac_module(lam)
+    assert K._integer_actions[0] == 2
+    G = checked_form(K)
+    assert G[0][0] == 1
+    assert G == [list(col) for col in zip(*G)]
+    assert (K.dim, simple_module(lam).dim) == (48, 9)
 
 
 def test_form_check_runs_beyond_the_old_size_limit(monkeypatch):
