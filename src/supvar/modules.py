@@ -351,7 +351,8 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
     d0, L0_ints = _integerize(L0.actions)
     right = {e: [list(cols.get(t, {}).items()) for t in range(D)] for e, cols in L0_ints.items()}
     right[None] = [[(t, d0)] for t in range(D)]
-    int_actions = {}
+    exact: dict = {}  # each distinct int, as a Fraction over d0
+    actions = {}
     for label in g.labels:
         cols = {}
         for j, terms in enumerate(table[label]):
@@ -362,11 +363,9 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
                 axpy(col, ((i * D + r, c * x) for i, e, c in terms for r, x in right[e][t]), ONE)
                 if col:
                     cols[j * D + t] = col
-        int_actions[label] = cols
-    exact = {x: Fraction(x, d0) for x in {x for cols in int_actions.values()
-                                          for col in cols.values() for x in col.values()}}
-    actions = {label: {j: {i: exact[x] for i, x in col.items()} for j, col in cols.items()}
-               for label, cols in int_actions.items()}
+        for x in {x for col in cols.values() for x in col.values()}.difference(exact):
+            exact[x] = Fraction(x, d0)
+        actions[label] = {j: {i: exact[x] for i, x in col.items()} for j, col in cols.items()}
 
     offsets = {S: sum((g.weight_of[y_labels[h]] for h in S), zero_weight(m, n)) for S in subsets}
     weights = [L0.weights[t] + offsets[S] for S, t in basis]

@@ -83,7 +83,7 @@ def test_kac_budget_guard():
 
 
 def reference_kac(lam):
-    """Basis and actions of K(lam) by PBW straightening over Fractions.
+    """Basis, weights and actions of K(lam) by PBW straightening over Fractions.
 
     A test-only oracle: label . y_S v_t is straightened recursively through
     label y_h y_rest = [label, y_h] y_rest + (-1)^{|label|} y_h label y_rest,
@@ -143,13 +143,20 @@ def reference_kac(lam):
             if res:
                 cols[col] = {basis_index[key]: c for key, c in res.items()}
         actions[label] = cols
-    return basis, actions
+    weights = []
+    for S, t in basis:
+        w = L0.weights[t]
+        for h in S:
+            w = w + g.weight_of[y_labels[h]]
+        weights.append(w)
+    return basis, weights, actions
 
 
 def assert_kac_matches_reference(lam):
     K = kac_module(lam)
-    basis, actions = reference_kac(lam)
+    basis, weights, actions = reference_kac(lam)
     assert K.meta["basis"] == basis
+    assert list(K.weights) == weights
     for label in K.algebra.labels:
         assert K.actions[label] == actions[label], (format_weight(lam), label)
 
