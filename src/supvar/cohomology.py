@@ -12,12 +12,20 @@ in g0 and dies by horizontality.  d squares to zero on invariants (graded
 Jacobi plus invariance); the construction asserts this exactly and raises if
 it fails.
 
+The invariants are the weight-zero vectors killed by the simple raising
+operators E_{i,i+1} (i != m).  This is exact: M's weights are its Cartan
+eigenvalues (verify_rep checks this), so g0 = gl(m) + gl(n) acts semisimply
+on the finite-dimensional S^p(W*) tensor M, and a weight-zero vector killed
+by the simple raising operators is a g0 highest-weight vector of weight zero,
+which spans a trivial g0-module.
+
 Two independent Ext routes are provided for Kac modules: the full relative
 complex of dual(K) tensor M, and the reduction that computes cohomology of
 the degree-one layer alone (an abelian purely odd algebra, so the same
 action-term differential with no invariance constraint) followed by the
 multiplicity of the top g0-constituent.  Their degreewise agreement is one of
-the acceptance gates.
+the acceptance gates.  Both routes share the weight slices, the raising
+conditions and the differential below.
 """
 
 from __future__ import annotations
@@ -34,27 +42,20 @@ from .roots import Weight, zero_weight
 
 
 # ---------------------------------------------------------------------------
-# monomial utilities (multisets of odd dual generators as sorted index tuples)
+# steps both routes share; slice keys are (monomial, module index), with a
+# monomial in S^p(gens*) a sorted tuple of generator indices
 
 
-def _dual_weights(g: LieSuperalgebraData, odd_labels) -> list[Weight]:
-    return [-g.weight_of[lab] for lab in odd_labels]
-
-
-def _monomials(num_gens: int, degree: int):
-    return combinations_with_replacement(range(num_gens), degree)
-
-
-def _coadjoint_table(g: LieSuperalgebraData, odd_labels) -> dict:
-    """a |-> {e: {f: c}} with a.X_e = sum_f c X_f, for even a.
+def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
+    """a |-> {e: {f: c}} with a.X_e = sum_f c X_f, for each even a in labels.
 
     c is minus the coefficient of w_e in [a, w_f].
     """
-    index = {lab: e for e, lab in enumerate(odd_labels)}
+    index = {lab: e for e, lab in enumerate(gens)}
     table: dict = {}
-    for a in g.even_labels():
+    for a in labels:
         act: dict = {}
-        for f, lab_f in enumerate(odd_labels):
+        for f, lab_f in enumerate(gens):
             for lab_e, c in g.bracket(a, lab_f).items():
                 e = index.get(lab_e)
                 if e is None:
@@ -80,55 +81,76 @@ def _derive_on_monomial(act: dict, mono: tuple) -> dict:
     return out
 
 
-def _weight_slice(g, M: SuperModuleRep, odd_labels, degree: int, target: Weight,
+def _weight_slice(g, M: SuperModuleRep, gens, degree: int, target: Weight,
                   budget: int) -> list:
-    """All keys (monomial, module index) of the given degree and total weight."""
-    dual_wts = _dual_weights(g, odd_labels)
+    """All keys (monomial, module index) of the given degree and total weight.
+
+    Monomial weights are summed as coordinate tuples of ints (a non-integral
+    coordinate stays a Fraction), which hash equal to the Fraction bucket keys.
+    """
+    gen_weights = [tuple(int(c) if c.denominator == 1 else c
+                         for c in (-g.weight_of[lab]).coords) for lab in gens]
+    zero = (0,) * len(target.coords)
     buckets: dict = {}
     for i, w in enumerate(M.weights):
         buckets.setdefault((target - w).coords, []).append(i)
     keys = []
-    count = 0
-    for mono in _monomials(len(odd_labels), degree):
-        count += 1
+    for count, mono in enumerate(combinations_with_replacement(range(len(gens)), degree), 1):
         if count > budget * 4:
             raise ConstructionOverflow("monomial enumeration exceeds budget")
-        w = zero_weight(g.m, g.n)
-        for e in mono:
-            w = w + dual_wts[e]
-        for i in buckets.get(w.coords, ()):
+        w = tuple(map(sum, zip(zero, *[gen_weights[e] for e in mono])))
+        for i in buckets.get(w, ()):
             keys.append((mono, i))
     if len(keys) > budget:
         raise ConstructionOverflow(f"cochain slice of size {len(keys)} exceeds budget")
     return keys
 
 
-def _g0_condition_columns(g, M: SuperModuleRep, odd_labels, keys) -> list[dict]:
-    """Per slice key, the stacked images under every even basis element.
+def _raising_images(g, M: SuperModuleRep, gens, keys, vecs) -> list[dict]:
+    """Per sparse vector over slice positions, its stacked raising images.
 
-    Rows are keyed (even label, (monomial, module index)) so the simultaneous
-    kernel over all even elements is one kernel computation.
+    The simple raising operators are E_{i,i+1} with i != m, the even labels
+    one step above the diagonal.  Rows are keyed (label, (monomial, module
+    index)), so the vectors they all kill are one kernel computation.
     """
-    table = _coadjoint_table(g, odd_labels)
+    raisings = [lab for lab in g.even_labels() if lab[2] == lab[1] + 1]
+    table = _coadjoint_table(g, gens, raisings)
+    images = []
+    for vec in vecs:
+        out: dict = {}
+        for pos, coeff in vec.items():
+            mono, i = keys[pos]
+            for a in raisings:
+                axpy(out, (((a, (new_mono, i)), c)
+                           for new_mono, c in _derive_on_monomial(table[a], mono).items()), coeff)
+                axpy(out, (((a, (mono, r)), c) for r, c in M.action_column(a, i).items()), coeff)
+        images.append(out)
+    return images
+
+
+def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> list[dict]:
+    """The action-term differential of sparse vectors over slice positions.
+
+    Images are sparse vectors over the positions of next_keys, the slice one
+    degree up; an image outside that slice raises SignConventionBroken.
+    """
+    next_pos = {key: k for k, key in enumerate(next_keys)}
     columns = []
-    for mono, i in keys:
+    for vec in vecs:
+        img: dict = {}
+        for pos, coeff in vec.items():
+            mono, i = keys[pos]
+            for e, lab in enumerate(gens):
+                new_mono = tuple(sorted(mono + (e,)))
+                axpy(img, (((new_mono, j), c) for j, c in M.action_column(lab, i).items()), coeff)
         col: dict = {}
-        for a in g.even_labels():
-            axpy(col, (((a, (new_mono, i)), c)
-                       for new_mono, c in _derive_on_monomial(table[a], mono).items()), ONE)
-            axpy(col, (((a, (mono, j)), c) for j, c in M.action_column(a, i).items()), ONE)
+        for key, c in img.items():
+            k = next_pos.get(key)
+            if k is None:
+                raise SignConventionBroken("differential leaves the weight slice")
+            col[k] = c
         columns.append(col)
     return columns
-
-
-def _differential_image(g, M: SuperModuleRep, odd_labels, vec: dict) -> dict:
-    """Apply the action-term differential to a sparse cochain over keys."""
-    out: dict = {}
-    for (mono, i), coeff in vec.items():
-        for e, lab in enumerate(odd_labels):
-            new_mono = tuple(sorted(mono + (e,)))
-            axpy(out, (((new_mono, j), c) for j, c in M.action_column(lab, i).items()), coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +177,6 @@ class CochainComplex:
     def dims(self) -> list[int]:
         return [deg.dim for deg in self.degrees]
 
-    def differential_columns(self, p: int) -> list[dict]:
-        return self.differentials[p]
-
 
 def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
                   budget: int = RunConfig.dimension_budget) -> CochainComplex:
@@ -178,9 +197,10 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     degrees = []
     spans = []
     for p in range(p_max + 2):
-        keys = _weight_slice(g, M, odd_labels, p, target, budget)
-        basis = tuple(column_kernel(_g0_condition_columns(g, M, odd_labels, keys)))
-        degrees.append(CochainDegree(keys=tuple(keys), basis=basis, dim=len(basis)))
+        keys = tuple(_weight_slice(g, M, odd_labels, p, target, budget))
+        units = [{k: ONE} for k in range(len(keys))]
+        basis = tuple(column_kernel(_raising_images(g, M, odd_labels, keys, units)))
+        degrees.append(CochainDegree(keys=keys, basis=basis, dim=len(basis)))
         span = IncrementalSpan()
         for b in basis:
             span.add(b)
@@ -189,20 +209,9 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     differentials = []
     for p in range(p_max + 1):
         src, dst = degrees[p], degrees[p + 1]
-        dst_pos = {key: k for k, key in enumerate(dst.keys)}
         cols = []
-        for b in src.basis:
-            vec = {src.keys[pos]: c for pos, c in b.items()}
-            img = _differential_image(g, M, odd_labels, vec)
-            local: dict = {}
-            for key, c in img.items():
-                pos = dst_pos.get(key)
-                if pos is None:
-                    raise SignConventionBroken(
-                        "differential leaves the weight-zero slice"
-                    )
-                local[pos] = c
-            coords = spans[p + 1].express(local)
+        for img in _differential_columns(M, odd_labels, src.keys, dst.keys, src.basis):
+            coords = spans[p + 1].express(img)
             if coords is None:
                 raise SignConventionBroken(
                     "differential image is not an invariant cochain"
@@ -221,10 +230,9 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
 
 
 def cohomology_dims(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
-                    budget: int = RunConfig.dimension_budget,
-                    complex_: CochainComplex | None = None) -> list[int]:
+                    budget: int = RunConfig.dimension_budget) -> list[int]:
     """dim H^p(g, g0; M) for p = 0..p_max, via exact kernel/image quotients."""
-    cx = complex_ or build_complex(g, M, p_max, budget)
+    cx = build_complex(g, M, p_max, budget)
     dims = cx.dims()
     out = []
     for p in range(p_max + 1):
@@ -262,10 +270,6 @@ def ext_dims(M: SuperModuleRep, N: SuperModuleRep, p_max: int,
 # the degree-one-layer route for Ext out of a Kac module
 
 
-def _raising_labels(g) -> list:
-    return [lab for lab in g.even_labels() if lab[1] < lab[2]]
-
-
 def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
                  budget: int = RunConfig.dimension_budget) -> ExtTable:
     """Ext^j out of the Kac module of weight lam, via the layer reduction.
@@ -273,7 +277,8 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     Computes the cohomology of S^j((degree-one part)*) tensor M with the
     action-term differential (the degree-one part is abelian and purely odd),
     then the multiplicity of the simple g0-constituent of highest weight lam,
-    as the count of weight-lam highest weight vectors in ker minus image.
+    as the count of weight-lam highest weight vectors (those killed by the
+    simple raising operators) in ker minus image.
     Everything is restricted to the lam weight slices, which is exact because
     the differential and the multiplicity count both preserve weights.
     """
@@ -281,62 +286,26 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     g1_labels = [lab for lab in g.labels if g.z_degree.get(lab) == 1]
     if not g1_labels:
         raise Unsupported("algebra carries no degree-one part")
-    raisings = _raising_labels(g)
-    table = _coadjoint_table(g, g1_labels)
 
     slices = [
         _weight_slice(g, M, g1_labels, j, lam, budget) for j in range(p_max + 2)
     ]
-    positions = [{key: k for k, key in enumerate(keys)} for keys in slices]
-
-    def diff_columns(j: int) -> list[dict]:
-        cols = []
-        for mono, i in slices[j]:
-            img = _differential_image(g, M, g1_labels, {(mono, i): ONE})
-            col = {}
-            for key, c in img.items():
-                pos = positions[j + 1].get(key)
-                if pos is None:
-                    raise SignConventionBroken("layer differential leaves the weight slice")
-                col[pos] = c
-            cols.append(col)
-        return cols
-
-    def raising_rows(vec: dict, j: int) -> dict:
-        """Images of a sparse degree-j slice vector under all raising operators."""
-        out: dict = {}
-        for pos, coeff in vec.items():
-            mono, i = slices[j][pos]
-            for a in raisings:
-                axpy(out, (((a, (new_mono, i)), c)
-                           for new_mono, c in _derive_on_monomial(table[a], mono).items()), coeff)
-                axpy(out, (((a, (mono, r)), c) for r, c in M.action_column(a, i).items()), coeff)
-        return out
-
-    diffs = [diff_columns(j) for j in range(p_max + 1)]
+    units = [[{k: ONE} for k in range(len(keys))] for keys in slices]
+    diffs = [_differential_columns(M, g1_labels, slices[j], slices[j + 1], units[j])
+             for j in range(p_max + 1)]
     dims = []
     for j in range(p_max + 1):
-        n_j = len(slices[j])
-        if n_j == 0:
-            dims.append(0)
-            continue
         # highest weight vectors inside ker d^j
-        cols = []
-        for k in range(n_j):
-            col = dict(raising_rows({k: ONE}, j))
-            for r, v in diffs[j][k].items():
-                col[("d", r)] = v
-            cols.append(col)
+        cols = _raising_images(g, M, g1_labels, slices[j], units[j])
+        for col, d in zip(cols, diffs[j]):
+            col.update((("d", r), v) for r, v in d.items())
         mult_ker = len(column_kernel(cols))
         # highest weight vectors inside the image of d^{j-1}
-        if j == 0 or len(slices[j - 1]) == 0:
-            mult_im = 0
-        else:
+        mult_im = 0
+        if j:
             prev = diffs[j - 1]
-            ker_prev = len(column_kernel(prev))
-            composed = [raising_rows(c, j) for c in prev]
-            ker_comp = len(column_kernel(composed))
-            mult_im = ker_comp - ker_prev
+            composed = _raising_images(g, M, g1_labels, slices[j], prev)
+            mult_im = len(column_kernel(composed)) - len(column_kernel(prev))
         value = mult_ker - mult_im
         if value < 0:
             raise SignConventionBroken("negative multiplicity in the layer reduction")

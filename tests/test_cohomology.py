@@ -2,6 +2,8 @@ import pytest
 
 from supvar.algebra import gl_even_subalgebra, gl_superalgebra
 from supvar.cohomology import (
+    _coadjoint_table,
+    _derive_on_monomial,
     build_complex,
     cohomology_dims,
     ext_dims,
@@ -9,6 +11,7 @@ from supvar.cohomology import (
     vanishing_bound,
 )
 from supvar.errors import Unsupported
+from supvar.linalg import ONE, axpy, column_kernel
 from supvar.modules import dual, kac_module, simple_module, tensor, trivial_module
 from supvar.roots import parse_weight
 
@@ -48,6 +51,10 @@ def test_cohomology_hilbert_series_to_degree_six():
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         g = gl_superalgebra(m, n)
         assert cohomology_dims(g, trivial_module(g), 6) == series(min(m, n), 6)
+    # r = 3 first differs from r = 2 in degree 6 (BKN I, arXiv:math/0609363)
+    g = gl_superalgebra(3, 3)
+    dims = cohomology_dims(g, trivial_module(g), 6, budget=100000)
+    assert dims == series(3, 6) == [1, 0, 1, 0, 2, 0, 3]
 
 
 def test_cohomology_kac_coefficients_and_dual():
@@ -99,6 +106,51 @@ def test_route_equivalence_gl21():
         assert full == reduced, (text, full, reduced)
 
 
+def test_route_equivalence_gl32():
+    g = gl_superalgebra(3, 2)
+    C = trivial_module(g)
+    for text, expected in [("0,0,0|0,0", (1, 0, 0)), ("0,0,-1|1,0", (0, 1, 0)),
+                           ("0,-1,-1|1,1", (0, 0, 1))]:
+        lam = parse_weight(3, 2, text)
+        assert ext_dims(kac_module(lam), C, 2).dims == expected, text
+        assert kac_ext_dims(lam, C, 2).dims == expected, text
+
+
+def _g0_condition_columns(g, M, odd_labels, keys):
+    """Reference invariance conditions: per slice key, the stacked images
+    under every even basis element, not just the simple raising operators."""
+    table = _coadjoint_table(g, odd_labels, g.even_labels())
+    columns = []
+    for mono, i in keys:
+        col: dict = {}
+        for a in g.even_labels():
+            axpy(col, (((a, (new_mono, i)), c)
+                       for new_mono, c in _derive_on_monomial(table[a], mono).items()), ONE)
+            axpy(col, (((a, (mono, j)), c) for j, c in M.action_column(a, i).items()), ONE)
+        columns.append(col)
+    return columns
+
+
+def test_invariants_match_all_even_label_reference():
+    cases = []
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+        g = gl_superalgebra(m, n)
+        cases.append((g, trivial_module(g), 4))
+    g = gl_superalgebra(2, 1)
+    K0 = kac_module(parse_weight(2, 1, "0,0|0"))
+    cases += [(g, K0, 4), (g, dual(K0), 4)]
+    g = gl_superalgebra(2, 2)
+    M = tensor(dual(kac_module(parse_weight(2, 2, "0,0|0,0"))),
+               simple_module(parse_weight(2, 2, "1,0|0,-1")))
+    cases.append((g, M, 2))
+    for g, M, p_max in cases:
+        cx = build_complex(g, M, p_max)
+        assert any(cx.dims()[1:])
+        for deg in cx.degrees:
+            reference = column_kernel(_g0_condition_columns(g, M, g.odd_labels(), deg.keys))
+            assert reference == list(deg.basis), (g.name, M.dim, p_max)
+
+
 def test_vanishing_bounds():
     g = gl_superalgebra(1, 1)
     C = trivial_module(g)
@@ -133,7 +185,7 @@ def test_euler_characteristic_independent_of_differential():
         p_max = 4
         cx = build_complex(g, M, p_max)
         dims = cx.dims()
-        h = cohomology_dims(g, M, p_max, complex_=cx)
+        h = cohomology_dims(g, M, p_max)
         # truncated Euler characteristics agree except for the boundary rank term
         from supvar.linalg import RationalMatrix
 
