@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
 from .errors import ConstructionOverflow, SignConventionBroken, Unsupported
-from .linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, quotient_dim
+from .linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, quotient_dim, span_dim
 from .modules import SuperModuleRep, dual, tensor
 from .roots import Weight, zero_weight
 
@@ -299,13 +299,14 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
         cols = _raising_images(g, M, g1_labels, slices[j], units[j])
         for col, d in zip(cols, diffs[j]):
             col.update((("d", r), v) for r, v in d.items())
-        mult_ker = len(column_kernel(cols))
-        # highest weight vectors inside the image of d^{j-1}
+        mult_ker = len(cols) - span_dim(cols)
+        # highest weight vectors inside the image of d^{j-1}: the raising
+        # operators' kernel on span(prev), by rank-nullity
         mult_im = 0
         if j:
             prev = diffs[j - 1]
             composed = _raising_images(g, M, g1_labels, slices[j], prev)
-            mult_im = len(column_kernel(composed)) - len(column_kernel(prev))
+            mult_im = span_dim(prev) - span_dim(composed)
         value = mult_ker - mult_im
         if value < 0:
             raise SignConventionBroken("negative multiplicity in the layer reduction")

@@ -1,9 +1,14 @@
 """Exact rational linear algebra over one sparse elimination engine.
 
-All arithmetic is over Q using ``fractions.Fraction`` (arbitrary precision,
-always reduced, positive denominator), so nothing here ever rounds.
+Everything is exact over Q, so nothing here ever rounds.  Inputs may be
+ints, ``fractions.Fraction``s or ``p/q`` strings; floats are rejected.
 ``IncrementalSpan`` holds the only elimination loop in the package: sparse
-vectors are reduced one at a time against the rows accepted so far.
+vectors are reduced one at a time against the rows accepted so far.  The
+loop is fraction-free (integer-preserving, as in Bareiss, Math. Comp. 22,
+1968): every vector is scaled once to a primitive int vector and no step
+divides, so ranks and span membership are decided on ints alone.  Only
+coordinates (``express``, ``column_kernel`` and the wrappers over them) come
+back as ``Fraction``s, assembled when first asked for.
 ``rank``, ``kernel_basis``, ``solve``, ``column_kernel``, ``span_dim`` and
 ``quotient_dim`` are thin wrappers over it, and ``RationalMatrix`` is a dense,
 immutable container for their inputs.
@@ -22,6 +27,8 @@ its free variables are 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ImageNotContained, ShapeMismatch
@@ -97,75 +104,154 @@ class IncrementalSpan:
     """Growable subspace with exact membership and coordinates.
 
     Vectors are sparse dicts ``{key: value}`` or dense sequences (keys
-    0..n-1).  Keys may be any hashables, of mixed types: each is numbered the
-    first time the span sees it and only those numbers are ever compared.  A
-    new row pivots on its most recently numbered key, which keeps fill-in
-    lower than the oldest key on the zero-block rank test.
+    0..n-1) of ints, ``Fraction``s or ``p/q`` strings.  Keys may be any
+    hashables, of mixed types: each is numbered the first time the span sees
+    it and only those numbers are ever compared.  A new row pivots on its most
+    recently numbered key, which keeps fill-in lower than the oldest key on
+    the zero-block rank test.
 
-    Each accepted row keeps only the multipliers of its own reduction.  The
-    rows' coordinates over the accepted vectors are assembled from those, in
-    acceptance order, the first time ``express`` needs them, so callers that
-    only add vectors never pay for coordinates.
+    The elimination is fraction-free.  Each input is scaled once to a
+    primitive int vector w = (u/v) vec (one lcm, one gcd), and rows are
+    stored primitive with a positive pivot entry p.  Clearing a pivot whose
+    entry in the working vector is c replaces it by (p/g) w - (c/g) row,
+    g = gcd(p, c), so no step divides; a vector that stays nonzero is divided
+    once by its signed content to become a row.  Each step is recorded as
+    the ints (index, p/g, c/g).
+
+    Each accepted row keeps only its own steps.  The rows' coordinates over
+    the accepted w's are assembled from those as ints over one denominator
+    per row, in acceptance order, the first time ``express`` or
+    ``column_kernel`` needs them, so callers that only add vectors never pay
+    for coordinates.  They become ``Fraction`` coefficients of the accepted
+    vectors only in the coordinates those two return.
     """
 
     def __init__(self):
         self._numbers: dict = {}  # key -> number, in order of first sight
-        self._rows: list = []     # (pivot, row scaled to pivot entry 1), in acceptance order
-        self._steps: list = []    # per accepted vector: (1 / pivot entry, [(index, multiplier)])
-        self._coords: list = []   # per accepted row: its combination of accepted vectors
+        self._rows: list = []     # (pivot, pivot entry > 0, primitive int row), in acceptance order
+        self._row_of: dict = {}   # pivot -> index of its row
+        self._steps: list = []    # per accepted vector: ((u, v), content, [(index, a, b)])
+        self._coords: list = []   # per accepted row: (den, ints) over the accepted w's
 
-    def _sparse(self, vec) -> dict:
+    def _sparse(self, vec) -> tuple[dict, tuple[int, int]]:
+        """vec as a primitive int vector w over key numbers, and (u, v) with w = (u/v) vec."""
         numbers = self._numbers
         out = {}
+        rational = False
         for key, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            if not isinstance(x, int):
+                x = scalar(x)
+                rational = True
             if x:
                 k = numbers.get(key)
                 if k is None:
                     k = numbers[key] = len(numbers)
-                out[k] = scalar(x)
-        return out
+                out[k] = x
+        if not out:
+            return out, (1, 1)
+        den = 1
+        if rational:
+            den = lcm(*[x.denominator for x in out.values()])
+            out = {k: x.numerator * (den // x.denominator) for k, x in out.items()}
+        g = gcd(*out.values())
+        if g != 1:
+            out = {k: x // g for k, x in out.items()}
+        return out, (den, g)
 
     def _reduce(self, vec: dict) -> list:
-        """Clear every pivot from vec in place; returns the multipliers used.
+        """Clear every pivot from vec in place; returns the steps (index, a, b).
 
-        A row is zero at the pivots of the rows accepted before it, so one
-        pass in acceptance order clears them all.
+        Step j replaces vec by a_j vec - b_j row[index_j].  A row is zero at
+        the pivots of the rows accepted before it, so clearing in acceptance
+        order clears them all.  Only rows whose pivot vec holds, or a cleared
+        row brings in, are visited: the heap yields them in that order.
         """
+        rows, row_of = self._rows, self._row_of
+        queue = [i for i in map(row_of.get, vec) if i is not None]
+        heapify(queue)
+        queued = set(queue)
         steps = []
-        for index, (pivot, row) in enumerate(self._rows):
+        while queue:
+            index = heappop(queue)
+            pivot, p, row = rows[index]
             c = vec.get(pivot)
-            if c:
-                axpy(vec, row.items(), -c)
-                steps.append((index, c))
-                if not vec:
-                    break
+            if not c:
+                continue
+            g = gcd(p, c)
+            a, b = p // g, c // g
+            if a != 1:
+                for k in vec:
+                    vec[k] *= a
+            axpy(vec, row.items(), -b)
+            steps.append((index, a, b))
+            if not vec:
+                break
+            for j in map(row_of.get, row):
+                if j is not None and j not in queued:
+                    queued.add(j)
+                    heappush(queue, j)
         return steps
 
-    def _place(self, vec) -> list | None:
-        """Accept vec and return None if it is new, else return its multipliers."""
-        vec = self._sparse(vec)
+    def _place(self, vec) -> tuple | None:
+        """Accept vec and return None if it is new, else return (scale, steps) of its reduction."""
+        vec, scale = self._sparse(vec)
         steps = self._reduce(vec)
         if not vec:
-            return steps
+            return scale, steps
         pivot = max(vec)
-        inv = ONE / vec[pivot]
-        self._rows.append((pivot, {k: v * inv for k, v in vec.items()}))
-        self._steps.append((inv, steps))
+        content = gcd(*vec.values())
+        if vec[pivot] < 0:
+            content = -content
+        if content != 1:
+            vec = {k: x // content for k, x in vec.items()}
+        self._row_of[pivot] = len(self._rows)
+        self._rows.append((pivot, vec[pivot], vec))
+        self._steps.append((scale, content, steps))
         return None
 
-    def _combine(self, steps: list) -> dict:
-        """Coordinates over the accepted vectors of sum(c * row[index])."""
+    def _sum(self, steps: list) -> tuple[int, int, dict]:
+        """(A, L, X) with A w - X / L what the steps left of w; X over the accepted w's.
+
+        Step j replaced v by a_j v - b_j row_j, so A = a_0...a_J and row_j
+        enters with b_j a_{j+1}...a_J: after dividing by A, with the
+        coefficient b_j / (a_0...a_j).  L is the lcm of the rows' coordinate
+        denominators, which must already be assembled.
+        """
         coords = self._coords
-        for inv, row_steps in self._steps[len(coords):]:
-            combo: dict = {}
-            for index, c in row_steps:
-                axpy(combo, coords[index].items(), -c)
-            combo = {k: v * inv for k, v in combo.items()}
-            combo[len(coords)] = inv
-            coords.append(combo)
+        A = prod(a for _, a, _ in steps)
+        L = lcm(*[coords[index][0] for index, _, _ in steps])
         out: dict = {}
-        for index, c in steps:
-            axpy(out, coords[index].items(), c)
+        prefix = 1
+        for index, a, b in steps:
+            prefix *= a
+            den, row = coords[index]
+            axpy(out, row.items(), b * (A // prefix) * (L // den))
+        return A, L, out
+
+    def _coordinates(self, scale: tuple, steps: list) -> dict:
+        """Coordinates over the accepted vectors of a vec whose w reduced to zero.
+
+        Each row's coordinates over the accepted w's are kept as ints over
+        one positive denominator.  Only here are they turned into
+        coefficients of the accepted vectors, as ``Fraction``s.
+        """
+        coords, accepted = self._coords, self._steps
+        for _, content, row_steps in accepted[len(coords):]:
+            # content * row = A w_k - X / L for the w_k the row was accepted from
+            A, L, combo = self._sum(row_steps)
+            combo[len(coords)] = -A * L
+            den = -content * L
+            g = gcd(den, *combo.values())
+            if den < 0:
+                g = -g
+            coords.append((den // g, {k: x // g for k, x in combo.items()}))
+        A, L, combo = self._sum(steps)
+        # A w = X / L with w = (u/v) vec and w_i = (u_i/v_i) vec_i
+        u, v = scale
+        out = {}
+        for i, x in combo.items():
+            u_i, v_i = accepted[i][0]
+            out[i] = Fraction(x * u_i * v, v_i * A * L * u)
         return out
 
     def add(self, vec) -> bool:
@@ -178,9 +264,9 @@ class IncrementalSpan:
         Keys are acceptance indices: 0 is the first vector that enlarged the
         span.
         """
-        vec = self._sparse(vec)
+        vec, scale = self._sparse(vec)
         steps = self._reduce(vec)
-        return None if vec else self._combine(steps)
+        return None if vec else self._coordinates(scale, steps)
 
     @property
     def dim(self) -> int:
@@ -197,11 +283,11 @@ def column_kernel(columns: Sequence) -> list[dict]:
     independent = []  # positions of the columns that enlarged the span
     basis = []
     for j, col in enumerate(columns):
-        steps = span._place(col)
-        if steps is None:
+        relation = span._place(col)
+        if relation is None:
             independent.append(j)
         else:
-            vec = {independent[i]: -c for i, c in span._combine(steps).items()}
+            vec = {independent[i]: -c for i, c in span._coordinates(*relation).items()}
             vec[j] = ONE
             basis.append(vec)
     return basis

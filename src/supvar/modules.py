@@ -48,7 +48,12 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from math import lcm
 
-from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
+from .algebra import (
+    LieSuperalgebraData,
+    detecting_subalgebra,
+    gl_even_subalgebra,
+    gl_superalgebra,
+)
 from .config import RunConfig
 from .errors import (
     AlgebraMismatch,
@@ -101,6 +106,31 @@ class SuperModuleRep:
     def _integer_actions(self) -> tuple[int, dict]:
         """One common denominator d and d times every action, as ints."""
         return _integerize(self.actions)
+
+    @cached_property
+    def _square_eigenvalues(self) -> dict:
+        """Basis indices grouped by the eigenvalues of x_1^2, ..., x_r^2 on them.
+
+        x_t^2 = E_{m+1-t,m+1-t} + E_{m+t,m+t} acts on a vector of weight mu by
+        mu_{m+1-t} + mu_{m+t}; integral eigenvalues are ints.  Read by the
+        zero-block rank test (``support``).
+        """
+        m, r = self.algebra.m, min(self.algebra.m, self.algebra.n)
+        groups: dict = {}
+        for i, w in enumerate(self.weights):
+            key = []
+            for t in range(r):
+                x = w.coords[m - t - 1] + w.coords[m + t]
+                key.append(int(x) if x.denominator == 1 else x)
+            groups.setdefault(tuple(key), []).append(i)
+        return groups
+
+    @cached_property
+    def _detecting_actions(self) -> tuple[int, dict]:
+        """One common denominator d and d times the actions of the 2r labels of x_t, as ints."""
+        det = detecting_subalgebra(self.algebra.m, self.algebra.n)
+        return _integerize({lab: self.actions.get(lab, {})
+                            for t in range(1, det.r + 1) for lab in det.generator_labels(t)})
 
     def action_matrix(self, label) -> RationalMatrix:
         d = self.dim
@@ -461,14 +491,13 @@ def _form_blocks(K: SuperModuleRep) -> list:
             value.update(((i, j), sum(c * value[i2, z] for z, c in up.get(j, {}).items()))
                          for j in idxs)
         ints = [[value[i, j] for j in idxs] for i in idxs]
-        scale = g * d ** layer_of[w]
-        exact = {x: Fraction(x, scale) for x in {x for row in ints for x in row}}
-        rows = [[exact[x] for x in row] for row in ints]
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
-                if rows[a][b] != rows[b][a]:
+                if ints[a][b] != ints[b][a]:
                     raise FormInconsistent("contravariant form block is not symmetric")
-        blocks.append((idxs, rows))
+        scale = g * d ** layer_of[w]
+        exact = {x: Fraction(x, scale) for x in {x for row in ints for x in row}}
+        blocks.append((idxs, [[exact[x] for x in row] for row in ints]))
     return blocks
 
 

@@ -12,6 +12,16 @@ exterior algebra on one generator and projectivity means rank(X|M0) equals
 dim(M0)/2.  Because X restricted to M0 squares to zero, its rank never
 exceeds dim(M0)/2, so the elimination can stop early once that bound is hit.
 
+The test runs in ints.  A support variety is a cone: X_{sa} = s X_a and
+c(mu) scales by s^2, so the verdict at a equals the verdict at a scaled by
+the lcm of its denominators, whose coordinates are ints.  Each
+module groups its basis once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
+x_t^2-eigenvalues, so M0 is the union of the groups on which c vanishes,
+found per point without a loop over the weights.  The columns of X|M0 are
+int combinations of the actions of the 2r labels of the x_t, integerized
+once per module over their own common denominator; that scales X by a
+nonzero constant, which changes no rank.
+
 The empirical support samples deterministic rational points with prescribed
 coordinate support and reports which coordinate subspaces contain a
 non-projective point.  Resolution is coordinate subspaces only: a union of
@@ -24,6 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .algebra import detecting_subalgebra
 from .atypicality import SupportDescription, defect, theoretical_support
@@ -75,36 +86,38 @@ def _ambient_mn(M: SuperModuleRep) -> tuple[int, int]:
     return m, n
 
 
+def _zero_block(M: SuperModuleRep, a) -> list[int]:
+    """Ascending indices of the basis vectors that x^2 kills, x = sum a_t x_t."""
+    return sorted(i for key, idxs in M._square_eigenvalues.items()
+                  if not sum(x * x * k for x, k in zip(a, key)) for i in idxs)
+
+
 def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     m, n = _ambient_mn(M)
     r = defect(m, n)
     if point.r != r:
         raise ShapeMismatch(f"point has {point.r} coordinates, defect is {r}")
-    a = point.coords
-    det = detecting_subalgebra(m, n)
+    # the support is a cone, so test the point scaled to ints
+    den = lcm(*[x.denominator for x in point.coords])
+    a = [x.numerator * (den // x.denominator) for x in point.coords]
 
-    zero_block = []
-    for i, w in enumerate(M.weights):
-        c = ZERO
-        for t in range(r):
-            if a[t]:
-                c += a[t] * a[t] * (w.coords[m - t - 1] + w.coords[m + t])
-        if c == 0:
-            zero_block.append(i)
+    zero_block = _zero_block(M, a)
     if not zero_block:
         return True
     size = len(zero_block)
     if size % 2:
         return False
 
+    det = detecting_subalgebra(m, n)
+    _, actions = M._detecting_actions
+    terms = [(actions[lab], x) for t, x in enumerate(a) if x
+             for lab in det.generator_labels(t + 1)]
     in_block = set(zero_block)
     columns = []
     for i in zero_block:
         col: dict = {}
-        for t in range(r):
-            if a[t]:
-                for lab in det.generator_labels(t + 1):
-                    axpy(col, M.action_column(lab, i).items(), a[t])
+        for action, x in terms:
+            axpy(col, action.get(i, {}).items(), x)
         if not in_block.issuperset(col):
             raise ShapeMismatch("zero eigenblock is not action stable")
         columns.append(col)

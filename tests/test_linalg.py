@@ -9,6 +9,7 @@ from supvar.errors import ImageNotContained
 from supvar.linalg import (
     IncrementalSpan,
     RationalMatrix,
+    column_kernel,
     format_scalar,
     kernel_basis,
     quotient_dim,
@@ -190,20 +191,47 @@ def reference_solve(rows, n_cols, b):
     return tuple(x)
 
 
-entries = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=4))
+def engine_solve(rows, b):
+    """``solve`` on raw entries, so ints and mixed rows reach the span unconverted."""
+    span = IncrementalSpan()
+    independent = [j for j, col in enumerate(zip(*rows)) if span.add(col)]
+    coords = span.express(b)
+    if coords is None:
+        return None
+    x = [Fraction(0)] * (len(rows[0]) if rows else 0)
+    for i, c in coords.items():
+        x[independent[i]] = c
+    return tuple(x)
+
+
+small_fractions = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=4))
+small_ints = st.integers(-4, 4)
+# numerators near 2**70 over denominators up to 10**6: every input is scaled,
+# rows carry content to divide out, and the coordinates get wide denominators
+wide = st.builds(lambda p, q, sign: Fraction(sign * p, q), st.integers(2**70 - 2**12, 2**70),
+                 st.integers(1, 10**6), st.sampled_from((1, -1)))
+ENTRY_KINDS = {
+    "fractions": small_fractions,
+    "ints": small_ints,
+    "mixed": st.one_of(small_ints, small_fractions),
+    "wide": st.one_of(st.just(0), small_ints, small_fractions, wide),
+}
+entries = ENTRY_KINDS["mixed"]
 
 
 @st.composite
 def matrices(draw):
-    """Small sparse-ish matrices, sometimes with a forced zero row or column."""
+    """Small sparse-ish matrices of one entry kind, sometimes with a forced zero row or column."""
+    kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
     n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    rows = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    rows = [[draw(ENTRY_KINDS[kind]) for _ in range(n_cols)] for _ in range(n_rows)]
+    zero = 0 if kind == "ints" else Fraction(0)
     if rows and n_cols and draw(st.booleans()):
-        rows[draw(st.integers(0, n_rows - 1))] = [Fraction(0)] * n_cols
+        rows[draw(st.integers(0, n_rows - 1))] = [zero] * n_cols
     if rows and n_cols and draw(st.booleans()):
         c = draw(st.integers(0, n_cols - 1))
         for row in rows:
-            row[c] = Fraction(0)
+            row[c] = zero
     return rows
 
 
@@ -212,16 +240,30 @@ def matrices(draw):
 @example(rows=[], data=None)
 @example(rows=[[], []], data=None)
 @example(rows=[[0, 0], [0, 0]], data=None)
+@example(rows=[[2, 3, 1], [4, 5, 3], [6, 9, 3]], data=None)
+@example(rows=[[2**70 + 1, Fraction(3, 10**6), 5],
+               [Fraction(2**70 - 3, 999983), 4, Fraction(-7, 6)]], data=None)
 def test_engine_matches_gauss_jordan_reference(rows, data):
     A = RationalMatrix(rows)
     _, pivots = reference_rref(rows, A.cols)
-    assert rank(A) == len(pivots)
-    assert kernel_basis(A) == reference_kernel(rows, A.cols)
+    kernel = reference_kernel(rows, A.cols)
+    assert rank(A) == span_dim(rows) == len(pivots)
+    assert kernel_basis(A) == kernel
+    assert [tuple(v.get(j, 0) for j in range(A.cols))
+            for v in column_kernel([list(col) for col in zip(*rows)])] == kernel
     if data is None:
-        rhs = [[Fraction(0)] * A.rows, [Fraction(1)] * A.rows]
+        rhs = [[0] * A.rows, [Fraction(1)] * A.rows]
     else:
         rhs = [data.draw(st.lists(entries, min_size=A.rows, max_size=A.rows))]
         x = data.draw(st.lists(entries, min_size=A.cols, max_size=A.cols))
-        rhs.append([sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows])
+        rhs.append([sum((a * b for a, b in zip(row, x)), 0) for row in rows])
     for b in rhs:
-        assert solve(A, b) == reference_solve(rows, A.cols, b)
+        expected = reference_solve(rows, A.cols, b)
+        assert solve(A, b) == engine_solve(rows, b) == expected
+
+
+def test_float_entries_rejected():
+    with pytest.raises(TypeError):
+        span_dim([[1, Fraction(1, 2), 0.5]])
+    with pytest.raises(TypeError):
+        IncrementalSpan().add({"a": 2, "b": 0.0})

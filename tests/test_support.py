@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from supvar.algebra import gl_superalgebra
+from supvar.algebra import detecting_subalgebra, gl_superalgebra
 from supvar.errors import ZeroPoint
+from supvar.linalg import axpy, span_dim
 from supvar.modules import direct_sum, kac_module, simple_module, tensor, trivial_module
 from supvar.roots import parse_weight
 from supvar.support import (
+    _zero_block,
     atyp_module,
     compare_support,
     empirical_support,
@@ -121,3 +123,71 @@ def test_compare_support_intermediate_atypicality():
         assert cmp.match and cmp.empirical.dim == dim
         if dim == 1:
             assert cmp.empirical.nonempty_subsets() == [(1,), (2,)]
+
+
+def reference_zero_block(M, point):
+    """Indices of the weight vectors x^2 kills, c(mu) summed in Fractions weight by weight."""
+    m, r = M.algebra.m, point.r
+    a = point.coords
+    zero_block = []
+    for i, w in enumerate(M.weights):
+        c = Fraction(0)
+        for t in range(r):
+            if a[t]:
+                c += a[t] * a[t] * (w.coords[m - t - 1] + w.coords[m + t])
+        if c == 0:
+            zero_block.append(i)
+    return zero_block
+
+
+def reference_is_projective_at(M, point):
+    """The Fraction rank test this package used before its integer one.
+
+    The point is not scaled, and the columns are Fraction combinations of
+    the Fraction actions.
+    """
+    zero_block = reference_zero_block(M, point)
+    if not zero_block:
+        return True
+    if len(zero_block) % 2:
+        return False
+    a = point.coords
+    det = detecting_subalgebra(M.algebra.m, M.algebra.n)
+    columns = []
+    for i in zero_block:
+        col = {}
+        for t in range(point.r):
+            if a[t]:
+                for lab in det.generator_labels(t + 1):
+                    axpy(col, M.action_column(lab, i).items(), a[t])
+        assert set(zero_block).issuperset(col)
+        columns.append(col)
+    return 2 * span_dim(columns) == len(zero_block)
+
+
+def test_integer_rank_test_matches_fraction_reference():
+    # K(0,-2,-2|2) on gl(3|1) has action denominator 2
+    modules = [kac_module(parse_weight(2, 2, "1,0|0,-1")),
+               simple_module(parse_weight(2, 2, "1,0|0,-1")),
+               kac_module(parse_weight(3, 1, "0,-2,-2|2")),
+               kac_module(parse_weight(3, 2, "1,0,0|0,-1"))]
+    assert modules[2]._detecting_actions[0] == 2
+    F = Fraction
+    extra = {1: [(F(2, 3),), (F(-5, 7),)],
+             2: [(F(1, 2), F(-2, 3)), (F(3, 4), F(5, 6)), (F(-7, 5), F(7, 10)),
+                 (F(1, 2), F(-1, 2)), (F(2, 3), F(4, 6)), (F(-3, 8), F(0))]}
+    seen = set()
+    for M in modules:
+        emp = empirical_support(M)
+        other = empirical_support(M, samples_per_subset=2, seed=7)
+        points = [coords for _, coords, _ in emp.tested + other.tested] + extra[emp.r]
+        for coords in points:
+            pt = odd_point(coords)
+            # a group where some x_t^2 with a_t != 0 is nonzero never changes the
+            # verdict (x acts there invertibly or inside a nondegenerate Clifford
+            # algebra), so a wrong c(mu) can hide from the verdicts: compare blocks
+            assert _zero_block(M, pt.coords) == reference_zero_block(M, pt)
+            verdict = is_projective_at(M, pt)
+            assert verdict == reference_is_projective_at(M, pt), (M, coords)
+            seen.add(verdict)
+    assert seen == {True, False}
