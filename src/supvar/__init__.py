@@ -66,7 +66,6 @@ from .linalg import (
     Scalar,
     format_scalar,
     kernel_basis,
-    quotient_dim,
     rank,
     scalar,
     solve,

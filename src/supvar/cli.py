@@ -117,32 +117,29 @@ def cmd_support(args, cfg) -> tuple[int, dict]:
 
 
 def cmd_cohom(args, cfg) -> tuple[int, dict]:
-    pmax = args.pmax if args.pmax is not None else cfg.p_max
     g = gl_superalgebra(args.m, args.n)
     M = _module_from_spec(args.coeff, args.m, args.n, cfg.dimension_budget)
-    dims = cohomology_dims(g, M, pmax, cfg.dimension_budget)
-    return OK, {"m": args.m, "n": args.n, "coeff": args.coeff, "pmax": pmax, "dims": dims}
+    dims = cohomology_dims(g, M, cfg.p_max, cfg.dimension_budget)
+    return OK, {"m": args.m, "n": args.n, "coeff": args.coeff, "pmax": cfg.p_max, "dims": dims}
 
 
 def cmd_ext(args, cfg) -> tuple[int, dict]:
-    pmax = args.pmax if args.pmax is not None else cfg.p_max
     M = _module_from_spec(args.M, args.m, args.n, cfg.dimension_budget)
     N = _module_from_spec(args.N, args.m, args.n, cfg.dimension_budget)
-    table = ext_dims(M, N, pmax, cfg.dimension_budget)
+    table = ext_dims(M, N, cfg.p_max, cfg.dimension_budget)
     return OK, {
         "m": args.m, "n": args.n, "M": args.M, "N": args.N,
-        "pmax": pmax, "route": table.route, "dims": list(table.dims),
+        "pmax": cfg.p_max, "route": table.route, "dims": list(table.dims),
     }
 
 
 def cmd_kacext(args, cfg) -> tuple[int, dict]:
-    pmax = args.pmax if args.pmax is not None else cfg.p_max
     lam = parse_weight(args.m, args.n, args.weight)
     M = _module_from_spec(args.coeff, args.m, args.n, cfg.dimension_budget)
-    table = kac_ext_dims(lam, M, pmax, cfg.dimension_budget)
+    table = kac_ext_dims(lam, M, cfg.p_max, cfg.dimension_budget)
     return OK, {
         "m": args.m, "n": args.n, "weight": format_weight(lam), "coeff": args.coeff,
-        "pmax": pmax, "route": table.route, "dims": list(table.dims),
+        "pmax": cfg.p_max, "route": table.route, "dims": list(table.dims),
     }
 
 
@@ -284,6 +281,7 @@ def main(argv=None) -> int:
             args.config,
             seed=args.seed,
             samples_per_subset=args.samples,
+            p_max=args.pmax,
             dimension_budget=args.budget,
             output=args.output,
         )

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
-from .errors import ConstructionOverflow, SignConventionBroken, Unsupported
-from .linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, quotient_dim, span_dim
+from .errors import ConstructionOverflow, InvariantBroken, SignConventionBroken, Unsupported
+from .linalg import IncrementalSpan, axpy, column_kernel, span_dim
 from .modules import SuperModuleRep, dual, tensor
 from .roots import Weight, zero_weight
 
@@ -49,7 +50,8 @@ from .roots import Weight, zero_weight
 def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
     """a |-> {e: {f: c}} with a.X_e = sum_f c X_f, for each even a in labels.
 
-    c is minus the coefficient of w_e in [a, w_f].
+    c is minus the coefficient of w_e in [a, w_f], an int: every gl(m|n)
+    structure constant is one, and a non-integral one raises.
     """
     index = {lab: e for e, lab in enumerate(gens)}
     table: dict = {}
@@ -62,7 +64,9 @@ def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
                     raise Unsupported(
                         "the even part does not stabilize the chosen odd subspace"
                     )
-                act.setdefault(e, {})[f] = -c
+                if c.denominator != 1:
+                    raise InvariantBroken(f"[{a}, {lab_f}] is not integral")
+                act.setdefault(e, {})[f] = -c.numerator
         table[a] = act
     return table
 
@@ -85,11 +89,9 @@ def _weight_slice(g, M: SuperModuleRep, gens, degree: int, target: Weight,
                   budget: int) -> list:
     """All keys (monomial, module index) of the given degree and total weight.
 
-    Monomial weights are summed as coordinate tuples of ints (a non-integral
-    coordinate stays a Fraction), which hash equal to the Fraction bucket keys.
+    Monomial weights are summed as coordinate tuples, ints on integral weights.
     """
-    gen_weights = [tuple(int(c) if c.denominator == 1 else c
-                         for c in (-g.weight_of[lab]).coords) for lab in gens]
+    gen_weights = [(-g.weight_of[lab]).coords for lab in gens]
     zero = (0,) * len(target.coords)
     buckets: dict = {}
     for i, w in enumerate(M.weights):
@@ -111,25 +113,27 @@ def _raising_images(g, M: SuperModuleRep, gens, keys, vecs) -> list[dict]:
 
     The simple raising operators are E_{i,i+1} with i != m, the even labels
     one step above the diagonal.  Rows are keyed (label, (monomial, module
-    index)), so the vectors they all kill are one kernel computation.
+    index)), so the vectors they all kill are one kernel computation.  Images
+    are M.den times the true ones, so the derivation term is scaled by M.den.
     """
     raisings = [lab for lab in g.even_labels() if lab[2] == lab[1] + 1]
     table = _coadjoint_table(g, gens, raisings)
+    den = M.den
     images = []
     for vec in vecs:
         out: dict = {}
         for pos, coeff in vec.items():
             mono, i = keys[pos]
             for a in raisings:
-                axpy(out, (((a, (new_mono, i)), c)
-                           for new_mono, c in _derive_on_monomial(table[a], mono).items()), coeff)
+                derived = _derive_on_monomial(table[a], mono)
+                axpy(out, (((a, (new_mono, i)), c) for new_mono, c in derived.items()), den * coeff)
                 axpy(out, (((a, (mono, r)), c) for r, c in M.action_column(a, i).items()), coeff)
         images.append(out)
     return images
 
 
 def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> list[dict]:
-    """The action-term differential of sparse vectors over slice positions.
+    """M.den times the action-term differential of sparse vectors over slice positions.
 
     Images are sparse vectors over the positions of next_keys, the slice one
     degree up; an image outside that slice raises SignConventionBroken.
@@ -198,7 +202,7 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     spans = []
     for p in range(p_max + 2):
         keys = tuple(_weight_slice(g, M, odd_labels, p, target, budget))
-        units = [{k: ONE} for k in range(len(keys))]
+        units = [{k: 1} for k in range(len(keys))]
         basis = tuple(column_kernel(_raising_images(g, M, odd_labels, keys, units)))
         degrees.append(CochainDegree(keys=keys, basis=basis, dim=len(basis)))
         span = IncrementalSpan()
@@ -209,14 +213,18 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     differentials = []
     for p in range(p_max + 1):
         src, dst = degrees[p], degrees[p + 1]
+        # each basis vector times s is an int vector, so its image sums ints
+        scales = [lcm(*[x.denominator for x in b.values()]) for b in src.basis]
+        ints = [{k: x.numerator * (s // x.denominator) for k, x in b.items()}
+                for b, s in zip(src.basis, scales)]
         cols = []
-        for img in _differential_columns(M, odd_labels, src.keys, dst.keys, src.basis):
+        for img, s in zip(_differential_columns(M, odd_labels, src.keys, dst.keys, ints), scales):
             coords = spans[p + 1].express(img)
             if coords is None:
                 raise SignConventionBroken(
                     "differential image is not an invariant cochain"
                 )
-            cols.append({k: v for k, v in coords.items() if v})
+            cols.append({k: v / (s * M.den) for k, v in coords.items() if v})
         differentials.append(cols)
 
     for p in range(p_max):
@@ -231,20 +239,15 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
 
 def cohomology_dims(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
                     budget: int = RunConfig.dimension_budget) -> list[int]:
-    """dim H^p(g, g0; M) for p = 0..p_max, via exact kernel/image quotients."""
+    """dim H^p(g, g0; M) for p = 0..p_max, as dim C^p - rank d^p - rank d^{p-1}.
+
+    ``build_complex`` asserts d.d = 0 exactly, so im d^{p-1} lies in ker d^p
+    and the ranks alone give the quotient.
+    """
     cx = build_complex(g, M, p_max, budget)
     dims = cx.dims()
-    out = []
-    for p in range(p_max + 1):
-        n = dims[p]
-        if n == 0:
-            out.append(0)
-            continue
-        kernel_vecs = column_kernel(cx.differentials[p])
-        image_vecs = cx.differentials[p - 1] if p else []
-        out.append(quotient_dim(n, [[v.get(r, ZERO) for r in range(n)] for v in image_vecs],
-                                [[v.get(r, ZERO) for r in range(n)] for v in kernel_vecs]))
-    return out
+    ranks = [0] + [span_dim(d) for d in cx.differentials]
+    return [dims[p] - ranks[p + 1] - ranks[p] for p in range(p_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,7 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     slices = [
         _weight_slice(g, M, g1_labels, j, lam, budget) for j in range(p_max + 2)
     ]
-    units = [[{k: ONE} for k in range(len(keys))] for keys in slices]
+    units = [[{k: 1} for k in range(len(keys))] for keys in slices]
     diffs = [_differential_columns(M, g1_labels, slices[j], slices[j + 1], units[j])
              for j in range(p_max + 1)]
     dims = []

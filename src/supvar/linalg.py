@@ -9,8 +9,8 @@ loop is fraction-free (integer-preserving, as in Bareiss, Math. Comp. 22,
 divides, so ranks and span membership are decided on ints alone.  Only
 coordinates (``express``, ``column_kernel`` and the wrappers over them) come
 back as ``Fraction``s, assembled when first asked for.
-``rank``, ``kernel_basis``, ``solve``, ``column_kernel``, ``span_dim`` and
-``quotient_dim`` are thin wrappers over it, and ``RationalMatrix`` is a dense,
+``rank``, ``kernel_basis``, ``solve``, ``column_kernel`` and ``span_dim``
+are thin wrappers over it, and ``RationalMatrix`` is a dense,
 immutable container for their inputs.
 
 No result depends on the pivot order.  Ranks and span membership are
@@ -31,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import ImageNotContained, ShapeMismatch
+from .errors import ShapeMismatch
 
 Scalar = Fraction
 
@@ -326,18 +326,3 @@ def solve(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     for i, c in coords.items():
         x[independent[i]] = c
     return tuple(x)
-
-
-def quotient_dim(ambient_dim: int, image: Sequence[Sequence], kernel_sub: Sequence[Sequence]) -> int:
-    """dim span(kernel_sub) - dim span(image), checking the containment."""
-    for v in list(image) + list(kernel_sub):
-        if len(v) != ambient_dim:
-            raise ShapeMismatch("vector length does not match ambient dimension")
-    span = IncrementalSpan()
-    k_dim = sum(span._place(v) is None for v in kernel_sub)
-    if any(span._place(v) is None for v in image):
-        raise ImageNotContained(
-            "an image vector lies outside the kernel span "
-            "(differential sign or complex construction bug)"
-        )
-    return k_dim - span_dim(image)

@@ -1,4 +1,11 @@
-"""Explicit supermodules for gl(m|n) with exact rational action matrices.
+"""Explicit supermodules for gl(m|n) with exact rational actions, stored as ints.
+
+A module stores int sparse columns over one positive denominator ``den``:
+the action of a label is ``actions[label] / den``.  Rationals enter only
+through ``_integerize`` (the L0 closure and the quotient coordinates of
+simple heads); every other construction and every reader works on the ints
+and ``den``, and ``dump_module`` formats ``Fraction(x, den)`` itself.
+There is no dense matrix form.
 
 Construction chain:
 
@@ -17,7 +24,7 @@ Construction chain:
   right end) touches only the Lambda(g_-1) factor, and every gl(m|n)
   structure constant is an integer: it runs once per (m, n) on the subsets
   alone, into a cached integer table, and each action is that table
-  combined with the integerized L0 actions.
+  combined with the int L0 actions, over the L0 denominator.
 
 * ``simple_module`` is the quotient of the Kac module by the radical of its
   contravariant form.  The form pairs weight spaces orthogonally, declares
@@ -25,12 +32,11 @@ Construction chain:
   construction, and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
 
-All reps are immutable after construction; actions are stored as sparse
-columns and materialize to ``RationalMatrix`` on demand.
+All reps are immutable after construction.
 
 Both representation checks are sparse matrix identities over the integers,
-on actions scaled by one common denominator per module, and the form blocks
-are filled from the same integer actions.  Adjointness
+on the stored int actions, and the form blocks are filled from the same
+ints.  Adjointness
 G A_a = A_{tau a}^T G is checked on every Kac form ``simple_module`` builds,
 whatever its size; G is symmetric (asserted per block), so the identity for
 tau(a) is the transpose of the one for a and each pair {a, tau a} is checked
@@ -47,13 +53,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import lcm
+from operator import add
 
-from .algebra import (
-    LieSuperalgebraData,
-    detecting_subalgebra,
-    gl_even_subalgebra,
-    gl_superalgebra,
-)
+from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
 from .config import RunConfig
 from .errors import (
     AlgebraMismatch,
@@ -65,7 +67,6 @@ from .errors import (
 )
 from .linalg import (
     ONE,
-    ZERO,
     IncrementalSpan,
     RationalMatrix,
     axpy,
@@ -80,12 +81,13 @@ class SuperModuleRep:
     """A finite dimensional supermodule with weight-labeled basis."""
 
     def __init__(self, algebra: LieSuperalgebraData, parities, weights, actions,
-                 basis_names=None, meta=None):
+                 basis_names=None, meta=None, den: int = 1):
         self.algebra = algebra
         self.parities = tuple(parities)
         self.weights = tuple(weights)
-        # actions: dict[label] -> dict[col] -> dict[row] -> Fraction
+        # actions: dict[label] -> dict[col] -> dict[row] -> int, over den > 0
         self.actions = actions
+        self.den = den
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"b{i}" for i in range(len(self.parities))
         )
@@ -100,45 +102,23 @@ class SuperModuleRep:
         return sum(1 if p == 0 else -1 for p in self.parities)
 
     def action_column(self, label, col: int) -> dict:
+        """den times the image of basis vector col under label, as ints."""
         return self.actions.get(label, {}).get(col, {})
-
-    @cached_property
-    def _integer_actions(self) -> tuple[int, dict]:
-        """One common denominator d and d times every action, as ints."""
-        return _integerize(self.actions)
 
     @cached_property
     def _square_eigenvalues(self) -> dict:
         """Basis indices grouped by the eigenvalues of x_1^2, ..., x_r^2 on them.
 
         x_t^2 = E_{m+1-t,m+1-t} + E_{m+t,m+t} acts on a vector of weight mu by
-        mu_{m+1-t} + mu_{m+t}; integral eigenvalues are ints.  Read by the
+        mu_{m+1-t} + mu_{m+t}, an int on integral weights.  Read by the
         zero-block rank test (``support``).
         """
         m, r = self.algebra.m, min(self.algebra.m, self.algebra.n)
         groups: dict = {}
         for i, w in enumerate(self.weights):
-            key = []
-            for t in range(r):
-                x = w.coords[m - t - 1] + w.coords[m + t]
-                key.append(int(x) if x.denominator == 1 else x)
-            groups.setdefault(tuple(key), []).append(i)
+            key = tuple(w.coords[m - t - 1] + w.coords[m + t] for t in range(r))
+            groups.setdefault(key, []).append(i)
         return groups
-
-    @cached_property
-    def _detecting_actions(self) -> tuple[int, dict]:
-        """One common denominator d and d times the actions of the 2r labels of x_t, as ints."""
-        det = detecting_subalgebra(self.algebra.m, self.algebra.n)
-        return _integerize({lab: self.actions.get(lab, {})
-                            for t in range(1, det.r + 1) for lab in det.generator_labels(t)})
-
-    def action_matrix(self, label) -> RationalMatrix:
-        d = self.dim
-        rows = [[ZERO] * d for _ in range(d)]
-        for col, entries in self.actions.get(label, {}).items():
-            for row, val in entries.items():
-                rows[row][col] = val
-        return RationalMatrix(rows)
 
     def __repr__(self):
         return f"SuperModuleRep(dim={self.dim}, algebra={self.algebra.name})"
@@ -166,20 +146,20 @@ def _apply_unit_tensor(a: int, b: int, vec: dict) -> dict:
     out: dict = {}
     for idx, coeff in vec.items():
         axpy(out, ((idx[:pos] + (a,) + idx[pos + 1 :], coeff)
-                   for pos, entry in enumerate(idx) if entry == b), ONE)
+                   for pos, entry in enumerate(idx) if entry == b), 1)
     return out
 
 
 def _highest_weight_tensor(mu: tuple[int, ...]) -> dict:
     """Antisymmetrized column tensors for the partition mu (mu_k = 0 allowed)."""
-    vec = {(): ONE}
+    vec = {(): 1}
     height = len(mu)
     width = mu[0] if mu else 0
     for col in range(1, width + 1):
         h = sum(1 for part in mu if part >= col)
         column: dict = {}
         for perm in permutations(range(1, h + 1)):
-            sign = ONE
+            sign = 1
             perm_list = list(perm)
             for i in range(len(perm_list)):
                 for j in range(i + 1, len(perm_list)):
@@ -195,15 +175,16 @@ def _highest_weight_tensor(mu: tuple[int, ...]) -> dict:
 def _gl_factor_module(k: int, block: tuple, budget: int):
     """Simple GL(k) module data for a weakly decreasing integer weight.
 
-    Returns (dim, weights, action cols dict[(a,b)] -> cols, gram rows).
+    Returns (dim, weights, action cols dict[(a,b)] -> cols, gram rows); the
+    actions are Fractions.
     """
-    shift = block[-1]
+    shift = int(block[-1])
     mu = tuple(int(c - shift) for c in block)
     degree = sum(mu)
     if degree == 0:
-        actions = {(a, b): ({0: {0: Fraction(shift)}} if a == b and shift else {})
+        actions = {(a, b): ({0: {0: shift}} if a == b and shift else {})
                    for a in range(1, k + 1) for b in range(1, k + 1)}
-        return 1, [tuple(Fraction(shift) for _ in range(k))], actions, [[ONE]]
+        return 1, [(shift,) * k], actions, [[ONE]]
     if k**degree > budget:
         raise ConstructionOverflow(
             f"tensor power dimension {k}**{degree} exceeds budget {budget}"
@@ -229,7 +210,7 @@ def _gl_factor_module(k: int, block: tuple, budget: int):
             for col, v in enumerate(basis_vecs):
                 w = _apply_unit_tensor(a, b, v)
                 if a == b and shift:
-                    axpy(w, v.items(), Fraction(shift))
+                    axpy(w, v.items(), shift)
                 if not w:
                     continue
                 coords = span.express(w)
@@ -240,15 +221,15 @@ def _gl_factor_module(k: int, block: tuple, budget: int):
     weights = []
     for v in basis_vecs:
         idx = next(iter(v))
-        weights.append(tuple(Fraction(idx.count(i) + shift) for i in range(1, k + 1)))
+        weights.append(tuple(idx.count(i) + shift for i in range(1, k + 1)))
     gram = [
-        [sum((ci * basis_vecs[j].get(t, ZERO) for t, ci in basis_vecs[i].items()), ZERO)
+        [sum(ci * basis_vecs[j].get(t, 0) for t, ci in basis_vecs[i].items())
          for j in range(dim)]
         for i in range(dim)
     ]
     # normalize so the highest weight vector has norm one
     scale = gram[0][0]
-    gram = [[x / scale for x in row] for row in gram]
+    gram = [[Fraction(x, scale) for x in row] for row in gram]
     return dim, weights, actions, gram
 
 
@@ -292,10 +273,11 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
         [gram1[i1][j1] * gram2[i2][j2] for j1 in range(d1) for j2 in range(d2)]
         for i1 in range(d1) for i2 in range(d2)
     ]
+    den, actions = _integerize(actions)
     return SuperModuleRep(
         algebra, [0] * dim, weights, actions,
         basis_names=[f"v{i}" for i in range(dim)],
-        meta={"kind": "l0", "weight": lam, "gram": gram},
+        meta={"kind": "l0", "weight": lam, "gram": gram}, den=den,
     )
 
 
@@ -377,11 +359,11 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
     basis_index = {key: i for i, key in enumerate(basis)}
 
     # y_{S_j} v_t is column j D + t.  right[e][t] is e.v_t as (row, int)
-    # pairs scaled by d0, and right[None][t] is v_t itself.
-    d0, L0_ints = _integerize(L0.actions)
-    right = {e: [list(cols.get(t, {}).items()) for t in range(D)] for e, cols in L0_ints.items()}
+    # pairs over the L0 denominator d0, and right[None][t] is d0 v_t.  The
+    # Kac actions are these sums, over the same d0.
+    d0 = L0.den
+    right = {e: [list(cols.get(t, {}).items()) for t in range(D)] for e, cols in L0.actions.items()}
     right[None] = [[(t, d0)] for t in range(D)]
-    exact: dict = {}  # each distinct int, as a Fraction over d0
     actions = {}
     for label in g.labels:
         cols = {}
@@ -393,9 +375,7 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
                 axpy(col, ((i * D + r, c * x) for i, e, c in terms for r, x in right[e][t]), ONE)
                 if col:
                     cols[j * D + t] = col
-        for x in {x for col in cols.values() for x in col.values()}.difference(exact):
-            exact[x] = Fraction(x, d0)
-        actions[label] = {j: {i: exact[x] for i, x in col.items()} for j, col in cols.items()}
+        actions[label] = cols
 
     offsets = {S: sum((g.weight_of[y_labels[h]] for h in S), zero_weight(m, n)) for S in subsets}
     weights = [L0.weights[t] + offsets[S] for S, t in basis]
@@ -408,6 +388,7 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
             "l0_dim": D, "basis": basis, "basis_index": basis_index,
             "y_labels": y_labels,
         },
+        den=d0,
     )
 
 
@@ -416,7 +397,11 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
 
 
 def _integerize(matrices: dict) -> tuple[int, dict]:
-    """One common denominator d, and d times each sparse-column matrix, as ints."""
+    """One common denominator d, and d times each sparse-column matrix, as ints.
+
+    The one place rational matrices become ints: the actions of L0 modules
+    and of simple heads, and the L0 inner product in ``_form_blocks``.
+    """
     d = lcm(*{x.denominator for cols in matrices.values()
               for col in cols.values() for x in col.values()})
     return d, {
@@ -460,8 +445,8 @@ def _form_blocks(K: SuperModuleRep) -> list:
     <y_h u', w> = <u', tau(y_h) w> down to the top layer, where the form is
     the L0 inner product.  Distinct weight spaces pair to zero because each
     block weight pins the monomial length, so each layer is filled from the
-    blocks of the layer above, in ints: with d and g the common denominators
-    of the actions and of the L0 inner product, layer k holds g d^k times
+    blocks of the layer above, in ints: with d the module's ``den`` and g the
+    common denominator of the L0 inner product, layer k holds g d^k times
     the form.
     """
     if K.meta.get("kind") != "kac":
@@ -469,7 +454,7 @@ def _form_blocks(K: SuperModuleRep) -> list:
     basis = K.meta["basis"]
     basis_index = K.meta["basis_index"]
     y_labels = K.meta["y_labels"]
-    d, A = K._integer_actions
+    d, A = K.den, K.actions
     g, top = _integerize({"gram": {t: dict(enumerate(row))
                                    for t, row in enumerate(K.meta["l0_gram"])}})
     top = top["gram"]
@@ -507,7 +492,7 @@ def _check_form_adjointness(K: SuperModuleRep, blocks: list):
     for idxs, rows in blocks:
         for b, j in enumerate(idxs):
             form[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
-    _, A = K._integer_actions
+    A = K.actions
     G = _integerize({"form": form})[1]["form"]
     for label in [lab for lab in K.algebra.labels if lab[1] <= lab[2]]:
         transposed: dict = {}
@@ -558,7 +543,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     block_of = {i: (b, pos) for b, (idxs, _) in enumerate(blocks) for pos, i in enumerate(idxs)}
 
     def reduce_to_kept(vec: dict) -> dict:
-        """Express vec (sparse over K) modulo the radical in kept coordinates."""
+        """Express vec (sparse over K) modulo the radical in kept coordinates, as Fractions."""
         out: dict = {}
         grouped: dict = {}
         for i, c in vec.items():
@@ -579,6 +564,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
                     out[new_index[idxs[units[k]]]] = c
         return out
 
+    # quotient coordinates of the int Kac columns, which are K.den times the action
     actions = {}
     for label in K.algebra.labels:
         cols = {}
@@ -587,6 +573,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
             if red:
                 cols[new_col] = red
         actions[label] = cols
+    den, actions = _integerize(actions)
     weights = [K.weights[i] for i in kept]
     parities = [K.parities[i] for i in kept]
     names = [K.basis_names[i] for i in kept]
@@ -600,7 +587,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
 
     return SuperModuleRep(
         K.algebra, parities, weights, actions, basis_names=names,
-        meta={"kind": "simple", "weight": lam, "kac_dim": K.dim},
+        meta={"kind": "simple", "weight": lam, "kac_dim": K.dim}, den=den * K.den,
     )
 
 
@@ -614,10 +601,14 @@ def _check_same_algebra(M: SuperModuleRep, N: SuperModuleRep):
 
 
 def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
-    """M tensor N with the Koszul sign: a(u@w) = au@w + (-1)^{|a||u|} u@aw."""
+    """M tensor N with the Koszul sign: a(u@w) = au@w + (-1)^{|a||u|} u@aw.
+
+    Both factors' ints are brought over the lcm of their denominators.
+    """
     _check_same_algebra(M, N)
     dn = N.dim
-    dim = M.dim * dn
+    den = lcm(M.den, N.den)
+    fm, fn = den // M.den, den // N.den
 
     def pair(i, j):
         return i * dn + j
@@ -629,11 +620,11 @@ def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
         m_cols = M.actions.get(label, {})
         n_cols = N.actions.get(label, {})
         for i in range(M.dim):
-            sign = -ONE if (pa and M.parities[i]) else ONE
+            sign = -fn if (pa and M.parities[i]) else fn
             for j in range(N.dim):
                 col: dict = {}
                 for r, c in m_cols.get(i, {}).items():
-                    col[pair(r, j)] = c
+                    col[pair(r, j)] = fm * c
                 axpy(col, ((pair(i, r), c) for r, c in n_cols.get(j, {}).items()), sign)
                 if col:
                     cols[pair(i, j)] = col
@@ -642,7 +633,7 @@ def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
     weights = [M.weights[i] + N.weights[j] for i in range(M.dim) for j in range(N.dim)]
     names = [f"{M.basis_names[i]}@{N.basis_names[j]}" for i in range(M.dim) for j in range(N.dim)]
     return SuperModuleRep(M.algebra, parities, weights, actions, basis_names=names,
-                          meta={"kind": "tensor"})
+                          meta={"kind": "tensor"}, den=den)
 
 
 def dual(M: SuperModuleRep) -> SuperModuleRep:
@@ -653,13 +644,12 @@ def dual(M: SuperModuleRep) -> SuperModuleRep:
         cols: dict = {}
         for j, entries in M.actions.get(label, {}).items():
             for k, c in entries.items():
-                sign = ONE if (pa and M.parities[k]) else -ONE
-                axpy(cols.setdefault(k, {}), [(j, c)], sign)
-        actions[label] = {k: col for k, col in cols.items() if col}
+                cols.setdefault(k, {})[j] = c if (pa and M.parities[k]) else -c
+        actions[label] = cols
     weights = [-w for w in M.weights]
     names = [f"{name}*" for name in M.basis_names]
     return SuperModuleRep(M.algebra, M.parities, weights, actions, basis_names=names,
-                          meta={"kind": "dual"})
+                          meta={"kind": "dual"}, den=M.den)
 
 
 def parity_shift(M: SuperModuleRep) -> SuperModuleRep:
@@ -674,17 +664,21 @@ def parity_shift(M: SuperModuleRep) -> SuperModuleRep:
             actions[label] = M.actions.get(label, {})
     parities = [(p + 1) % 2 for p in M.parities]
     return SuperModuleRep(M.algebra, parities, M.weights, actions,
-                          basis_names=M.basis_names, meta={"kind": "parity-shift"})
+                          basis_names=M.basis_names, meta={"kind": "parity-shift"}, den=M.den)
 
 
 def direct_sum(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
+    """M + N, with both factors' ints over the lcm of their denominators."""
     _check_same_algebra(M, N)
     dm = M.dim
+    den = lcm(M.den, N.den)
+    fm, fn = den // M.den, den // N.den
     actions = {}
     for label in M.algebra.labels:
-        cols = {i: dict(col) for i, col in M.actions.get(label, {}).items()}
+        cols = {i: {j: fm * c for j, c in col.items()}
+                for i, col in M.actions.get(label, {}).items()}
         for i, col in N.actions.get(label, {}).items():
-            cols[dm + i] = {dm + j: c for j, c in col.items()}
+            cols[dm + i] = {dm + j: fn * c for j, c in col.items()}
         actions[label] = cols
     return SuperModuleRep(
         M.algebra,
@@ -692,7 +686,7 @@ def direct_sum(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
         list(M.weights) + list(N.weights),
         actions,
         basis_names=[f"l.{s}" for s in M.basis_names] + [f"r.{s}" for s in N.basis_names],
-        meta={"kind": "direct-sum"},
+        meta={"kind": "direct-sum"}, den=den,
     )
 
 
@@ -703,31 +697,39 @@ def direct_sum(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
 def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     """Exact parity, weight, and bracket compatibility of the actions.
 
-    Cartan elements must act diagonally by the labeled weight coordinates;
-    the rank-variety tests rely on that.  Brackets are checked as
-    A_a A_b - s A_b A_a = d [a, b] on the actions scaled by d (module notes).
+    Every stored entry must be an int over a positive int ``den``; the
+    other checks run only then.  Cartan elements must act diagonally by the
+    labeled weight coordinates; the rank-variety tests rely on that.
+    Weights are compared as coordinate tuples.  Brackets are checked as
+    A_a A_b - s A_b A_a = d [a, b] on the stored ints A over d = den.
     """
-    problems = []
-    g = M.algebra
+    g, d = M.algebra, M.den
+    A = {label: M.actions.get(label, {}) for label in g.labels}
+    problems = [] if isinstance(d, int) and d > 0 else [f"den {d!r} is not a positive int"]
+    problems += [f"entry {c!r} of {label} on column {i} row {j} is not an int"
+                 for label, cols in A.items() for i, col in cols.items()
+                 for j, c in col.items() if not isinstance(c, int)]
+    if problems:
+        return False, problems
+    coords = [w.coords for w in M.weights]
     for label in g.labels:
         pa = g.parity[label]
         shift = g.weight_of.get(label)
-        for i, col in M.actions.get(label, {}).items():
+        for i, col in A[label].items():
+            target = None if shift is None else tuple(map(add, coords[i], shift.coords))
             for j, c in col.items():
                 if c and (M.parities[j] - M.parities[i] - pa) % 2 != 0:
                     problems.append(f"parity breaks: {label} sends {i} to {j}")
-                if c and shift is not None and M.weights[j] != M.weights[i] + shift:
+                if c and target is not None and coords[j] != target:
                     problems.append(f"weight breaks: {label} sends {i} to {j}")
     for label in g.labels:
         _, a, b = label
         if a != b:
             continue
         for i in range(M.dim):
-            col = M.actions.get(label, {}).get(i, {})
-            expected = M.weights[i].coords[a - 1]
-            if col != ({i: expected} if expected else {}):
+            expected = d * coords[i][a - 1]
+            if A[label].get(i, {}) != ({i: expected} if expected else {}):
                 problems.append(f"Cartan element {label} is not diagonal on column {i}")
-    d, A = _integerize({label: M.actions.get(label, {}) for label in g.labels})
     identity = {i: {i: 1} for i in range(M.dim)}
     for k, a in enumerate(g.labels):
         pa = g.parity[a]
@@ -771,8 +773,9 @@ def dump_module(M: SuperModuleRep) -> dict:
     if "weight" in M.meta:
         record["highest_weight"] = format_weight(M.meta["weight"])
     for label in M.algebra.labels:
-        mat = M.action_matrix(label)
-        record["actions"][label_str(label)] = [
-            [format_scalar(x) for x in row] for row in mat.entries
-        ]
+        rows = [["0"] * M.dim for _ in range(M.dim)]
+        for col, entries in M.actions.get(label, {}).items():
+            for row, x in entries.items():
+                rows[row][col] = format_scalar(Fraction(x, M.den))
+        record["actions"][label_str(label)] = rows
     return record

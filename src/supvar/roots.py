@@ -3,7 +3,10 @@
 Weights are coordinate vectors for eps_1, ..., eps_{m+n}, split into an
 m-block and an n-block.  The supersymmetric form is (eps_i, eps_j) = delta
 for i <= m and -delta for i > m, so the odd roots eps_i - eps_j (one index in
-each block) are isotropic.  Everything is exact rational.
+each block) are isotropic.  Everything is exact rational: an integral
+coordinate is stored as an ``int`` and any other as a ``Fraction``, so
+integral weights add in ints.  ``Fraction(2) == 2`` and both hash alike, so
+equality, hashing and sorting do not see the difference.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 from typing import Sequence
 
 from .errors import InvariantBroken, NotDominant, ShapeMismatch, WeightParseError
@@ -23,34 +27,34 @@ class Weight:
 
     m: int
     n: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.coords) != self.m + self.n:
             raise ShapeMismatch("coordinate count must be m + n")
 
     @property
-    def first_block(self) -> tuple[Fraction, ...]:
+    def first_block(self) -> tuple[int | Fraction, ...]:
         return self.coords[: self.m]
 
     @property
-    def second_block(self) -> tuple[Fraction, ...]:
+    def second_block(self) -> tuple[int | Fraction, ...]:
         return self.coords[self.m :]
 
     def __add__(self, other: "Weight") -> "Weight":
         _check_shape(self, other)
-        return Weight(self.m, self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(self.m, self.n, _exact(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         _check_shape(self, other)
-        return Weight(self.m, self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(self.m, self.n, _exact(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
-        return Weight(self.m, self.n, tuple(-a for a in self.coords))
+        return Weight(self.m, self.n, tuple(map(neg, self.coords)))
 
     def scale(self, c) -> "Weight":
         c = scalar(c)
-        return Weight(self.m, self.n, tuple(c * a for a in self.coords))
+        return Weight(self.m, self.n, _exact(c * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -59,18 +63,23 @@ class Weight:
         return format_weight(self)
 
 
+def _exact(values) -> tuple:
+    """Exact coordinates: ints stay ints, and an integral Fraction becomes one."""
+    return tuple(x if type(x) is int or x.denominator != 1 else x.numerator for x in values)
+
+
 def weight(m: int, n: int, coords: Sequence) -> Weight:
-    return Weight(m, n, tuple(scalar(c) for c in coords))
+    return Weight(m, n, _exact(map(scalar, coords)))
 
 
 def zero_weight(m: int, n: int) -> Weight:
-    return Weight(m, n, (ZERO,) * (m + n))
+    return Weight(m, n, (0,) * (m + n))
 
 
 def eps(m: int, n: int, i: int) -> Weight:
     """The functional picking out the i-th diagonal entry (1-based)."""
-    coords = [ZERO] * (m + n)
-    coords[i - 1] = ONE
+    coords = [0] * (m + n)
+    coords[i - 1] = 1
     return Weight(m, n, tuple(coords))
 
 
@@ -88,7 +97,7 @@ def parse_weight(m: int, n: int, text: str) -> Weight:
         raise WeightParseError(
             f"weight {text!r} has block sizes {len(first)}|{len(second)}, expected {m}|{n}"
         )
-    return Weight(m, n, tuple(first + second))
+    return Weight(m, n, _exact(first + second))
 
 
 def format_weight(w: Weight) -> str:

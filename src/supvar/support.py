@@ -18,8 +18,8 @@ the lcm of its denominators, whose coordinates are ints.  Each
 module groups its basis once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
 x_t^2-eigenvalues, so M0 is the union of the groups on which c vanishes,
 found per point without a loop over the weights.  The columns of X|M0 are
-int combinations of the actions of the 2r labels of the x_t, integerized
-once per module over their own common denominator; that scales X by a
+int combinations of the stored int actions of the 2r labels of the x_t,
+which are the module's ``den`` times the actions; that scales X by a
 nonzero constant, which changes no rank.
 
 The empirical support samples deterministic rational points with prescribed
@@ -109,8 +109,7 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
         return False
 
     det = detecting_subalgebra(m, n)
-    _, actions = M._detecting_actions
-    terms = [(actions[lab], x) for t, x in enumerate(a) if x
+    terms = [(M.actions.get(lab, {}), x) for t, x in enumerate(a) if x
              for lab in det.generator_labels(t + 1)]
     in_block = set(zero_block)
     columns = []

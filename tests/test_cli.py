@@ -138,6 +138,14 @@ def test_parse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_negative_pmax_exits_2(capsys):
+    # --pmax goes through RunConfig validation like a config-file p_max
+    for argv in (["cohom", "2", "2"], ["ext", "2", "2", "--M", "trivial", "--N", "trivial"],
+                 ["kacext", "2", "2", "0,0|0,0"]):
+        assert main(argv + ["--pmax", "-1"]) == 2, argv
+        assert capsys.readouterr().out == ""
+
+
 def test_budget_exceeded_exit_3(capsys):
     assert main(["dump", "2", "2", "0,0|0,0", "--module", "kac", "--budget", "10"]) == 3
     capsys.readouterr()

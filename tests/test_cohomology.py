@@ -14,6 +14,7 @@ from supvar.errors import Unsupported
 from supvar.linalg import ONE, axpy, column_kernel
 from supvar.modules import dual, kac_module, simple_module, tensor, trivial_module
 from supvar.roots import parse_weight
+from views import fraction_actions
 
 
 def test_cochain_dimensions_trivial_coefficients():
@@ -116,17 +117,53 @@ def test_route_equivalence_gl32():
         assert kac_ext_dims(lam, C, 2).dims == expected, text
 
 
+def test_ext_over_action_denominator_two():
+    # L0(0,-2,-2) of gl(3) acts with denominator 2, so K and its simple head
+    # store ints over den > 1 and the cochain builders must scale by it
+    lam = parse_weight(3, 1, "0,-2,-2|2")
+    K, L = kac_module(lam), simple_module(lam)
+    assert K.den == 2 and L.den > 1
+    for N in (K, L):
+        assert ext_dims(K, N, 1).dims == (1, 0)
+        assert kac_ext_dims(lam, N, 1).dims == (1, 0)
+
+
+def test_stored_differential_is_the_true_one():
+    # d is built from int actions over den 2 and from basis vectors scaled to
+    # ints; the stored d^p must map each invariant basis vector to its true
+    # image, here recomputed from the Fraction view in the ambient slice
+    K = kac_module(parse_weight(3, 1, "0,-2,-2|2"))
+    g, M = gl_superalgebra(3, 1), tensor(dual(K), K)
+    cx = build_complex(g, M, 1)
+    actions = fraction_actions(M)
+    for p, cols in enumerate(cx.differentials):
+        src, dst = cx.degrees[p], cx.degrees[p + 1]
+        pos = {key: k for k, key in enumerate(dst.keys)}
+        for vec, col in zip(src.basis, cols):
+            image: dict = {}
+            for k, c in vec.items():
+                mono, i = src.keys[k]
+                for e, lab in enumerate(g.odd_labels()):
+                    key = tuple(sorted(mono + (e,)))
+                    axpy(image, ((pos[key, j], x) for j, x in actions[lab].get(i, {}).items()), c)
+            stored: dict = {}
+            for r, x in col.items():
+                axpy(stored, dst.basis[r].items(), x)
+            assert stored == image and image, p
+
+
 def _g0_condition_columns(g, M, odd_labels, keys):
     """Reference invariance conditions: per slice key, the stacked images
     under every even basis element, not just the simple raising operators."""
     table = _coadjoint_table(g, odd_labels, g.even_labels())
+    actions = fraction_actions(M)
     columns = []
     for mono, i in keys:
         col: dict = {}
         for a in g.even_labels():
             axpy(col, (((a, (new_mono, i)), c)
                        for new_mono, c in _derive_on_monomial(table[a], mono).items()), ONE)
-            axpy(col, (((a, (mono, j)), c) for j, c in M.action_column(a, i).items()), ONE)
+            axpy(col, (((a, (mono, j)), c) for j, c in actions[a].get(i, {}).items()), ONE)
         columns.append(col)
     return columns
 
@@ -143,6 +180,8 @@ def test_invariants_match_all_even_label_reference():
     M = tensor(dual(kac_module(parse_weight(2, 2, "0,0|0,0"))),
                simple_module(parse_weight(2, 2, "1,0|0,-1")))
     cases.append((g, M, 2))
+    K = kac_module(parse_weight(3, 1, "0,-2,-2|2"))  # den 2
+    cases.append((gl_superalgebra(3, 1), tensor(dual(K), K), 1))
     for g, M, p_max in cases:
         cx = build_complex(g, M, p_max)
         assert any(cx.dims()[1:])

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supvar.errors import ImageNotContained
 from supvar.linalg import (
     IncrementalSpan,
     RationalMatrix,
     column_kernel,
     format_scalar,
     kernel_basis,
-    quotient_dim,
     rank,
     scalar,
     solve,
@@ -85,37 +83,6 @@ def test_solve_random_and_inconsistent():
         assert got is not None
         assert apply(A, got) == b
     assert solve(RationalMatrix([[1, 0], [1, 0]]), [1, 2]) is None
-
-
-def test_quotient_dim_examples():
-    assert quotient_dim(2, [], [(1, 0), (0, 1)]) == 2
-    assert quotient_dim(2, [(1, 0)], [(1, 0)]) == 0
-    assert quotient_dim(2, [(1, 1)], [(1, 0), (0, 1)]) == 1
-
-
-def test_quotient_dim_containment_error():
-    with pytest.raises(ImageNotContained):
-        quotient_dim(2, [(0, 1)], [(1, 0)])
-
-
-def test_quotient_dim_monotonicity():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        kernel = [tuple(rand_fraction(rng) for _ in range(n)) for _ in range(rng.randint(1, n))]
-        image_big = []
-        for _ in range(2):
-            coeffs = [rand_fraction(rng) for _ in kernel]
-            image_big.append(
-                tuple(sum(c * v[i] for c, v in zip(coeffs, kernel)) for i in range(n))
-            )
-        image_small = image_big[:1]
-        q_small = quotient_dim(n, image_small, kernel)
-        q_big = quotient_dim(n, image_big, kernel)
-        assert q_big <= q_small <= quotient_dim(n, [], kernel)
-        # enlarging the kernel can only grow the quotient
-        unit = tuple(Fraction(1 if i == 0 else 0) for i in range(n))
-        assert quotient_dim(n, image_big, kernel + [unit]) >= q_big
 
 
 def test_arithmetic_round_trips():

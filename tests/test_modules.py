@@ -20,6 +20,7 @@ from supvar.modules import (
     SuperModuleRep,
     _form_blocks,
     _check_form_adjointness,
+    _integerize,
     direct_sum,
     dual,
     dump_module,
@@ -31,6 +32,7 @@ from supvar.modules import (
     verify_rep,
 )
 from supvar.roots import dim_L0, format_weight, parse_weight, weight
+from views import fraction_actions
 
 
 def test_L0_examples():
@@ -92,6 +94,7 @@ def reference_kac(lam):
     m, n = lam.m, lam.n
     g = gl_superalgebra(m, n)
     L0 = L0_module(lam)
+    L0_actions = fraction_actions(L0)
     y_labels = [("E", a, b) for a in range(m + 1, m + n + 1) for b in range(1, m + 1)]
     y_pos = {lab: i for i, lab in enumerate(y_labels)}
     mn = len(y_labels)
@@ -123,7 +126,7 @@ def reference_kac(lam):
             if deg == -1:
                 out[((y_pos[label],), t)] = ONE
             elif deg == 0:
-                for r, c in L0.action_column(label, t).items():
+                for r, c in L0_actions[label].get(t, {}).items():
                     out[((), r)] = c
         else:
             h, rest = S[0], S[1:]
@@ -157,8 +160,9 @@ def assert_kac_matches_reference(lam):
     basis, weights, actions = reference_kac(lam)
     assert K.meta["basis"] == basis
     assert list(K.weights) == weights
+    K_actions = fraction_actions(K)
     for label in K.algebra.labels:
-        assert K.actions[label] == actions[label], (format_weight(lam), label)
+        assert K_actions[label] == actions[label], (format_weight(lam), label)
 
 
 def test_kac_actions_match_reference_straightening():
@@ -225,7 +229,7 @@ def test_form_blocks_over_fractional_actions():
     # carry different powers of it; adjointness ties each layer to the next
     lam = parse_weight(3, 1, "0,-2,-2|2")
     K = kac_module(lam)
-    assert K._integer_actions[0] == 2
+    assert K.den == 2
     G = checked_form(K)
     assert G[0][0] == 1
     assert G == [list(col) for col in zip(*G)]
@@ -333,13 +337,34 @@ def test_verify_rep_constructed_modules():
 
 def test_verify_rep_detects_mutation():
     K = kac_module(parse_weight(1, 1, "0|0"))
-    actions = {lab: {i: dict(col) for i, col in cols.items()} for lab, cols in K.actions.items()}
+    actions = fraction_actions(K)
     label = ("E", 2, 1)
     col = actions[label].setdefault(0, {})
     col[0] = col.get(0, ZERO) + ONE
-    broken = SuperModuleRep(K.algebra, K.parities, K.weights, actions)
+    den, actions = _integerize(actions)
+    broken = SuperModuleRep(K.algebra, K.parities, K.weights, actions, den=den)
     ok, problems = verify_rep(broken)
     assert not ok and problems
+
+
+def test_verify_rep_reports_non_int_entries():
+    # actions are ints over den; a Fraction or a float entry is reported
+    # before any product runs, instead of failing later inside an elimination
+    K = kac_module(parse_weight(1, 1, "1|0"))
+    label = ("E", 2, 1)
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, 1.0):
+        actions = {lab: {j: dict(col) for j, col in cols.items()} for lab, cols in K.actions.items()}
+        j, col = next(iter(actions[label].items()))
+        i = next(iter(col))
+        col[i] = bad
+        M = SuperModuleRep(K.algebra, K.parities, K.weights, actions, den=K.den)
+        ok, problems = verify_rep(M)
+        assert not ok
+        assert problems == [f"entry {bad!r} of {label} on column {j} row {i} is not an int"]
+    for den in (0, -1, Fraction(1, 2)):
+        ok, problems = verify_rep(SuperModuleRep(K.algebra, K.parities, K.weights, K.actions,
+                                                 den=den))
+        assert not ok and problems == [f"den {den!r} is not a positive int"]
 
 
 def test_verify_rep_checks_odd_squares():
@@ -353,7 +378,8 @@ def test_verify_rep_checks_odd_squares():
         ("E", 2, 1): {},
         ("E", 2, 2): {1: {1: -ONE}, 2: {2: Fraction(-2)}},
     }
-    M = SuperModuleRep(g, [0, 1, 0], weights, actions)
+    den, actions = _integerize(actions)
+    M = SuperModuleRep(g, [0, 1, 0], weights, actions, den=den)
     ok, problems = verify_rep(M)
     assert not ok
     assert problems == [f"bracket compatibility fails on ({('E', 1, 2)}, {('E', 1, 2)}) column 0"]

@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supvar.errors import InvariantBroken, NotDominant, ShapeMismatch, WeightParseError
 from supvar.roots import (
@@ -141,6 +143,21 @@ def test_weight_parsing():
     for bad in ("1,0", "1|0|2", "a|b", "1,0|0", "1/0|0"):
         with pytest.raises(WeightParseError):
             parse_weight(1, 1, bad)
+
+
+coordinates = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_weight_format_round_trip(m, n, data):
+    coords = data.draw(st.lists(coordinates, min_size=m + n, max_size=m + n))
+    w = weight(m, n, coords)
+    assert parse_weight(m, n, format_weight(w)) == w
+    for c in parse_weight(m, n, format_weight(w)).coords + w.coords:
+        # an integral coordinate is stored as an int, any other as a Fraction
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert all(type(c) is int for c in (w + w.scale(-1)).coords + (w - w).coords)
 
 
 def test_weight_arithmetic():
