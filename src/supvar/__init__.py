@@ -49,7 +49,6 @@ from .errors import (
     BadCodimension,
     ConstructionOverflow,
     FormInconsistent,
-    ImageNotContained,
     InvariantBroken,
     NotDominant,
     ShapeMismatch,

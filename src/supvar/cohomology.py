@@ -26,6 +26,14 @@ action-term differential with no invariance constraint) followed by the
 multiplicity of the top g0-constituent.  Their degreewise agreement is one of
 the acceptance gates.  Both routes share the weight slices, the raising
 conditions and the differential below.
+
+A weight slice is generated, not filtered.  Every g1* generator lowers the
+first-block coordinate sum by one and every g-1* generator raises it by one,
+so a needed monomial weight pins how many factors come from each side; the
+slice pairs half-monomials of g1* and g-1* of complementary weights.  Keys
+are sorted, which is the order of enumerating all of S^p(W*) and filtering
+(monomials lexicographic, then module index), so no basis depends on how the
+slice was found.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import add, sub
 
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
@@ -89,22 +98,82 @@ def _weight_slice(g, M: SuperModuleRep, gens, degree: int, target: Weight,
                   budget: int) -> list:
     """All keys (monomial, module index) of the given degree and total weight.
 
-    Monomial weights are summed as coordinate tuples, ints on integral weights.
+    Only keys of the target weight are generated.  A g1* generator lowers the
+    first-block coordinate sum by one and a g-1* generator raises it by one,
+    so the monomial weight target - w needed against a module weight w pins
+    the split: k_up + k_down = degree and k_down - k_up is its first-block
+    sum.  A needed weight with a non-int coordinate, or whose sum has the
+    wrong parity or exceeds the degree, has no keys.  Each monomial is the
+    merge of a g1* half and a g-1* half, joined through per-(side, k) tables
+    from weight to half-monomials, built once per call.
+
+    Keys come out sorted.  That is the enumerate-then-filter order, since
+    combinations_with_replacement yields monomials lexicographically and each
+    weight lists its module indices ascending.  The slice is bounded by
+    budget; a half-monomial table beyond 4 x budget raises too, so a high
+    degree cannot fill memory before the slice size is known.
     """
+    m = target.m
     gen_weights = [(-g.weight_of[lab]).coords for lab in gens]
+    sides: tuple = ([], [])  # g1* then g-1* generator indices
+    for e, lab in enumerate(gens):
+        sides[g.z_degree[lab] < 0].append(e)
     zero = (0,) * len(target.coords)
-    buckets: dict = {}
+
+    # needed monomial weight -> module indices, grouped by k_up; an integral
+    # Fraction coordinate hashes and compares like the int it equals
+    by_weight: dict = {}
     for i, w in enumerate(M.weights):
-        buckets.setdefault((target - w).coords, []).append(i)
-    keys = []
-    for count, mono in enumerate(combinations_with_replacement(range(len(gens)), degree), 1):
-        if count > budget * 4:
-            raise ConstructionOverflow("monomial enumeration exceeds budget")
-        w = tuple(map(sum, zip(zero, *[gen_weights[e] for e in mono])))
-        for i in buckets.get(w, ()):
-            keys.append((mono, i))
-    if len(keys) > budget:
-        raise ConstructionOverflow(f"cochain slice of size {len(keys)} exceeds budget")
+        by_weight.setdefault(w.coords, []).append(i)
+    needed: dict = {}
+    for w, idx in by_weight.items():
+        need = tuple(map(sub, target.coords, w))
+        if any(c.denominator != 1 for c in need):
+            continue
+        s = sum(need[:m])
+        if (degree + s) % 2 or abs(s) > degree:
+            continue
+        needed.setdefault((degree - s) // 2, {})[need] = idx
+
+    tables: dict = {}
+
+    def table(side: int, k: int) -> dict:
+        if (side, k) not in tables:
+            halves: dict = {}
+            for count, half in enumerate(combinations_with_replacement(sides[side], k), 1):
+                if count > budget * 4:
+                    raise ConstructionOverflow("half-monomial table exceeds budget")
+                w = tuple(map(sum, zip(zero, *[gen_weights[e] for e in half])))
+                halves.setdefault(w, []).append(half)
+            tables[side, k] = halves
+        return tables[side, k]
+
+    # (halves, halves, module indices) triples whose weights add up; the
+    # merged monomial is symmetric in the two halves, so sides need no order.
+    # Looking up each needed weight against the smaller table, or each pair
+    # of table weights against the needed ones, whichever is fewer, never
+    # costs more lookups than there are monomials of the split.
+    found = []
+    for k_up, need in needed.items():
+        small, large = sorted((table(0, k_up), table(1, degree - k_up)), key=len)
+        if len(need) <= len(large):
+            for t, idx in need.items():
+                for w, halves in small.items():
+                    other = large.get(tuple(map(sub, t, w)))
+                    if other:
+                        found.append((halves, other, idx))
+        else:
+            for w, halves in small.items():
+                for v, other in large.items():
+                    idx = need.get(tuple(map(add, w, v)))
+                    if idx:
+                        found.append((halves, other, idx))
+    size = sum(len(a) * len(b) * len(idx) for a, b, idx in found)
+    if size > budget:
+        raise ConstructionOverflow(f"cochain slice of size {size} exceeds budget")
+    keys = [(tuple(sorted(a + b)), i)
+            for halves, others, idx in found for a in halves for b in others for i in idx]
+    keys.sort()
     return keys
 
 

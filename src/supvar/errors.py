@@ -17,10 +17,6 @@ class NotDominant(SupvarError):
     """Weight is not dominant integral for gl(m) x gl(n)."""
 
 
-class ImageNotContained(InvariantBroken):
-    """A supplied image vector is outside the kernel span."""
-
-
 class ConstructionOverflow(SupvarError):
     """An intermediate construction exceeds the configured dimension budget."""
 

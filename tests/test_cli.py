@@ -12,7 +12,6 @@ from supvar.cli import main
 from supvar.config import DEFAULT_SEED, RunConfig, load_config
 from supvar.errors import (
     FormInconsistent,
-    ImageNotContained,
     InvariantBroken,
     SignConventionBroken,
 )
@@ -68,6 +67,18 @@ def test_support_compare(capsys):
 def test_cohom_command(capsys):
     code, payload = run_json(capsys, "cohom", "1", "1", "--pmax", "4")
     assert code == 0 and payload["dims"] == [1, 0, 1, 0, 1]
+
+
+def test_cohom_gl33_degree_six_under_default_budget(capsys):
+    code, payload = run_json(capsys, "cohom", "3", "3", "--pmax", "6")
+    assert code == 0 and payload["dims"] == [1, 0, 1, 0, 2, 0, 3]
+
+
+def test_cohom_slice_over_budget_exit_3(capsys):
+    assert main(["cohom", "3", "3", "--pmax", "6", "--budget", "300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cochain slice of size 339 exceeds budget" in captured.err
 
 
 def test_ext_command(capsys):
@@ -153,7 +164,7 @@ def test_budget_exceeded_exit_3(capsys):
 
 def test_invariant_broken_exit_4(capsys, monkeypatch):
     # an internal invariant failure is a bug, not malformed input
-    for exc in (FormInconsistent, ImageNotContained, SignConventionBroken):
+    for exc in (FormInconsistent, SignConventionBroken):
         assert issubclass(exc, InvariantBroken)
 
     def broken(*args):

@@ -1,19 +1,25 @@
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 
 from supvar.algebra import gl_even_subalgebra, gl_superalgebra
 from supvar.cohomology import (
     _coadjoint_table,
     _derive_on_monomial,
+    _weight_slice,
     build_complex,
     cohomology_dims,
     ext_dims,
     kac_ext_dims,
     vanishing_bound,
 )
-from supvar.errors import Unsupported
+from supvar.config import RunConfig
+from supvar.errors import ConstructionOverflow, Unsupported
 from supvar.linalg import ONE, axpy, column_kernel
 from supvar.modules import dual, kac_module, simple_module, tensor, trivial_module
-from supvar.roots import parse_weight
+from supvar.roots import parse_weight, weight, zero_weight
 from views import fraction_actions
 
 
@@ -56,6 +62,140 @@ def test_cohomology_hilbert_series_to_degree_six():
     g = gl_superalgebra(3, 3)
     dims = cohomology_dims(g, trivial_module(g), 6, budget=100000)
     assert dims == series(3, 6) == [1, 0, 1, 0, 2, 0, 3]
+    assert cohomology_dims(g, trivial_module(g), 6) == dims
+
+
+@lru_cache(maxsize=None)
+def _trivial_complex(m, n, p_max):
+    g = gl_superalgebra(m, n)
+    return build_complex(g, trivial_module(g), p_max)
+
+
+def test_cohomology_gl44_to_degree_six_under_default_budget():
+    g = gl_superalgebra(4, 4)
+    assert cohomology_dims(g, trivial_module(g), 6) == [1, 0, 1, 0, 2, 0, 3]
+
+
+def test_slice_budgets():
+    assert [len(deg.keys) for deg in _trivial_complex(3, 3, 6).degrees] == [
+        1, 0, 9, 0, 63, 0, 339, 0]
+    # degree 6 pairs 165 half-monomials of each side, over 4 x budget
+    g = gl_superalgebra(3, 3)
+    with pytest.raises(ConstructionOverflow, match="half-monomial table exceeds budget"):
+        _weight_slice(g, trivial_module(g), g.odd_labels(), 6, zero_weight(3, 3), 40)
+    assert len(_weight_slice(g, trivial_module(g), g.odd_labels(), 6, zero_weight(3, 3), 400)) == 339
+
+
+def _reference_slice(g, M, gens, degree, target):
+    """Every monomial of S^degree(gens*), kept when its weight plus a module
+    weight is the target: the enumerate-then-filter slice."""
+    gen_weights = [(-g.weight_of[lab]).coords for lab in gens]
+    zero = (0,) * len(target.coords)
+    buckets: dict = {}
+    for i, w in enumerate(M.weights):
+        buckets.setdefault((target - w).coords, []).append(i)
+    keys = []
+    for mono in combinations_with_replacement(range(len(gens)), degree):
+        w = tuple(map(sum, zip(zero, *[gen_weights[e] for e in mono])))
+        keys.extend((mono, i) for i in buckets.get(w, ()))
+    return keys
+
+
+def _g1_labels(g):
+    return [lab for lab in g.labels if g.z_degree.get(lab) == 1]
+
+
+# the Ext questions of the complex-ext benchmark workload on gl(2|2):
+# (Kac weight, coefficient kind, coefficient weight)
+EXT_QUESTIONS = [((k, k, -k, -k), "kac", (k, k, -k, -k)) for k in (-1, 0, 1)] + [
+    ((0, 0, 0, 0), "simple", (0, -1, 1, 0)), ((1, 1, -1, -1), "simple", (1, 0, 0, -1)),
+    ((0, 0, 0, 0), "kac", (1, 1, -1, -1)), ((0, 0, 0, 0), "kac", (-1, -1, 1, 1)),
+    ((1, 1, -1, -1), "kac", (0, 0, 0, 0)), ((-1, -1, 1, 1), "kac", (0, 0, 0, 0)),
+    ((0, 0, 0, 0), "simple", (1, 0, 0, -1)), ((-1, -1, 1, 1), "simple", (1, 0, 0, -1)),
+]
+
+
+def test_weight_slice_matches_enumeration():
+    budget = RunConfig.dimension_budget
+    cases = []  # (g, M, gens, target, max degree)
+    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
+        g = gl_superalgebra(m, n)
+        cases.append((g, trivial_module(g), g.odd_labels(), zero_weight(m, n), 5))
+    g = gl_superalgebra(2, 2)
+    for lam_c, kind, mu_c in EXT_QUESTIONS:
+        lam = weight(2, 2, lam_c)
+        mu = weight(2, 2, mu_c)
+        N = kac_module(mu) if kind == "kac" else simple_module(mu)
+        # the full complex at p_max 2, and the layer route's g1-only slices
+        cases.append((g, tensor(dual(kac_module(lam)), N), g.odd_labels(), zero_weight(2, 2), 3))
+        cases.append((g, N, _g1_labels(g), lam, 3))
+    lam = parse_weight(3, 1, "0,-2,-2|2")  # den 2
+    K = kac_module(lam)
+    g = gl_superalgebra(3, 1)
+    cases.append((g, tensor(dual(K), K), g.odd_labels(), zero_weight(3, 1), 3))
+    cases.append((g, K, _g1_labels(g), lam, 3))
+    g = gl_superalgebra(1, 1)
+    cases.append((g, kac_module(parse_weight(1, 1, "0|0")), _g1_labels(g),
+                  parse_weight(1, 1, "1/2|-1/2"), 3))
+    nonempty = 0
+    for g, M, gens, target, top in cases:
+        for degree in range(top + 1):
+            keys = _weight_slice(g, M, gens, degree, target, budget)
+            assert keys == _reference_slice(g, M, gens, degree, target), (
+                g.name, M.dim, str(target), degree)
+            nonempty += bool(keys)
+    assert nonempty > 50
+
+
+def test_non_integral_target_has_empty_slices():
+    lam = parse_weight(1, 1, "1/2|-1/2")
+    assert kac_ext_dims(lam, kac_module(parse_weight(1, 1, "0|0")), 3).dims == (0, 0, 0, 0)
+
+
+def _sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _character_count(g, m, n, p):
+    """dim (S^p(W*))^{g0} = sum over w in S_m x S_n of sign(w) mult_p(rho - w rho).
+
+    The multiplicity of the trivial g0-module, read off Weyl's character
+    formula times the Weyl denominator; mult_p counts the degree-p monomials
+    in the duals of the odd labels by weight.  rho - w rho has first-block sum
+    0, while each g1* factor contributes -1 and each g-1* factor +1, so only
+    monomials with p/2 factors from each side count.
+    """
+    if p % 2:
+        return 0
+    counts = []
+    for z in (1, -1):
+        side = [(-g.weight_of[lab]).coords for lab in g.odd_labels() if g.z_degree[lab] == z]
+        counts.append(Counter(tuple(map(sum, zip((0,) * (m + n), *half)))
+                              for half in combinations_with_replacement(side, p // 2)))
+    up, down = counts
+    rho = tuple(range(m, 0, -1)) + tuple(range(n, 0, -1))
+    total = 0
+    for p1 in permutations(range(m)):
+        for p2 in permutations(range(n)):
+            w_rho = tuple(rho[i] for i in p1) + tuple(rho[m + j] for j in p2)
+            mu = tuple(a - b for a, b in zip(rho, w_rho))
+            mult = sum(c * down[tuple(x - y for x, y in zip(mu, wu))] for wu, c in up.items())
+            total += _sign(p1) * _sign(p2) * mult
+    return total
+
+
+@pytest.mark.parametrize("m, n, expected", [
+    (2, 2, [1, 0, 1, 0, 2, 0, 2]),
+    (3, 3, [1, 0, 1, 0, 2, 0, 3]),
+    (4, 4, [1, 0, 1, 0, 2, 0, 3]),
+])
+def test_invariant_dims_match_character_count(m, n, expected):
+    # independent of the raising-operator kernel: only weights are counted
+    g = gl_superalgebra(m, n)
+    cx = _trivial_complex(m, n, 6)
+    counts = [_character_count(g, m, n, p) for p in range(7)]
+    assert counts == [len(deg.basis) for deg in cx.degrees[:7]] == expected
 
 
 def test_cohomology_kac_coefficients_and_dual():
