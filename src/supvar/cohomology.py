@@ -24,16 +24,9 @@ complex of dual(K) tensor M, and the reduction that computes cohomology of
 the degree-one layer alone (an abelian purely odd algebra, so the same
 action-term differential with no invariance constraint) followed by the
 multiplicity of the top g0-constituent.  Their degreewise agreement is one of
-the acceptance gates.  Both routes share the weight slices, the raising
-conditions and the differential below.
-
-A weight slice is generated, not filtered.  Every g1* generator lowers the
-first-block coordinate sum by one and every g-1* generator raises it by one,
-so a needed monomial weight pins how many factors come from each side; the
-slice pairs half-monomials of g1* and g-1* of complementary weights.  Keys
-are sorted, which is the order of enumerating all of S^p(W*) and filtering
-(monomials lexicographic, then module index), so no basis depends on how the
-slice was found.
+the acceptance gates.  Both routes share the weight slices (generated by
+weight, not filtered; see _weight_slice), the raising conditions and the
+differential below.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import add, sub
+from operator import sub
 
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
@@ -149,25 +142,15 @@ def _weight_slice(g, M: SuperModuleRep, gens, degree: int, target: Weight,
         return tables[side, k]
 
     # (halves, halves, module indices) triples whose weights add up; the
-    # merged monomial is symmetric in the two halves, so sides need no order.
-    # Looking up each needed weight against the smaller table, or each pair
-    # of table weights against the needed ones, whichever is fewer, never
-    # costs more lookups than there are monomials of the split.
+    # merged monomial is symmetric in the two halves, so sides need no order
     found = []
     for k_up, need in needed.items():
         small, large = sorted((table(0, k_up), table(1, degree - k_up)), key=len)
-        if len(need) <= len(large):
-            for t, idx in need.items():
-                for w, halves in small.items():
-                    other = large.get(tuple(map(sub, t, w)))
-                    if other:
-                        found.append((halves, other, idx))
-        else:
+        for t, idx in need.items():
             for w, halves in small.items():
-                for v, other in large.items():
-                    idx = need.get(tuple(map(add, w, v)))
-                    if idx:
-                        found.append((halves, other, idx))
+                other = large.get(tuple(map(sub, t, w)))
+                if other:
+                    found.append((halves, other, idx))
     size = sum(len(a) * len(b) * len(idx) for a, b, idx in found)
     if size > budget:
         raise ConstructionOverflow(f"cochain slice of size {size} exceeds budget")
