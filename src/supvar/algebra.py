@@ -6,12 +6,14 @@ so structure constants of matrix units are
 
     [E_ab, E_cd] = delta_{bc} E_ad - (-1)^{|ab||cd|} delta_{da} E_cb.
 
-Super-antisymmetry and the graded Jacobi identity are checked on every basis
-triple at construction time.
+Super-antisymmetry and the graded Jacobi identity are checked at construction
+time on every basis triple; triples outside the supports are 0 = 0, see
+``_check_axioms``.  The gl(m|n) structure constants are the plain ints 1 and -1.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SupvarError
@@ -22,16 +24,16 @@ Label = tuple  # ("E", a, b)
 
 
 def _unit_bracket(m: int, a: int, b: int, c: int, d: int) -> dict:
-    """Supercommutator of E_ab and E_cd as a sparse element."""
+    """Supercommutator of E_ab and E_cd as a sparse element with int coefficients."""
     p1 = 1 if (a <= m) != (b <= m) else 0
     p2 = 1 if (c <= m) != (d <= m) else 0
-    sign = -ONE if (p1 and p2) else ONE
+    sign = -1 if (p1 and p2) else 1
     out: dict = {}
     if b == c:
-        out[("E", a, d)] = out.get(("E", a, d), ZERO) + ONE
+        out[("E", a, d)] = 1
     if d == a:
         key = ("E", c, b)
-        out[key] = out.get(key, ZERO) - sign * ONE
+        out[key] = out.get(key, 0) - sign
     return {k: v for k, v in out.items() if v}
 
 
@@ -43,7 +45,7 @@ class LieSuperalgebraData:
         self.name = name
         self.labels = tuple(labels)
         self.parity = dict(parity)
-        self.structure = structure  # dict[(label, label)] -> dict[label, Fraction]
+        self.structure = structure  # dict[(label, label)] -> dict[label, exact scalar]
         self.weight_of = weight_of or {}
         self.z_degree = z_degree or {}
         self.m = m
@@ -73,30 +75,52 @@ class LieSuperalgebraData:
         return [lab for lab in self.labels if self.parity[lab] == 1]
 
     def _check_axioms(self):
-        par = self.parity
-        for a in self.labels:
-            for b in self.labels:
-                ab = self.bracket(a, b)
-                ba = self.bracket(b, a)
-                # super-antisymmetry: [a,b] = -(-1)^{|a||b|} [b,a]
-                sign = -ONE if (par[a] and par[b]) else ONE
-                for k in set(ab) | set(ba):
-                    if ab.get(k, ZERO) + sign * ba.get(k, ZERO) != 0:
-                        raise SupvarError(f"super-antisymmetry fails on {a}, {b}")
-        for a in self.labels:
-            pa = par[a]
-            for b in self.labels:
-                ab = self.bracket(a, b)
-                sgn = -ONE if (pa and par[b]) else ONE
-                for c in self.labels:
-                    # graded Jacobi: [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|} [b,[a,c]]
-                    bc, ac = self.bracket(b, c), self.bracket(a, c)
-                    if not (ab or bc or ac):
-                        continue  # all three terms vanish
-                    lhs = self.bracket_elements({a: ONE}, bc)
-                    rhs = self.bracket_elements(ab, {c: ONE})
-                    axpy(rhs, self.bracket_elements({b: ONE}, ac).items(), sgn)
-                    if lhs != rhs:
+        """Super-antisymmetry and the graded Jacobi identity on every basis triple.
+
+        Jacobi reads [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|} [b,[a,c]].  Let
+        support[x] = {c : [x,c] != 0}.  For c outside support[a], support[b]
+        and support[k] for every k in [a,b], both [b,c] and [a,c] vanish, and
+        [[a,b],c] = sum_k ab_k [k,c] = 0, so the identity reads 0 = 0.  Only
+        the other c are visited, in label order, so the first failing triple
+        is the one a walk over all triples would meet.  Likewise a pair with
+        neither (a,b) nor (b,a) in ``structure`` is 0 = 0 for antisymmetry.
+        """
+        par, index, bracket = self.parity, self.index, self.bracket
+        support: dict = {}  # x -> bitmask of label indices; low bits come first
+        for (x, c), br in self.structure.items():
+            if br and c in index:
+                support[x] = support.get(x, 0) | 1 << index[c]
+        pairs = {(x, y) for (x, y) in self.structure if x in index and y in index}
+        for a, b in sorted(pairs | {(y, x) for x, y in pairs},
+                           key=lambda p: (index[p[0]], index[p[1]])):
+            ab, ba = bracket(a, b), bracket(b, a)
+            # super-antisymmetry: [a,b] = -(-1)^{|a||b|} [b,a]
+            sign = -1 if (par[a] and par[b]) else 1
+            for k in set(ab) | set(ba):
+                if ab.get(k, 0) + sign * ba.get(k, 0) != 0:
+                    raise SupvarError(f"super-antisymmetry fails on {a}, {b}")
+        labels = self.labels
+        for a in labels:
+            sa = support.get(a, 0)
+            for b in labels:
+                ab = bracket(a, b)
+                sgn = -1 if (par[a] and par[b]) else 1
+                mask = sa | support.get(b, 0)
+                for k in ab:
+                    mask |= support.get(k, 0)
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    c = labels[low.bit_length() - 1]
+                    # [a,[b,c]] - [[a,b],c] - sgn [b,[a,c]] must vanish
+                    out: dict = {}
+                    for k, v in bracket(b, c).items():
+                        axpy(out, bracket(a, k).items(), v)
+                    for k, v in ab.items():
+                        axpy(out, bracket(k, c).items(), -v)
+                    for k, v in bracket(a, c).items():
+                        axpy(out, bracket(b, k).items(), -sgn * v)
+                    if out:
                         raise SupvarError(f"graded Jacobi fails on {a}, {b}, {c}")
 
 
@@ -175,7 +199,8 @@ class DetectingSubalgebra:
         )
         # x_t^2 = [x_t, x_t] / 2, stored as the even-part generators used here
         self.squares = tuple(
-            {k: v / 2 for k, v in g.bracket_elements(x, x).items()} for x in self.odd_basis
+            {k: Fraction(v, 2) for k, v in g.bracket_elements(x, x).items()}
+            for x in self.odd_basis
         )
         for s, xs in enumerate(self.odd_basis):
             for t, xt in enumerate(self.odd_basis):

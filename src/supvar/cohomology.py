@@ -191,14 +191,17 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
     degree up; an image outside that slice raises SignConventionBroken.
     """
     next_pos = {key: k for k, key in enumerate(next_keys)}
+    acting = [(e, lab) for e, lab in enumerate(gens) if M.actions.get(lab)]
     columns = []
     for vec in vecs:
         img: dict = {}
         for pos, coeff in vec.items():
             mono, i = keys[pos]
-            for e, lab in enumerate(gens):
-                new_mono = tuple(sorted(mono + (e,)))
-                axpy(img, (((new_mono, j), c) for j, c in M.action_column(lab, i).items()), coeff)
+            for e, lab in acting:
+                column = M.action_column(lab, i)
+                if column:
+                    new_mono = tuple(sorted(mono + (e,)))
+                    axpy(img, (((new_mono, j), c) for j, c in column.items()), coeff)
         col: dict = {}
         for key, c in img.items():
             k = next_pos.get(key)

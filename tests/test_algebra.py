@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from supvar.algebra import (
@@ -8,7 +10,7 @@ from supvar.algebra import (
     gl_superalgebra,
 )
 from supvar.errors import SupvarError
-from supvar.linalg import ONE
+from supvar.linalg import ONE, ZERO, axpy
 
 
 def test_gl11_basis_and_parities():
@@ -45,6 +47,100 @@ def test_axiom_check_rejects_bad_structure():
         LieSuperalgebraData("broken", labels, parity, structure)
 
 
+def reference_check_axioms(labels, parity, structure):
+    """The all-triples axiom check in Fractions: the reference for _check_axioms."""
+    table = {pair: {k: Fraction(v) for k, v in br.items()} for pair, br in structure.items()}
+
+    def bracket(a, b):
+        return table.get((a, b), {})
+
+    def bracket_elements(x, y):
+        out: dict = {}
+        for la, ca in x.items():
+            for lb, cb in y.items():
+                br = bracket(la, lb)
+                if ca and cb and br:
+                    axpy(out, br.items(), ca * cb)
+        return out
+
+    for a in labels:
+        for b in labels:
+            ab, ba = bracket(a, b), bracket(b, a)
+            sign = -ONE if (parity[a] and parity[b]) else ONE
+            for k in set(ab) | set(ba):
+                if ab.get(k, ZERO) + sign * ba.get(k, ZERO) != 0:
+                    raise SupvarError(f"super-antisymmetry fails on {a}, {b}")
+    for a in labels:
+        for b in labels:
+            ab = bracket(a, b)
+            sgn = -ONE if (parity[a] and parity[b]) else ONE
+            for c in labels:
+                bc, ac = bracket(b, c), bracket(a, c)
+                if not (ab or bc or ac):
+                    continue
+                lhs = bracket_elements({a: ONE}, bc)
+                rhs = bracket_elements(ab, {c: ONE})
+                axpy(rhs, bracket_elements({b: ONE}, ac).items(), sgn)
+                if lhs != rhs:
+                    raise SupvarError(f"graded Jacobi fails on {a}, {b}, {c}")
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_axiom_check_agrees_with_reference_on_gl(m, n):
+    for g in (gl_superalgebra(m, n), gl_even_subalgebra(m, n)):
+        assert all(type(v) is int for br in g.structure.values() for v in br.values())
+        reference_check_axioms(g.labels, g.parity, g.structure)
+        as_fractions = {pair: {k: Fraction(v) for k, v in br.items()}
+                        for pair, br in g.structure.items()}
+        LieSuperalgebraData(g.name, g.labels, g.parity, as_fractions)
+
+
+def corrupted_tables(g):
+    """Broken copies of g.structure, each named by how it was broken.
+
+    For each pair a < b: one constant negated in both (a,b) and (b,a), so only
+    Jacobi can fail; one term of a two-term bracket dropped in both orders;
+    the entry (a,b) deleted while (b,a) stays; a term added to (a,b) alone;
+    and a term added to both orders so that antisymmetry still holds.  On a commuting pair the last kind makes [a,b]
+    nonzero while [a,c] = [b,c] = 0 for many c, so a check that skipped the
+    supports of the terms of [a,b] would miss or misplace the failure.
+    """
+    for i, a in enumerate(g.labels):
+        for b in g.labels[i + 1:]:
+            ab, ba = g.bracket(a, b), g.bracket(b, a)
+            for k in ab:
+                yield ("negate", a, b, k), {
+                    **g.structure, (a, b): {**ab, k: -ab[k]}, (b, a): {**ba, k: -ba[k]}}
+                if len(ab) == 2:
+                    yield ("drop", a, b, k), {
+                        **g.structure,
+                        (a, b): {j: v for j, v in ab.items() if j != k},
+                        (b, a): {j: v for j, v in ba.items() if j != k}}
+            if ab:
+                yield ("lose", a, b), {p: br for p, br in g.structure.items() if p != (a, b)}
+            k = next(lab for lab in g.labels if lab not in ab)
+            yield ("add", a, b, k), {**g.structure, (a, b): {**ab, k: 1}}
+            sign = -1 if (g.parity[a] and g.parity[b]) else 1
+            yield ("grow", a, b, k), {
+                **g.structure, (a, b): {**ab, k: 1}, (b, a): {**ba, k: -sign}}
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+def test_axiom_check_rejects_what_the_reference_rejects(m, n):
+    g = gl_superalgebra(m, n)
+    kinds = set()
+    for how, structure in corrupted_tables(g):
+        with pytest.raises(SupvarError) as ref:
+            reference_check_axioms(g.labels, g.parity, structure)
+        with pytest.raises(SupvarError) as new:
+            LieSuperalgebraData("broken", g.labels, g.parity, structure)
+        assert str(new.value) == str(ref.value), how
+        kinds.add((how[0], str(ref.value).split(" fails")[0]))
+    assert kinds == {("negate", "graded Jacobi"), ("drop", "graded Jacobi"),
+                     ("lose", "super-antisymmetry"), ("add", "super-antisymmetry"),
+                     ("grow", "graded Jacobi")}
+
+
 def test_even_subalgebra_is_closed():
     g0 = gl_even_subalgebra(2, 2)
     assert all(g0.parity[lab] == 0 for lab in g0.labels)
@@ -70,7 +166,7 @@ def test_detecting_squares_are_diagonal():
         for t, x in enumerate(d.odd_basis):
             sq = d.squares[t]
             assert all(a == b for (_, a, b) in sq)
-            half = {k: v / 2 for k, v in g.bracket_elements(x, x).items()}
+            half = {k: Fraction(v, 2) for k, v in g.bracket_elements(x, x).items()}
             assert half == sq
         for s in range(d.r):
             for t in range(d.r):

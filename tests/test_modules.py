@@ -182,7 +182,8 @@ def test_exterior_table_rejects_non_integral_brackets(monkeypatch):
     real = gl_superalgebra(1, 1)
     fake = copy.copy(real)
     key = (("E", 1, 1), ("E", 2, 1))
-    fake.structure = {**real.structure, key: {k: v / 2 for k, v in real.structure[key].items()}}
+    fake.structure = {**real.structure,
+                      key: {k: Fraction(v, 2) for k, v in real.structure[key].items()}}
     supvar.modules._exterior_actions.cache_clear()
     monkeypatch.setattr(supvar.modules, "gl_superalgebra", lambda m, n: fake)
     with pytest.raises(InvariantBroken):
