@@ -170,16 +170,17 @@ def _raising_images(g, M: SuperModuleRep, gens, keys, vecs) -> list[dict]:
     """
     raisings = [lab for lab in g.even_labels() if lab[2] == lab[1] + 1]
     table = _coadjoint_table(g, gens, raisings)
+    acts = [(a, M.actions.get(a, {})) for a in raisings]
     den = M.den
     images = []
     for vec in vecs:
         out: dict = {}
         for pos, coeff in vec.items():
             mono, i = keys[pos]
-            for a in raisings:
+            for a, cols in acts:
                 derived = _derive_on_monomial(table[a], mono)
                 axpy(out, (((a, (new_mono, i)), c) for new_mono, c in derived.items()), den * coeff)
-                axpy(out, (((a, (mono, r)), c) for r, c in M.action_column(a, i).items()), coeff)
+                axpy(out, (((a, (mono, r)), c) for r, c in cols.get(i, {}).items()), coeff)
         images.append(out)
     return images
 
@@ -191,14 +192,14 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
     degree up; an image outside that slice raises SignConventionBroken.
     """
     next_pos = {key: k for k, key in enumerate(next_keys)}
-    acting = [(e, lab) for e, lab in enumerate(gens) if M.actions.get(lab)]
+    acting = [(e, cols) for e, cols in enumerate(M.actions.get(lab) for lab in gens) if cols]
     columns = []
     for vec in vecs:
         img: dict = {}
         for pos, coeff in vec.items():
             mono, i = keys[pos]
-            for e, lab in acting:
-                column = M.action_column(lab, i)
+            for e, cols in acting:
+                column = cols.get(i)
                 if column:
                     new_mono = tuple(sorted(mono + (e,)))
                     axpy(img, (((new_mono, j), c) for j, c in column.items()), coeff)

@@ -24,7 +24,13 @@ Construction chain:
   right end) touches only the Lambda(g_-1) factor, and every gl(m|n)
   structure constant is an integer: it runs once per (m, n) on the subsets
   alone, into a cached integer table, and each action is that table
-  combined with the int L0 actions, over the L0 denominator.
+  combined with the int L0 actions, over the L0 denominator.  Both steps run
+  per label on first read: the table straightens a label's row the first
+  time a Kac module asks for it, and a Kac module sums a label's int
+  columns the first time a reader asks for them, so a reader of a few
+  labels (the rank test reads the 2r of the x_t) pays for those alone.
+  Weights, parities and basis names are built up front from per-subset int
+  offsets and name prefixes the table computes once.
 
 * ``simple_module`` is the quotient of the Kac module by the radical of its
   contravariant form.  The form pairs weight spaces orthogonally, declares
@@ -32,7 +38,8 @@ Construction chain:
   construction, and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
 
-All reps are immutable after construction.
+All reps are immutable after construction; a Kac module's actions only
+gain labels on first read, each fixed once published.
 
 Both representation checks are sparse matrix identities over the integers,
 on the stored int actions, and the form blocks are filled from the same
@@ -49,11 +56,13 @@ a = b is skipped only for even a; for odd a it says 2 A_a^2 = A_[a,a].
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
 from .config import RunConfig
@@ -85,7 +94,9 @@ class SuperModuleRep:
         self.algebra = algebra
         self.parities = tuple(parities)
         self.weights = tuple(weights)
-        # actions: dict[label] -> dict[col] -> dict[row] -> int, over den > 0
+        # actions: label -> dict[col] -> dict[row] -> int, over den > 0.  A
+        # plain dict, except on Kac modules: there a read-only Mapping that
+        # sums a label's columns on first read (``_OnFirstRead``)
         self.actions = actions
         self.den = den
         self.basis_names = tuple(basis_names) if basis_names else tuple(
@@ -100,10 +111,6 @@ class SuperModuleRep:
     @property
     def superdimension(self) -> int:
         return sum(1 if p == 0 else -1 for p in self.parities)
-
-    def action_column(self, label, col: int) -> dict:
-        """den times the image of basis vector col under label, as ints."""
-        return self.actions.get(label, {}).get(col, {})
 
     @cached_property
     def _square_eigenvalues(self) -> dict:
@@ -122,6 +129,38 @@ class SuperModuleRep:
 
     def __repr__(self):
         return f"SuperModuleRep(dim={self.dim}, algebra={self.algebra.name})"
+
+
+class _OnFirstRead(Mapping):
+    """Read-only map over fixed keys whose values are built on first read.
+
+    ``build(key)`` must be a pure function of the key.  A first read builds
+    the value privately and publishes it with one ``dict.setdefault``, so
+    readers racing on one key all get the first published value, which
+    equals what a sequential read builds.  Iteration follows the key order
+    given.
+    """
+
+    __slots__ = ("_keys", "_build", "_built")
+
+    def __init__(self, keys, build):
+        self._keys = dict.fromkeys(keys)
+        self._build = build
+        self._built: dict = {}
+
+    def __getitem__(self, key):
+        try:
+            return self._built[key]
+        except KeyError:
+            if key not in self._keys:
+                raise
+        return self._built.setdefault(key, self._build(key))
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
 
 
 def _empty_actions(algebra) -> dict:
@@ -297,14 +336,24 @@ def _prepend(h: int, terms: dict):
             yield (S[:pos] + (h,) + S[pos:], e), -c if pos % 2 else c
 
 
+class _ExteriorTable(NamedTuple):
+    subsets: list      # subsets S of odd negative root positions, in PBW order
+    offsets: list      # per subset, sum of the weights of its y_h, as int coordinates
+    prefixes: list     # per subset, its basis-name prefix "y[...]"
+    rows: Mapping      # label -> per column subset, the terms (i, e, c)
+
+
 @lru_cache(maxsize=None)
-def _exterior_actions(m: int, n: int) -> tuple[list, dict]:
+def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     """PBW straightening on Lambda(g_-1) alone, as integer terms.
 
-    Returns the subsets S of odd negative root positions in PBW order and,
-    per label of gl(m|n) and column subset j, the terms (i, e, c): the label
-    sends y_{S_j} v to c y_{S_i} (e.v), where e is the g0 label acting on L0
-    at the right end, or None for v itself.
+    Per label of gl(m|n) and column subset j, ``rows`` holds the terms
+    (i, e, c): the label sends y_{S_j} v to c y_{S_i} (e.v), where e is the
+    g0 label acting on L0 at the right end, or None for v itself.  A label's
+    row is straightened on its first read, and all rows share one memo of
+    (label, S) straightenings.  Every [label, y_h] is checked integral when
+    the table is made, so a non-integral structure constant raises before
+    any row is read.
     """
     g = gl_superalgebra(m, n)
     y_labels = _odd_negative_labels(m, n)
@@ -312,6 +361,15 @@ def _exterior_actions(m: int, n: int) -> tuple[list, dict]:
     mn = len(y_labels)
     subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
                      key=lambda S: (len(S), S))
+    brackets = {}
+    for label in g.labels:
+        for h, y in enumerate(y_labels):
+            terms = []
+            for lab2, cb in g.bracket(label, y).items():
+                if cb.denominator != 1:
+                    raise InvariantBroken(f"[{label}, {y}] is not integral")
+                terms.append((lab2, cb.numerator))
+            brackets[label, h] = terms
     memo: dict = {}
 
     def act(label, S: tuple) -> dict:
@@ -328,23 +386,28 @@ def _exterior_actions(m: int, n: int) -> tuple[list, dict]:
         else:
             # a y_h y_rest = [a, y_h] y_rest + (-1)^{|a|} y_h a y_rest
             h, rest = S[0], S[1:]
-            for lab2, cb in g.bracket(label, y_labels[h]).items():
-                if cb.denominator != 1:
-                    raise InvariantBroken(f"[{label}, {y_labels[h]}] is not integral")
-                axpy(out, act(lab2, rest).items(), cb.numerator)
+            for lab2, cb in brackets[label, h]:
+                axpy(out, act(lab2, rest).items(), cb)
             axpy(out, _prepend(h, act(label, rest)), -1 if g.parity[label] else 1)
-        memo[(label, S)] = out
-        return out
+        return memo.setdefault((label, S), out)
 
     index = {S: i for i, S in enumerate(subsets)}
-    return subsets, {
-        label: [[(index[S2], e, c) for (S2, e), c in act(label, S).items()] for S in subsets]
-        for label in g.labels
-    }
+    y_coords = [g.weight_of[y].coords for y in y_labels]
+    return _ExteriorTable(
+        subsets=subsets,
+        offsets=[tuple(map(sum, zip((0,) * (m + n), *(y_coords[h] for h in S))))
+                 for S in subsets],
+        prefixes=["y[" + ",".join(str(h + 1) for h in S) + "]" for S in subsets],
+        rows=_OnFirstRead(g.labels, lambda label: [
+            [(index[S2], e, c) for (S2, e), c in act(label, S).items()] for S in subsets]),
+    )
 
 
 def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperModuleRep:
-    """The universal highest weight supermodule induced from L0(lam)."""
+    """The universal highest weight supermodule induced from L0(lam).
+
+    The actions are summed per label on first read (``_OnFirstRead``).
+    """
     m, n = lam.m, lam.n
     g = gl_superalgebra(m, n)
     L0 = L0_module(lam, budget)
@@ -354,8 +417,8 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
     if dim > budget:
         raise ConstructionOverflow(f"Kac module dimension {dim} exceeds budget {budget}")
 
-    subsets, table = _exterior_actions(m, n)
-    basis = [(S, t) for S in subsets for t in range(D)]
+    table = _exterior_actions(m, n)
+    basis = [(S, t) for S in table.subsets for t in range(D)]
     basis_index = {key: i for i, key in enumerate(basis)}
 
     # y_{S_j} v_t is column j D + t.  right[e][t] is e.v_t as (row, int)
@@ -364,10 +427,10 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
     d0 = L0.den
     right = {e: [list(cols.get(t, {}).items()) for t in range(D)] for e, cols in L0.actions.items()}
     right[None] = [[(t, d0)] for t in range(D)]
-    actions = {}
-    for label in g.labels:
+
+    def columns(label) -> dict:
         cols = {}
-        for j, terms in enumerate(table[label]):
+        for j, terms in enumerate(table.rows[label]):
             if not terms:
                 continue
             for t in range(D):
@@ -375,14 +438,15 @@ def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMo
                 axpy(col, ((i * D + r, c * x) for i, e, c in terms for r, x in right[e][t]), ONE)
                 if col:
                     cols[j * D + t] = col
-        actions[label] = cols
+        return cols
 
-    offsets = {S: sum((g.weight_of[y_labels[h]] for h in S), zero_weight(m, n)) for S in subsets}
-    weights = [L0.weights[t] + offsets[S] for S, t in basis]
-    parities = [len(S) % 2 for S, _ in basis]
-    names = ["y[" + ",".join(str(h + 1) for h in S) + f"]v{t}" for S, t in basis]
+    l0_coords = [w.coords for w in L0.weights]
+    weights = [Weight(m, n, tuple(map(add, w, offset)))
+               for offset in table.offsets for w in l0_coords]
+    parities = [len(S) % 2 for S in table.subsets for _ in range(D)]
+    names = [f"{prefix}v{t}" for prefix in table.prefixes for t in range(D)]
     return SuperModuleRep(
-        g, parities, weights, actions, basis_names=names,
+        g, parities, weights, _OnFirstRead(g.labels, columns), basis_names=names,
         meta={
             "kind": "kac", "weight": lam, "l0_gram": L0.meta["gram"],
             "l0_dim": D, "basis": basis, "basis_index": basis_index,
@@ -567,9 +631,10 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     # quotient coordinates of the int Kac columns, which are K.den times the action
     actions = {}
     for label in K.algebra.labels:
+        kac_cols = K.actions[label]
         cols = {}
         for new_col, old in enumerate(kept):
-            red = reduce_to_kept(K.action_column(label, old))
+            red = reduce_to_kept(kac_cols.get(old, {}))
             if red:
                 cols[new_col] = red
         actions[label] = cols

@@ -17,10 +17,13 @@ c(mu) scales by s^2, so the verdict at a equals the verdict at a scaled by
 the lcm of its denominators, whose coordinates are ints.  Each
 module groups its basis once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
 x_t^2-eigenvalues, so M0 is the union of the groups on which c vanishes,
-found per point without a loop over the weights.  The columns of X|M0 are
-int combinations of the stored int actions of the 2r labels of the x_t,
-which are the module's ``den`` times the actions; that scales X by a
-nonzero constant, which changes no rank.
+found per point without a loop over the weights.  Only the groups of M0 on
+which every x_t with a_t != 0 squares to zero are eliminated: on every
+other group of M0, x is free (``_deciding_block`` proves it), so those
+groups cannot change the verdict.  The columns of X there are int
+combinations of the stored int actions of the labels of the x_t with
+a_t != 0, which are the module's ``den`` times the actions; that scales X by
+a nonzero constant, which changes no rank.
 
 The empirical support samples deterministic rational points with prescribed
 coordinate support and reports which coordinate subspaces contain a
@@ -92,6 +95,21 @@ def _zero_block(M: SuperModuleRep, a) -> list[int]:
                   if not sum(x * x * k for x, k in zip(a, key)) for i in idxs)
 
 
+def _deciding_block(M: SuperModuleRep, a) -> list[int]:
+    """Ascending indices of the groups on which every x_t with a_t != 0 squares to 0.
+
+    These groups are the part of the zero block that can decide the verdict.
+    Every x_t preserves every x_s^2-eigenspace, so X|M0 is block diagonal
+    over the groups, and its rank is at most half of each.  On any other
+    group of M0 some x_s with a_s != 0 has x_s^2 = k_s != 0, so x^2 = 0 and
+    x x_s + x_s x = 2 a_s k_s.  With f = x_s / (2 a_s k_s), f' = f - f^2 x
+    satisfies f'^2 = 0 and x f' + f' x = 1, so every v with x v = 0 is
+    x (f' v): x has rank exactly half there, whatever the module.
+    """
+    return sorted(i for key, idxs in M._square_eigenvalues.items()
+                  if not any(k for x, k in zip(a, key) if x) for i in idxs)
+
+
 def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     m, n = _ambient_mn(M)
     r = defect(m, n)
@@ -101,19 +119,19 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     den = lcm(*[x.denominator for x in point.coords])
     a = [x.numerator * (den // x.denominator) for x in point.coords]
 
-    zero_block = _zero_block(M, a)
-    if not zero_block:
+    block = _deciding_block(M, a)
+    if not block:
         return True
-    size = len(zero_block)
+    size = len(block)
     if size % 2:
         return False
 
     det = detecting_subalgebra(m, n)
     terms = [(M.actions.get(lab, {}), x) for t, x in enumerate(a) if x
              for lab in det.generator_labels(t + 1)]
-    in_block = set(zero_block)
+    in_block = set(block)
     columns = []
-    for i in zero_block:
+    for i in block:
         col: dict = {}
         for action, x in terms:
             axpy(col, action.get(i, {}).items(), x)
@@ -121,7 +139,7 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
             raise ShapeMismatch("zero eigenblock is not action stable")
         columns.append(col)
 
-    # rank(X|M0) <= size/2 since X|M0 squares to 0, so stop once that bound is hit
+    # rank <= size/2 since X squares to 0 on the block, so stop once that bound is hit
     target = size // 2
     span = IncrementalSpan()
     for col in columns:

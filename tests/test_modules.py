@@ -1,5 +1,7 @@
 import copy
 import json
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -190,6 +192,57 @@ def test_exterior_table_rejects_non_integral_brackets(monkeypatch):
         kac_module(parse_weight(1, 1, "0|0"))
 
 
+def column_order(cols):
+    """Columns with their insertion order, as nested lists."""
+    return [(j, list(col.items())) for j, col in cols.items()]
+
+
+def test_kac_labels_read_in_reverse_give_the_forward_columns():
+    # each read straightens on demand into a shared memo; the read order must not show
+    lam = parse_weight(3, 2, "1,0,0|0,-1")
+    labels = gl_superalgebra(3, 2).labels
+    supvar.modules._exterior_actions.cache_clear()
+    K = kac_module(lam)
+    backward = {label: column_order(K.actions[label]) for label in reversed(labels)}
+    supvar.modules._exterior_actions.cache_clear()
+    K = kac_module(lam)
+    forward = {label: column_order(K.actions[label]) for label in labels}
+    assert backward == forward
+    assert list(K.actions) == list(labels)
+
+
+def test_kac_labels_read_from_four_threads_match_sequential_read():
+    lam = parse_weight(3, 2, "1,0,0|0,-1")
+    supvar.modules._exterior_actions.cache_clear()
+    expected = dict(kac_module(lam).actions)
+    supvar.modules._exterior_actions.cache_clear()
+    K = kac_module(lam)
+    labels = list(K.algebra.labels)
+    orders = [labels, labels[::-1], labels[1::2] + labels[::2],
+              sorted(labels, key=lambda lab: (lab[2], lab[1]))]
+    barrier = threading.Barrier(4)
+    seen = [None] * 4
+
+    def read(k):
+        barrier.wait()
+        seen[k] = {label: K.actions[label] for label in orders[k]}
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the builds
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert dict(K.actions) == expected
+    # every reader got the one published object per label
+    assert all(got[label] is K.actions[label] for got in seen for label in labels)
+
+
 def test_verify_rep_gl3_kac_modules():
     for lam in [parse_weight(3, 2, "1,0,0|0,-1"), parse_weight(3, 3, "0,0,0|0,0,0")]:
         K = kac_module(lam)
@@ -311,7 +364,7 @@ def test_simple_has_no_singular_vectors():
         for i in below:
             col = {}
             for lab in raisings:
-                for r, c in L.action_column(lab, i).items():
+                for r, c in L.actions[lab].get(i, {}).items():
                     col[(lab, r)] = c
             conditions.append(col)
         # simultaneous kernel must be trivial

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +10,7 @@ from supvar.linalg import axpy, span_dim
 from supvar.modules import direct_sum, kac_module, simple_module, tensor, trivial_module
 from supvar.roots import parse_weight
 from supvar.support import (
+    _deciding_block,
     _zero_block,
     atyp_module,
     compare_support,
@@ -167,23 +169,32 @@ def reference_is_projective_at(M, point):
     return 2 * span_dim(columns) == len(zero_block)
 
 
-def test_integer_rank_test_matches_fraction_reference():
+def reference_modules():
     # K(0,-2,-2|2) on gl(3|1) has action denominator 2
     modules = [kac_module(parse_weight(2, 2, "1,0|0,-1")),
                simple_module(parse_weight(2, 2, "1,0|0,-1")),
                kac_module(parse_weight(3, 1, "0,-2,-2|2")),
                kac_module(parse_weight(3, 2, "1,0,0|0,-1"))]
     assert modules[2].den == 2
+    return modules
+
+
+def reference_points(M):
+    """The sampled points of two empirical supports of M, then fixed extra ones."""
     F = Fraction
     extra = {1: [(F(2, 3),), (F(-5, 7),)],
              2: [(F(1, 2), F(-2, 3)), (F(3, 4), F(5, 6)), (F(-7, 5), F(7, 10)),
-                 (F(1, 2), F(-1, 2)), (F(2, 3), F(4, 6)), (F(-3, 8), F(0))]}
+                 (F(1, 2), F(-1, 2)), (F(2, 3), F(4, 6)), (F(-3, 8), F(0))],
+             3: [(F(1, 2), F(-2, 3), F(3, 4)), (F(1), F(-1), F(0)), (F(2, 5), F(0), F(-2, 5))]}
+    emp = empirical_support(M)
+    other = empirical_support(M, samples_per_subset=2, seed=7)
+    return [coords for _, coords, _ in emp.tested + other.tested] + extra[emp.r]
+
+
+def test_integer_rank_test_matches_fraction_reference():
     seen = set()
-    for M in modules:
-        emp = empirical_support(M)
-        other = empirical_support(M, samples_per_subset=2, seed=7)
-        points = [coords for _, coords, _ in emp.tested + other.tested] + extra[emp.r]
-        for coords in points:
+    for M in reference_modules():
+        for coords in reference_points(M):
             pt = odd_point(coords)
             # a group where some x_t^2 with a_t != 0 is nonzero never changes the
             # verdict (x acts there invertibly or inside a nondegenerate Clifford
@@ -193,3 +204,50 @@ def test_integer_rank_test_matches_fraction_reference():
             assert verdict == reference_is_projective_at(M, pt), (M, coords)
             seen.add(verdict)
     assert seen == {True, False}
+
+
+def full_block_is_projective_at(M, point):
+    """The integer rank test over the whole zero block, every group where c(mu) = 0."""
+    den = lcm(*[x.denominator for x in point.coords])
+    a = [x.numerator * (den // x.denominator) for x in point.coords]
+    block = _zero_block(M, a)
+    if len(block) % 2:
+        return False
+    det = detecting_subalgebra(M.algebra.m, M.algebra.n)
+    columns = []
+    for i in block:
+        col = {}
+        for t, x in enumerate(a):
+            if x:
+                for lab in det.generator_labels(t + 1):
+                    axpy(col, M.actions[lab].get(i, {}).items(), x)
+        assert set(block).issuperset(col)
+        columns.append(col)
+    return 2 * span_dim(columns) == len(block)
+
+
+def test_deciding_block_verdicts_match_full_zero_block():
+    # the rank test eliminates only the groups where every x_t with a_t != 0
+    # squares to 0; every other group of the zero block is free over <x>
+    modules = reference_modules() + [simple_module(parse_weight(2, 2, "1,0|0,-2")),
+                                     kac_module(parse_weight(3, 3, "0,0,0|0,0,0")),
+                                     simple_module(parse_weight(3, 3, "1,0,0|0,0,-1"))]
+    seen, smaller = set(), 0
+    for M in modules:
+        for coords in reference_points(M):
+            pt = odd_point(coords)
+            verdict = is_projective_at(M, pt)
+            assert verdict == full_block_is_projective_at(M, pt), (M, coords)
+            seen.add(verdict)
+            a = [x * lcm(*[y.denominator for y in coords]) for x in coords]
+            smaller += len(_deciding_block(M, a)) < len(_zero_block(M, a))
+    assert seen == {True, False}
+    assert smaller
+
+
+def test_empirical_support_of_kac_module_builds_only_detecting_columns():
+    K = kac_module(parse_weight(3, 3, "0,0,0|0,0,-1"))
+    det = detecting_subalgebra(3, 3)
+    assert empirical_support(K).subsets == frozenset()
+    # Kac actions are summed per label on first read
+    assert set(K.actions._built) == {lab for t in (1, 2, 3) for lab in det.generator_labels(t)}
