@@ -14,10 +14,10 @@ time on every basis triple; triples outside the supports are 0 = 0, see
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import SupvarError
-from .linalg import ONE, ZERO, RationalMatrix, axpy
+from .errors import InvariantBroken, SupvarError
+from .linalg import ONE, ZERO, IncrementalSpan, RationalMatrix, axpy
 from .roots import eps
 
 Label = tuple  # ("E", a, b)
@@ -73,6 +73,37 @@ class LieSuperalgebraData:
 
     def odd_labels(self) -> list:
         return [lab for lab in self.labels if self.parity[lab] == 1]
+
+    @cached_property
+    def chevalley_generators(self) -> frozenset:
+        """The labels E_{i,i+1} and E_{i+1,i} of ``labels``, proven to generate.
+
+        Checked once per algebra, raising ``InvariantBroken`` on failure:
+        every label b has a recorded weight and each Cartan label E_{i,i}
+        brackets it to weight_of[b]_i b, and the generators with the Cartan
+        labels generate every label: the span they start, closed under
+        brackets with them, has full dimension.  ``verify_rep`` rests on both
+        facts.
+        """
+        labels, weight_of = self.labels, self.weight_of
+        cartan = [lab for lab in labels if lab[1] == lab[2]]
+        gens = frozenset(lab for lab in labels if abs(lab[1] - lab[2]) == 1)
+        for b in labels:
+            w = weight_of.get(b)
+            for h in cartan:
+                c = None if w is None else w.coords[h[1] - 1]
+                if c is None or self.bracket(h, b) != ({b: c} if c else {}):
+                    raise InvariantBroken(f"{h} does not act on {b} by a recorded weight")
+        seeds = [lab for lab in labels if lab in gens or lab in cartan]
+        span = IncrementalSpan()
+        new = [{lab: 1} for lab in seeds]
+        while new:
+            new = [x for x in new if span.add(x)]
+            new = [self.bracket_elements({s: 1}, x) for s in seeds for x in new]
+        if span.dim != len(labels):
+            raise InvariantBroken(f"the Chevalley generators and the Cartan labels "
+                                  f"span {span.dim} of the {len(labels)} labels of {self.name}")
+        return gens
 
     def _check_axioms(self):
         """Super-antisymmetry and the graded Jacobi identity on every basis triple.

@@ -48,9 +48,10 @@ G A_a = A_{tau a}^T G is checked on every Kac form ``simple_module`` builds,
 whatever its size; G is symmetric (asserted per block), so the identity for
 tau(a) is the transpose of the one for a and each pair {a, tau a} is checked
 once.  ``verify_rep`` checks A_a A_b - s A_b A_a = A_[a,b], s = (-1)^{|a||b|},
-for every label pair a <= b: by super-antisymmetry, which
-``LieSuperalgebraData`` asserts, the (b, a) identity is this one times -s.
-a = b is skipped only for even a; for odd a it says 2 A_a^2 = A_[a,a].
+for the label pairs a <= b where neither is a Cartan label and one is a
+Chevalley generator E_{i,i+1} or E_{i+1,i}; its docstring proves that those
+pairs, with the parity, weight and Cartan checks, imply every pair.  a = b
+is skipped only for even a; for an odd generator a it says 2 A_a^2 = A_[a,a].
 """
 
 from __future__ import annotations
@@ -766,9 +767,29 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     other checks run only then.  Cartan elements must act diagonally by the
     labeled weight coordinates; the rank-variety tests rely on that.
     Weights are compared as coordinate tuples.  Brackets are checked as
-    A_a A_b - s A_b A_a = d [a, b] on the stored ints A over d = den.
+    A_a A_b - s A_b A_a = d [a, b] on the stored ints A over d = den, on
+    the pairs a <= b of non-Cartan labels of which one is a Chevalley
+    generator E_{i,i+1} or E_{i+1,i} of the algebra, in label order.
+
+    Those pairs prove the identity on every pair.  Let V be the set of
+    elements a with [rho a, rho b] = rho [a, b] for every label b.  V is a
+    subspace.  V holds every Cartan h: rho h is diagonal by the weights and
+    each label b shifts weight by its weight alpha_b (both checked here), so
+    [rho h, rho b] = alpha_b(h) rho b, which is rho [h, b] by the algebra's
+    ``chevalley_generators`` check.  So a generator a lies in V once the
+    pairs (a, b) with b non-Cartan hold: (a, h) follows from h in V, and a
+    pair (a, b) with b < a from (b, a), by super-antisymmetry of the
+    brackets (``LieSuperalgebraData`` asserts it) and of supercommutators
+    alike.  V is closed under the bracket: for a, a' in V, graded Jacobi for
+    the operators, which are homogeneous of their labels' parities (checked
+    here), and in the algebra (asserted) gives
+    [rho [a, a'], rho b] = rho [[a, a'], b].  The generators and the Cartan
+    generate the algebra, which ``chevalley_generators`` checks once per
+    algebra, raising ``InvariantBroken`` if not.  So V is everything.  For
+    an odd generator s the pair (s, s) says 2 A_s^2 = A_[s,s] and is kept.
     """
     g, d = M.algebra, M.den
+    gens = g.chevalley_generators
     A = {label: M.actions.get(label, {}) for label in g.labels}
     problems = [] if isinstance(d, int) and d > 0 else [f"den {d!r} is not a positive int"]
     problems += [f"entry {c!r} of {label} on column {i} row {j} is not an int"
@@ -797,8 +818,12 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
                 problems.append(f"Cartan element {label} is not diagonal on column {i}")
     identity = {i: {i: 1} for i in range(M.dim)}
     for k, a in enumerate(g.labels):
+        if a[1] == a[2]:
+            continue
         pa = g.parity[a]
         for b in g.labels[k if pa else k + 1:]:
+            if b[1] == b[2] or (a not in gens and b not in gens):
+                continue
             br = g.bracket(a, b)
             q = lcm(*(c.denominator for c in br.values()))  # clears the structure constants
             s = -1 if (pa and g.parity[b]) else 1

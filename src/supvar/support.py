@@ -89,12 +89,6 @@ def _ambient_mn(M: SuperModuleRep) -> tuple[int, int]:
     return m, n
 
 
-def _zero_block(M: SuperModuleRep, a) -> list[int]:
-    """Ascending indices of the basis vectors that x^2 kills, x = sum a_t x_t."""
-    return sorted(i for key, idxs in M._square_eigenvalues.items()
-                  if not sum(x * x * k for x, k in zip(a, key)) for i in idxs)
-
-
 def _deciding_block(M: SuperModuleRep, a) -> list[int]:
     """Ascending indices of the groups on which every x_t with a_t != 0 squares to 0.
 

@@ -6,7 +6,6 @@ integrity criteria.
 """
 
 import time
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,56 +20,18 @@ from supvar.cohomology import (
     vanishing_bound,
 )
 from supvar.linalg import RationalMatrix
-from supvar.modules import (
-    kac_module,
-    simple_module,
-    tensor,
-    trivial_module,
-    verify_rep,
-)
-from supvar.roots import is_dominant_integral, weight
+from supvar.modules import kac_module, simple_module, trivial_module, verify_rep
 from supvar.support import compare_support, empirical_support
-
-ALGEBRAS = [(1, 1), (2, 1), (2, 2)]
-
-
-def dominant_weights(m, n, lo, hi):
-    firsts = [c for c in combinations_with_replacement(range(hi, lo - 1, -1), m)]
-    seconds = [c for c in combinations_with_replacement(range(hi, lo - 1, -1), n)]
-    out = []
-    for f in firsts:
-        for s in seconds:
-            lam = weight(m, n, list(f) + list(s))
-            assert is_dominant_integral(lam)
-            out.append(lam)
-    return out
+from sweep import ALGEBRAS, dominant_weights
 
 
 @pytest.fixture(scope="module")
-def module_sweep():
-    """Kac and simple modules for every dominant weight with entries in [-2,2],
-    plus fixed tensor products, with their empirical supports."""
-    build_start = time.time()
-    sweep = []
-    tensor_choices = {
-        (1, 1): ("1|0", "0|0"),
-        (2, 1): ("1,0|0", "0,0|0"),
-        (2, 2): ("1,0|0,-1", "0,0|0,0"),
-    }
-    for m, n in ALGEBRAS:
-        for lam in dominant_weights(m, n, -2, 2):
-            K = kac_module(lam)
-            L = simple_module(lam)
-            sweep.append((m, n, f"kac:{lam}", K, lam))
-            sweep.append((m, n, f"simple:{lam}", L, lam))
-        from supvar.roots import parse_weight
-
-        la, lb = (parse_weight(m, n, t) for t in tensor_choices[(m, n)])
-        sweep.append((m, n, f"tensor:K({la})xL({lb})", tensor(kac_module(la), simple_module(lb)), None))
-        sweep.append((m, n, f"tensor:L({la})xL({lb})", tensor(simple_module(la), simple_module(lb)), None))
-        sweep.append((m, n, f"tensor:K({lb})xK({lb})", tensor(kac_module(lb), kac_module(lb)), None))
+def module_sweep(sweep_modules):
+    """The acceptance sweep with the empirical support of every module."""
+    sweep, build_time = sweep_modules
+    start = time.time()
     supports = [empirical_support(M) for (_, _, _, M, _) in sweep]
-    return sweep, supports, time.time() - build_start
+    return sweep, supports, build_time + time.time() - start
 
 
 def report(criterion, ok, detail=""):
@@ -179,7 +140,7 @@ def test_criterion_7_clifford_classification_table():
 def test_criterion_8_divisibility_regression(module_sweep):
     start = time.time()
     sweep, supports, build_time = module_sweep
-    checked = simples = 0
+    checked = simples = maximal = 0
     for (m, n, name, M, lam), emp in zip(sweep, supports):
         r = defect(m, n)
         rep = divisibility_check(M.dim, M.superdimension, emp.dim, r)
@@ -188,15 +149,17 @@ def test_criterion_8_divisibility_regression(module_sweep):
             assert emp.subsets == frozenset(), f"Kac support not trivial: gl({m}|{n}) {name}"
         checked += 1
         if name.startswith("simple:") and lam is not None:
+            # Kac-Wakimoto: sdim L(lam) != 0 exactly when atyp(lam) = defect
             a = atypicality(lam).value
-            if a < r:
-                assert M.superdimension == 0, f"gl({m}|{n}) {name}"
-                simples += 1
+            assert (M.superdimension != 0) == (a == r), f"gl({m}|{n}) {name}: atyp {a}"
+            simples += a < r
+            maximal += a == r
     elapsed = time.time() - start + build_time
     assert elapsed < 300
     report(8, True,
            f"{checked} modules pass the codimension law ({simples} subdefect simples "
-           f"have superdimension 0) in {elapsed:.1f}s incl. construction")
+           f"have superdimension 0, {maximal} maximally atypical ones do not) in "
+           f"{elapsed:.1f}s incl. construction")
 
 
 def test_criterion_9_representation_integrity(module_sweep):

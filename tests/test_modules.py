@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 import sys
 import threading
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import supvar.algebra
 import supvar.modules
 from supvar.algebra import gl_superalgebra
 from supvar.errors import (
@@ -22,7 +24,9 @@ from supvar.modules import (
     SuperModuleRep,
     _form_blocks,
     _check_form_adjointness,
+    _int_mul_add,
     _integerize,
+    _nonzero_column,
     direct_sum,
     dual,
     dump_module,
@@ -421,22 +425,126 @@ def test_verify_rep_reports_non_int_entries():
         assert not ok and problems == [f"den {den!r} is not a positive int"]
 
 
-def test_verify_rep_checks_odd_squares():
-    # gl(1|1) on v0 (even), v1 (odd), v2 (even) with E12: v0 -> v1 -> v2 and
-    # E21 = 0 satisfies every bracket except [E12, E12] = 0 = 2 E12^2
+def odd_square_module(s):
+    """gl(1|1) on v0 (even), v1 (odd), v2 (even) with s = +1: E12 sends v0 -> v1 -> v2
+    and E21 = 0, or s = -1: the same with E12 and E21 swapped.
+
+    It satisfies every bracket except [E, E] = 0 = 2 E^2 for the acting E.
+    """
     g = gl_superalgebra(1, 1)
-    weights = [weight(1, 1, (k, -k)) for k in range(3)]
+    weights = [weight(1, 1, (s * k, -s * k)) for k in range(3)]
+    acting = ("E", 1, 2) if s == 1 else ("E", 2, 1)
     actions = {
-        ("E", 1, 1): {1: {1: ONE}, 2: {2: Fraction(2)}},
-        ("E", 1, 2): {0: {1: ONE}, 1: {2: ONE}},
+        ("E", 1, 1): {k: {k: s * k} for k in (1, 2)},
+        ("E", 1, 2): {},
         ("E", 2, 1): {},
-        ("E", 2, 2): {1: {1: -ONE}, 2: {2: Fraction(-2)}},
+        ("E", 2, 2): {k: {k: -s * k} for k in (1, 2)},
     }
-    den, actions = _integerize(actions)
-    M = SuperModuleRep(g, [0, 1, 0], weights, actions, den=den)
+    actions[acting] = {0: {1: 1}, 1: {2: 1}}
+    return SuperModuleRep(g, [0, 1, 0], weights, actions)
+
+
+def test_verify_rep_checks_odd_squares():
+    M = odd_square_module(1)
     ok, problems = verify_rep(M)
     assert not ok
     assert problems == [f"bracket compatibility fails on ({('E', 1, 2)}, {('E', 1, 2)}) column 0"]
+
+
+def all_pairs_bracket_failures(M):
+    """The failing pairs, in label order, of A_a A_b - s A_b A_a = d [a, b] over every
+    label pair a <= b (a = b only for odd a): the all-pairs reference for
+    ``verify_rep``, which checks generator pairs only."""
+    g, d = M.algebra, M.den
+    A = {label: M.actions.get(label, {}) for label in g.labels}
+    identity = {i: {i: 1} for i in range(M.dim)}
+    failures = []
+    for k, a in enumerate(g.labels):
+        pa = g.parity[a]
+        for b in g.labels[k if pa else k + 1:]:
+            s = -1 if (pa and g.parity[b]) else 1
+            out = {}
+            _int_mul_add(out, A[a], A[b], 1)
+            _int_mul_add(out, A[b], A[a], -s)
+            for e, c in g.bracket(a, b).items():
+                _int_mul_add(out, A[e], identity, -d * c)
+            if _nonzero_column(out) is not None:
+                failures.append((a, b))
+    return failures
+
+
+def assert_same_verdict(M):
+    """verify_rep and the all-pairs reference agree; returns the verdict."""
+    ok, problems = verify_rep(M)
+    failures = all_pairs_bracket_failures(M)
+    assert all(p.startswith("bracket compatibility fails") for p in problems), problems[:3]
+    assert ok == (not failures), (problems[:3], failures[:3])
+    return ok
+
+
+def single_entry_corruptions(M):
+    """M with den added to one entry of one non-Cartan label, at the first and at
+    the last position (column, row) that respects weights and parities."""
+    g = M.algebra
+    coords = [w.coords for w in M.weights]
+    for x in g.labels:
+        if x[1] == x[2]:
+            continue
+        root, px = g.weight_of[x].coords, g.parity[x]
+        places = [(i, j) for i in range(M.dim) for j in range(M.dim)
+                  if coords[j] == tuple(map(operator.add, coords[i], root))
+                  and (M.parities[j] - M.parities[i] - px) % 2 == 0]
+        for i, j in sorted(set(places[:1] + places[-1:])):
+            actions = {lab: {c: dict(col) for c, col in M.actions[lab].items()}
+                       for lab in g.labels}
+            col = actions[x].setdefault(i, {})
+            col[j] = col.get(j, 0) + M.den
+            if not col[j]:
+                del col[j]
+            yield SuperModuleRep(g, M.parities, M.weights, actions, den=M.den)
+
+
+def test_generator_pairs_match_all_pairs_on_the_acceptance_sweep(sweep_modules):
+    sweep, _ = sweep_modules
+    for m, n, name, M, _ in sweep:
+        assert assert_same_verdict(M), f"gl({m}|{n}) {name}"
+
+
+def test_generator_pairs_match_all_pairs_on_corruptions():
+    modules = [kac_module(parse_weight(2, 2, "1,0|0,-1")),
+               simple_module(parse_weight(2, 2, "1,0|0,-1")),
+               kac_module(parse_weight(3, 2, "0,0,0|0,0")),
+               simple_module(parse_weight(3, 2, "1,0,0|0,-1"))]
+    corrupted = 0
+    for M in modules:
+        assert assert_same_verdict(M)
+        for C in single_entry_corruptions(M):
+            assert not assert_same_verdict(C)
+            corrupted += 1
+    assert corrupted == 2 * (12 + 12 + 20 + 20)
+    # single entries are also caught by pairs of other generators; these two
+    # fail only on the square of one odd generator
+    for s in (1, -1):
+        assert not assert_same_verdict(odd_square_module(s))
+
+
+def test_algebra_not_generated_by_chevalley_generators_is_rejected():
+    # the span of E11, E22, E33, E13 is closed under the bracket, but none of
+    # its labels is a Chevalley generator, so E13 is never reached
+    labels = [("E", 1, 1), ("E", 2, 2), ("E", 3, 3), ("E", 1, 3)]
+    h = supvar.algebra._gl_data(3, 1, labels, "borel-piece")
+    with pytest.raises(InvariantBroken, match="span 3 of the 4 labels"):
+        verify_rep(trivial_module(h))
+
+
+def test_algebra_with_cartan_off_the_recorded_weights_is_rejected():
+    g = gl_superalgebra(1, 1)
+    weight_of = dict(g.weight_of)
+    weight_of[("E", 1, 2)] = weight_of[("E", 2, 1)]
+    h = supvar.algebra.LieSuperalgebraData("bad-weights", g.labels, g.parity, g.structure,
+                                           weight_of=weight_of, m=1, n=1)
+    with pytest.raises(InvariantBroken, match="by a recorded weight"):
+        h.chevalley_generators
 
 
 def test_tensor_dual_parity():

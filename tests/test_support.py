@@ -11,7 +11,6 @@ from supvar.modules import direct_sum, kac_module, simple_module, tensor, trivia
 from supvar.roots import parse_weight
 from supvar.support import (
     _deciding_block,
-    _zero_block,
     atyp_module,
     compare_support,
     empirical_support,
@@ -126,6 +125,13 @@ def test_compare_support_intermediate_atypicality():
         assert cmp.match and cmp.empirical.dim == dim
         if dim == 1:
             assert cmp.empirical.nonempty_subsets() == [(1,), (2,)]
+
+
+def _zero_block(M, a):
+    """Ascending indices of the basis vectors that x^2 kills, x = sum a_t x_t, read
+    off the module's grouping by x_t^2-eigenvalues."""
+    return sorted(i for key, idxs in M._square_eigenvalues.items()
+                  if not sum(x * x * k for x, k in zip(a, key)) for i in idxs)
 
 
 def reference_zero_block(M, point):
