@@ -210,8 +210,22 @@ def _add_mn_weight(parser, with_weight=True):
         parser.add_argument("weight", help="a1,...,am|b1,...,bn")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token with '|' before any '=' as a positional.
+
+    Every weight holds '|' and no option name does, so a weight such as
+    -1,-1|1,1 is not taken for an unknown option, as a '-'-led token that is
+    not a plain negative number would be.  Subparsers share the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if "|" in arg_string.partition("=")[0]:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supvar",
         description="Exact computations with gl(m|n) supermodules: atypicality, "
                     "support varieties, relative cohomology, Clifford block data.",

@@ -12,6 +12,14 @@ in g0 and dies by horizontality.  d squares to zero on invariants (graded
 Jacobi plus invariance); the construction asserts this exactly and raises if
 it fails.
 
+Cochains stay in ints up to the differential's coordinates: the invariant
+basis is ``column_kernel``'s primitive int relations, the module's int
+actions over its ``den`` build the raising images and the differential
+images, and only the coordinates of d^p over the next basis are
+``Fraction``s.  For Ext the coefficient module ``dual(K) tensor N`` builds a
+label's columns on its first read, so only the odd labels and the simple
+raisings the complex reads are ever summed.
+
 The invariants are the weight-zero vectors killed by the simple raising
 operators E_{i,i+1} (i != m).  This is exact: M's weights are its Cartan
 eigenvalues (verify_rep checks this), so g0 = gl(m) + gl(n) acts semisimply
@@ -33,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import lcm
 from operator import sub
 
 from .algebra import LieSuperalgebraData
@@ -172,13 +179,17 @@ def _raising_images(g, M: SuperModuleRep, gens, keys, vecs) -> list[dict]:
     table = _coadjoint_table(g, gens, raisings)
     acts = [(a, M.actions.get(a, {})) for a in raisings]
     den = M.den
+    derivations: dict = {}  # monomial -> per raising, its derivation; shared by module indices
     images = []
     for vec in vecs:
         out: dict = {}
         for pos, coeff in vec.items():
             mono, i = keys[pos]
-            for a, cols in acts:
-                derived = _derive_on_monomial(table[a], mono)
+            derived_by = derivations.get(mono)
+            if derived_by is None:
+                derived_by = derivations[mono] = [_derive_on_monomial(table[a], mono)
+                                                  for a in raisings]
+            for (a, cols), derived in zip(acts, derived_by):
                 axpy(out, (((a, (new_mono, i)), c) for new_mono, c in derived.items()), den * coeff)
                 axpy(out, (((a, (mono, r)), c) for r, c in cols.get(i, {}).items()), coeff)
         images.append(out)
@@ -220,7 +231,7 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
 @dataclass(frozen=True)
 class CochainDegree:
     keys: tuple               # ambient slice keys (monomial, module index)
-    basis: tuple              # invariant vectors as sparse dicts over key positions
+    basis: tuple              # invariant vectors as primitive int sparse dicts over key positions
     dim: int
 
 
@@ -269,18 +280,14 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     differentials = []
     for p in range(p_max + 1):
         src, dst = degrees[p], degrees[p + 1]
-        # each basis vector times s is an int vector, so its image sums ints
-        scales = [lcm(*[x.denominator for x in b.values()]) for b in src.basis]
-        ints = [{k: x.numerator * (s // x.denominator) for k, x in b.items()}
-                for b, s in zip(src.basis, scales)]
         cols = []
-        for img, s in zip(_differential_columns(M, odd_labels, src.keys, dst.keys, ints), scales):
+        for img in _differential_columns(M, odd_labels, src.keys, dst.keys, src.basis):
             coords = spans[p + 1].express(img)
             if coords is None:
                 raise SignConventionBroken(
                     "differential image is not an invariant cochain"
                 )
-            cols.append({k: v / (s * M.den) for k, v in coords.items() if v})
+            cols.append({k: v / M.den for k, v in coords.items()})
         differentials.append(cols)
 
     for p in range(p_max):

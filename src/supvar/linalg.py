@@ -6,9 +6,10 @@ ints, ``fractions.Fraction``s or ``p/q`` strings; floats are rejected.
 vectors are reduced one at a time against the rows accepted so far.  The
 loop is fraction-free (integer-preserving, as in Bareiss, Math. Comp. 22,
 1968): every vector is scaled once to a primitive int vector and no step
-divides, so ranks and span membership are decided on ints alone.  Only
-coordinates (``express``, ``column_kernel`` and the wrappers over them) come
-back as ``Fraction``s, assembled when first asked for.
+divides, so ranks and span membership are decided on ints alone.
+Coordinates are assembled as ints when first asked for.  Only ``express``
+and ``kernel_basis`` (and ``solve``, over ``express``) return ``Fraction``s;
+``column_kernel`` returns primitive int relations.
 ``rank``, ``kernel_basis``, ``solve``, ``column_kernel`` and ``span_dim``
 are thin wrappers over it, and ``RationalMatrix`` is a dense,
 immutable container for their inputs.
@@ -20,8 +21,9 @@ column j either enlarges the span or is a unique combination of the earlier
 columns that did.  In the second case the kernel vector is 1 at j, minus
 those coefficients on the earlier columns, and 0 elsewhere.  That is the
 basis read off the reduced row echelon form, whichever rows the elimination
-pivots on.  ``solve`` expresses the right-hand side over the same columns, so
-its free variables are 0.
+pivots on; ``column_kernel`` returns each such vector times the least
+positive int that makes it integral.  ``solve`` expresses the right-hand
+side over the same columns, so its free variables are 0.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class IncrementalSpan:
     per row, in acceptance order, the first time ``express`` or
     ``column_kernel`` needs them, so callers that only add vectors never pay
     for coordinates.  They become ``Fraction`` coefficients of the accepted
-    vectors only in the coordinates those two return.
+    vectors only in the coordinates ``express`` returns.
     """
 
     def __init__(self):
@@ -228,12 +230,13 @@ class IncrementalSpan:
             axpy(out, row.items(), b * (A // prefix) * (L // den))
         return A, L, out
 
-    def _coordinates(self, scale: tuple, steps: list) -> dict:
-        """Coordinates over the accepted vectors of a vec whose w reduced to zero.
+    def _combination(self, scale: tuple, steps: list) -> tuple[int, dict]:
+        """(D, N) with D vec = sum_i N_i vec_i, D > 0, for a vec whose w reduced to zero.
 
         Each row's coordinates over the accepted w's are kept as ints over
-        one positive denominator.  Only here are they turned into
-        coefficients of the accepted vectors, as ``Fraction``s.
+        one positive denominator, assembled here on first need.  The sum is
+        then brought over one lcm of the accepted vectors' scales, so D and
+        the N_i are ints, with no gcd taken.
         """
         coords, accepted = self._coords, self._steps
         for _, content, row_steps in accepted[len(coords):]:
@@ -246,13 +249,15 @@ class IncrementalSpan:
                 g = -g
             coords.append((den // g, {k: x // g for k, x in combo.items()}))
         A, L, combo = self._sum(steps)
-        # A w = X / L with w = (u/v) vec and w_i = (u_i/v_i) vec_i
+        # A w = X / L with w = (u/v) vec and w_i = (u_i/v_i) vec_i, so over
+        # V = lcm(v_i): A L u V vec = sum_i X_i u_i v (V / v_i) vec_i
         u, v = scale
+        V = lcm(*[accepted[i][0][1] for i in combo])
         out = {}
         for i, x in combo.items():
             u_i, v_i = accepted[i][0]
-            out[i] = Fraction(x * u_i * v, v_i * A * L * u)
-        return out
+            out[i] = x * u_i * v * (V // v_i)
+        return A * L * u * V, out
 
     def add(self, vec) -> bool:
         """Add a vector; returns True if it enlarged the span."""
@@ -266,7 +271,10 @@ class IncrementalSpan:
         """
         vec, scale = self._sparse(vec)
         steps = self._reduce(vec)
-        return None if vec else self._coordinates(scale, steps)
+        if vec:
+            return None
+        D, N = self._combination(scale, steps)
+        return {i: Fraction(x, D) for i, x in N.items()}
 
     @property
     def dim(self) -> int:
@@ -274,10 +282,13 @@ class IncrementalSpan:
 
 
 def column_kernel(columns: Sequence) -> list[dict]:
-    """Reduced-echelon basis of {x : sum_j x_j columns[j] = 0}.
+    """Basis of {x : sum_j x_j columns[j] = 0}, as primitive int relations.
 
     Columns are sparse dicts or dense sequences; the basis vectors are sparse
-    dicts over column positions, one per column that depends on earlier ones.
+    dicts over column positions, one per column j that depends on earlier
+    ones.  Each is the reduced-echelon vector of j (1 at j) times the least
+    positive int that clears its denominators, so it is positive at j, its
+    largest position, and its entries have gcd 1.
     """
     span = IncrementalSpan()
     independent = []  # positions of the columns that enlarged the span
@@ -287,8 +298,10 @@ def column_kernel(columns: Sequence) -> list[dict]:
         if relation is None:
             independent.append(j)
         else:
-            vec = {independent[i]: -c for i, c in span._coordinates(*relation).items()}
-            vec[j] = ONE
+            D, N = span._combination(*relation)
+            g = gcd(D, *N.values())
+            vec = {independent[i]: -x // g for i, x in N.items()}
+            vec[j] = D // g
             basis.append(vec)
     return basis
 
@@ -308,8 +321,11 @@ def rank(A: RationalMatrix) -> int:
 
 def kernel_basis(A: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Reduced-echelon basis of the right null space (free variable set to 1)."""
-    return [tuple(vec.get(j, ZERO) for j in range(A.cols))
-            for vec in column_kernel(list(zip(*A.entries)))]
+    basis = []
+    for vec in column_kernel(list(zip(*A.entries))):
+        lead = vec[max(vec)]
+        basis.append(tuple(Fraction(vec.get(j, 0), lead) for j in range(A.cols)))
+    return basis
 
 
 def solve(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:

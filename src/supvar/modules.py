@@ -37,9 +37,13 @@ Construction chain:
   the top layer to carry the inner product inherited from the tensor-power
   construction, and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
+  Each Kac basis vector met in a column is projected to the kept
+  coordinates once, and the quotient columns combine those projections.
 
-All reps are immutable after construction; a Kac module's actions only
-gain labels on first read, each fixed once published.
+All reps are immutable after construction.  The actions of Kac modules,
+duals and tensor products only gain labels on first read, each fixed once
+published, so a reader of a few labels (the rank test, the Ext complex)
+pays for those alone; ``parity_shift`` and ``direct_sum`` build eagerly.
 
 Both representation checks are sparse matrix identities over the integers,
 on the stored int actions, and the form blocks are filled from the same
@@ -47,7 +51,9 @@ ints.  Adjointness
 G A_a = A_{tau a}^T G is checked on every Kac form ``simple_module`` builds,
 whatever its size; G is symmetric (asserted per block), so the identity for
 tau(a) is the transpose of the one for a and each pair {a, tau a} is checked
-once.  ``verify_rep`` checks A_a A_b - s A_b A_a = A_[a,b], s = (-1)^{|a||b|},
+once.  A Cartan label is checked to act by den times the weights instead,
+which implies its identity (``_check_form_adjointness``).  ``verify_rep``
+checks A_a A_b - s A_b A_a = A_[a,b], s = (-1)^{|a||b|},
 for the label pairs a <= b where neither is a Cartan label and one is a
 Chevalley generator E_{i,i+1} or E_{i+1,i}; its docstring proves that those
 pairs, with the parity, weight and Cartan checks, imply every pair.  a = b
@@ -96,8 +102,9 @@ class SuperModuleRep:
         self.parities = tuple(parities)
         self.weights = tuple(weights)
         # actions: label -> dict[col] -> dict[row] -> int, over den > 0.  A
-        # plain dict, except on Kac modules: there a read-only Mapping that
-        # sums a label's columns on first read (``_OnFirstRead``)
+        # plain dict, except on Kac modules, duals and tensor products: there
+        # a read-only Mapping that builds a label's columns on first read
+        # (``_OnFirstRead``)
         self.actions = actions
         self.den = den
         self.basis_names = tuple(basis_names) if basis_names else tuple(
@@ -552,14 +559,29 @@ def _form_blocks(K: SuperModuleRep) -> list:
 
 
 def _check_form_adjointness(K: SuperModuleRep, blocks: list):
-    """Check <a.u, u'> = <u, tau(a).u'>, as G A_a = A_{tau a}^T G on ints."""
+    """Check <a.u, u'> = <u, tau(a).u'>, as G A_a = A_{tau a}^T G on ints.
+
+    The products run for the labels E_ab with a < b, each standing for the
+    pair {E_ab, E_ba} (G is symmetric).  A Cartan label h = E_aa is its own
+    transpose, and its identity needs no product once A_h = den diag(mu_i[a])
+    is checked, column by column in O(dim): G holds only entries between
+    basis vectors of one weight, so (G A_h)_ij = G_ij den mu_j[a] and
+    (A_h^T G)_ij = den mu_i[a] G_ij agree wherever G_ij is nonzero.
+    """
     form = {}
     for idxs, rows in blocks:
         for b, j in enumerate(idxs):
             form[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
-    A = K.actions
+    A, d = K.actions, K.den
+    for label in K.algebra.labels:
+        a = label[1]
+        if a == label[2]:
+            diagonal = {i: {i: d * w.coords[a - 1]}
+                        for i, w in enumerate(K.weights) if w.coords[a - 1]}
+            if A[label] != diagonal:
+                raise FormInconsistent(f"Cartan element {label} does not act by the weights")
     G = _integerize({"form": form})[1]["form"]
-    for label in [lab for lab in K.algebra.labels if lab[1] <= lab[2]]:
+    for label in [lab for lab in K.algebra.labels if lab[1] < lab[2]]:
         transposed: dict = {}
         for j, col in A[_transpose_label(label)].items():
             for i, x in col.items():
@@ -606,28 +628,23 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     new_index = {old: new for new, old in enumerate(kept)}
 
     block_of = {i: (b, pos) for b, (idxs, _) in enumerate(blocks) for pos, i in enumerate(idxs)}
+    # Kac basis vector -> its kept coordinates modulo the radical; a kept
+    # vector is its own quotient basis vector, with the int coefficient 1
+    projections = {old: ((new, 1),) for new, old in enumerate(kept)}
 
-    def reduce_to_kept(vec: dict) -> dict:
-        """Express vec (sparse over K) modulo the radical in kept coordinates, as Fractions."""
-        out: dict = {}
-        grouped: dict = {}
-        for i, c in vec.items():
+    def project(i: int) -> tuple:
+        """Kept coordinates of Kac basis vector i modulo the radical, on first need."""
+        proj = projections.get(i)
+        if proj is None:
             b, pos = block_of[i]
-            grouped.setdefault(b, {})[pos] = c
-        for b, local_vec in grouped.items():
             idxs = blocks[b][0]
-            if spans[b] is None:
-                for pos, c in local_vec.items():
-                    out[new_index[idxs[pos]]] = c
-                continue
             span, units = spans[b]
-            coords = span.express(local_vec)
+            coords = span.express({pos: 1})
             if coords is None:
                 raise FormInconsistent("quotient coordinates failed inside a weight block")
-            for k, c in coords.items():
-                if k in units:
-                    out[new_index[idxs[units[k]]]] = c
-        return out
+            proj = projections[i] = tuple((new_index[idxs[units[k]]], c)
+                                          for k, c in coords.items() if k in units)
+        return proj
 
     # quotient coordinates of the int Kac columns, which are K.den times the action
     actions = {}
@@ -635,7 +652,9 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
         kac_cols = K.actions[label]
         cols = {}
         for new_col, old in enumerate(kept):
-            red = reduce_to_kept(kac_cols.get(old, {}))
+            red: dict = {}
+            for i, c in kac_cols.get(old, {}).items():
+                axpy(red, project(i), c)
             if red:
                 cols[new_col] = red
         actions[label] = cols
@@ -669,53 +688,77 @@ def _check_same_algebra(M: SuperModuleRep, N: SuperModuleRep):
 def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
     """M tensor N with the Koszul sign: a(u@w) = au@w + (-1)^{|a||u|} u@aw.
 
-    Both factors' ints are brought over the lcm of their denominators.
+    Both factors' ints are brought over the lcm of their denominators.  The
+    actions are summed per label on first read (``_OnFirstRead``).  Column
+    (i, j) is the union of the M part, keys (r, j), and the N part, keys
+    (i, r'); the two share a key only when column i of M holds the entry i
+    and column j of N holds j, and only then are they added.
     """
     _check_same_algebra(M, N)
     dn = N.dim
     den = lcm(M.den, N.den)
     fm, fn = den // M.den, den // N.den
 
-    def pair(i, j):
-        return i * dn + j
-
-    actions = {}
-    for label in M.algebra.labels:
-        pa = M.algebra.parity[label]
-        cols: dict = {}
+    def columns(label) -> dict:
         m_cols = M.actions.get(label, {})
         n_cols = N.actions.get(label, {})
+        # per nonzero N column j, ascending: its entries times fn and times
+        # -fn, the second for the Koszul sign
+        n_parts = {}
+        for j in range(dn):
+            col = n_cols.get(j)
+            if col:
+                n_parts[j] = ([(r, fn * c) for r, c in col.items()],
+                              [(r, -fn * c) for r, c in col.items()])
+        odd = M.algebra.parity[label]
+        cols: dict = {}
         for i in range(M.dim):
-            sign = -fn if (pa and M.parities[i]) else fn
-            for j in range(N.dim):
-                col: dict = {}
-                for r, c in m_cols.get(i, {}).items():
-                    col[pair(r, j)] = fm * c
-                axpy(col, ((pair(i, r), c) for r, c in n_cols.get(j, {}).items()), sign)
-                if col:
-                    cols[pair(i, j)] = col
-        actions[label] = cols
+            base = i * dn
+            flip = 1 if (odd and M.parities[i]) else 0
+            mcol = m_cols.get(i)
+            if not mcol:
+                for j, parts in n_parts.items():
+                    cols[base + j] = {base + r: c for r, c in parts[flip]}
+                continue
+            m_part = [(r * dn, fm * c) for r, c in mcol.items()]
+            for j in range(dn):
+                col = {r + j: c for r, c in m_part}
+                parts = n_parts.get(j)
+                if parts is not None:
+                    if i in mcol and j in n_cols[j]:
+                        axpy(col, ((base + r, c) for r, c in parts[flip]), ONE)
+                        if not col:
+                            continue
+                    else:
+                        col.update((base + r, c) for r, c in parts[flip])
+                cols[base + j] = col
+        return cols
+
     parities = [(M.parities[i] + N.parities[j]) % 2 for i in range(M.dim) for j in range(N.dim)]
     weights = [M.weights[i] + N.weights[j] for i in range(M.dim) for j in range(N.dim)]
     names = [f"{M.basis_names[i]}@{N.basis_names[j]}" for i in range(M.dim) for j in range(N.dim)]
-    return SuperModuleRep(M.algebra, parities, weights, actions, basis_names=names,
-                          meta={"kind": "tensor"}, den=den)
+    return SuperModuleRep(M.algebra, parities, weights, _OnFirstRead(M.algebra.labels, columns),
+                          basis_names=names, meta={"kind": "tensor"}, den=den)
 
 
 def dual(M: SuperModuleRep) -> SuperModuleRep:
-    """Contragradient dual: (a.f)(u) = -(-1)^{|a||f|} f(a.u)."""
-    actions = {}
-    for label in M.algebra.labels:
-        pa = M.algebra.parity[label]
+    """Contragradient dual: (a.f)(u) = -(-1)^{|a||f|} f(a.u).
+
+    The actions are transposed per label on first read (``_OnFirstRead``).
+    """
+
+    def columns(label) -> dict:
+        odd = M.algebra.parity[label]
         cols: dict = {}
         for j, entries in M.actions.get(label, {}).items():
             for k, c in entries.items():
-                cols.setdefault(k, {})[j] = c if (pa and M.parities[k]) else -c
-        actions[label] = cols
+                cols.setdefault(k, {})[j] = c if (odd and M.parities[k]) else -c
+        return cols
+
     weights = [-w for w in M.weights]
     names = [f"{name}*" for name in M.basis_names]
-    return SuperModuleRep(M.algebra, M.parities, weights, actions, basis_names=names,
-                          meta={"kind": "dual"}, den=M.den)
+    return SuperModuleRep(M.algebra, M.parities, weights, _OnFirstRead(M.algebra.labels, columns),
+                          basis_names=names, meta={"kind": "dual"}, den=M.den)
 
 
 def parity_shift(M: SuperModuleRep) -> SuperModuleRep:

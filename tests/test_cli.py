@@ -95,6 +95,24 @@ def test_kacext_command(capsys):
     assert code == 0 and payload["dims"] == [1, 0, 0, 0, 0]
 
 
+def test_leading_minus_weight_is_a_positional(capsys):
+    # a weight such as -1,-1|1,1 is not a plain negative number; it still
+    # reads as the weight, and the same as after "--"
+    for argv in (["atyp", "2", "2"], ["support", "2", "2", "--theoretical"],
+                 ["kacext", "2", "2", "--coeff", "simple:1,0|0,-1", "--pmax", "2"]):
+        code, out = run_cli(capsys, *argv, "-1,-1|1,1")
+        assert code == 0 and json.loads(out)["weight"] == "-1,-1|1,1"
+        assert run_cli(capsys, *argv, "--", "-1,-1|1,1") == (code, out)
+    code, payload = run_json(capsys, "kacext", "2", "2", "-1,-1|1,1",
+                             "--coeff=simple:1,0|0,-1", "--pmax", "2")
+    assert code == 0 and payload["dims"] == [0, 1, 0]
+    code, payload = run_json(capsys, "atyp", "2", "2", "-1,-2|2,1")
+    assert code == 0 and payload["atyp"] == 2
+    # a malformed leading-minus weight is a parse error, not an unknown option
+    assert main(["atyp", "2", "2", "-1,0|0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_divcheck_command(capsys):
     code, payload = run_json(capsys, "divcheck", "1", "1", "1|0")
     assert code == 0 and payload["pass"] is True

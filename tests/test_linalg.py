@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -216,8 +217,15 @@ def test_engine_matches_gauss_jordan_reference(rows, data):
     kernel = reference_kernel(rows, A.cols)
     assert rank(A) == span_dim(rows) == len(pivots)
     assert kernel_basis(A) == kernel
-    assert [tuple(v.get(j, 0) for j in range(A.cols))
-            for v in column_kernel([list(col) for col in zip(*rows)])] == kernel
+    # column_kernel returns primitive int relations, positive at the dependent
+    # column (the largest position); divided by that entry they are the reference
+    relations = column_kernel([list(col) for col in zip(*rows)])
+    for v in relations:
+        lead = v[max(v)]
+        assert lead > 0 and all(type(x) is int for x in v.values())
+        assert gcd(*v.values()) == 1
+    assert [tuple(Fraction(v.get(j, 0), v[max(v)]) for j in range(A.cols))
+            for v in relations] == kernel
     if data is None:
         rhs = [[0] * A.rows, [Fraction(1)] * A.rows]
     else:

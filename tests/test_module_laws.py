@@ -3,10 +3,13 @@
 Modules are drawn from small gl(1|1), gl(2|1), gl(2|2) and gl(3|1) Kac and
 simple modules; K(0,-2,-2|2) on gl(3|1) and its simple head store their ints
 over den 2 and 4, so the lcm rules of tensor and direct_sum are exercised.
+tensor and dual fill a label's columns on first read; they are compared with
+eager references over every label.
 """
 
 from collections import Counter
 from functools import lru_cache
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from supvar.algebra import gl_superalgebra
 from supvar.linalg import axpy
 from supvar.modules import (
+    SuperModuleRep,
     direct_sum,
     dual,
     kac_module,
@@ -121,3 +125,72 @@ def test_dual_and_parity_shift_laws(case):
     for label, cols in MF.items():
         assert DD[label] == {j: {i: c * (-1) ** (M.parities[i] + M.parities[j])
                                  for i, c in col.items()} for j, col in cols.items()}
+
+
+def eager_tensor_actions(M, N) -> dict:
+    """Every label's columns of M tensor N, summed up front entry by entry."""
+    dn = N.dim
+    den = lcm(M.den, N.den)
+    fm, fn = den // M.den, den // N.den
+    actions = {}
+    for label in M.algebra.labels:
+        m_cols, n_cols = M.actions.get(label, {}), N.actions.get(label, {})
+        cols = {}
+        for i in range(M.dim):
+            sign = -fn if (M.algebra.parity[label] and M.parities[i]) else fn
+            for j in range(dn):
+                col = {r * dn + j: fm * c for r, c in m_cols.get(i, {}).items()}
+                axpy(col, ((i * dn + r, c) for r, c in n_cols.get(j, {}).items()), sign)
+                if col:
+                    cols[i * dn + j] = col
+        actions[label] = cols
+    return actions
+
+
+def eager_dual_actions(M) -> dict:
+    """Every label's columns of the dual of M, transposed up front."""
+    actions = {}
+    for label in M.algebra.labels:
+        cols = {}
+        for j, entries in M.actions.get(label, {}).items():
+            for k, c in entries.items():
+                cols.setdefault(k, {})[j] = c if (M.algebra.parity[label] and M.parities[k]) else -c
+        actions[label] = cols
+    return actions
+
+
+def with_diagonal_entry(M, label, i, c):
+    """M with c added at (i, i) of the non-Cartan label: not a representation, but
+    in a tensor product of two such modules the M and N parts of a column share
+    a key off the Cartan labels."""
+    actions = {lab: {j: dict(col) for j, col in M.actions[lab].items()} for lab in M.algebra.labels}
+    col = actions[label].setdefault(i, {})
+    col[i] = col.get(i, 0) + c
+    return SuperModuleRep(M.algebra, M.parities, M.weights, actions, den=M.den)
+
+
+def test_lazy_tensor_and_dual_match_eager_references():
+    K = build(3, 1, "kac:0,-2,-2|2")
+    L = build(3, 1, "simple:0,-2,-2|2")
+    assert (K.den, L.den) == (2, 4)
+    B = build(2, 1, "kac:1,0|-1")
+    C1 = with_diagonal_entry(B, ("E", 1, 3), 0, 3)   # an odd label
+    C2 = with_diagonal_entry(B, ("E", 1, 2), 1, -2)  # an even label; cancels in C2 @ C2*
+    DK, DL, DC2 = dual(K), dual(L), dual(C2)
+    for X, D in ((K, DK), (L, DL), (C2, DC2)):
+        assert not D.actions._built
+        assert dict(D.actions) == eager_dual_actions(X)
+    collisions = 0
+    for M, N in [(DK, L), (L, DK), (K, K), (DL, L), (C1, C1), (C2, C1), (C2, DC2)]:
+        T = tensor(M, N)
+        assert not T.actions._built
+        expected = eager_tensor_actions(M, N)
+        # read labels in reverse, one at a time: each is built on its own read
+        for k, label in enumerate(reversed(M.algebra.labels), 1):
+            assert T.actions[label] == expected[label], label
+            assert len(T.actions._built) == k
+        collisions += sum(1 for label in M.algebra.labels if label[1] != label[2]
+                          for i in range(M.dim) if i in M.actions[label].get(i, {})
+                          for j in range(N.dim) if j in N.actions[label].get(j, {}))
+    # off the Cartan labels, keys collide in C1 @ C1 on E13 and in C2 @ C2* on E12
+    assert collisions == 2

@@ -315,6 +315,29 @@ def test_form_check_runs_beyond_the_old_size_limit(monkeypatch):
         simple_module(lam)
 
 
+def test_simple_module_rejects_a_corrupted_cartan_entry(monkeypatch):
+    # the adjointness check reads each Cartan label as den times the weights
+    # on the diagonal instead of forming its products: one entry off, on the
+    # diagonal or beside it, must still be caught
+    lam = parse_weight(2, 2, "1,0|0,-1")
+    original = supvar.modules.kac_module
+    for label, col, row in [(("E", 1, 1), 0, 0), (("E", 4, 4), 5, 5), (("E", 2, 2), 3, 7)]:
+        def corrupted_kac(lam, budget, label=label, col=col, row=row):
+            K = original(lam, budget)
+            actions = {lab: {j: dict(c) for j, c in K.actions[lab].items()}
+                       for lab in K.algebra.labels}
+            entries = actions[label].setdefault(col, {})
+            entries[row] = entries.get(row, 0) + K.den
+            return SuperModuleRep(K.algebra, K.parities, K.weights, actions,
+                                  basis_names=K.basis_names, meta=K.meta, den=K.den)
+
+        monkeypatch.setattr(supvar.modules, "kac_module", corrupted_kac)
+        with pytest.raises(FormInconsistent, match="Cartan"):
+            simple_module(lam)
+    monkeypatch.setattr(supvar.modules, "kac_module", original)
+    simple_module(lam)
+
+
 def test_simple_module_dimensions():
     assert simple_module(parse_weight(1, 1, "0|0")).dim == 1
     assert simple_module(parse_weight(1, 1, "1|0")).dim == 2
