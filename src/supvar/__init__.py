@@ -10,7 +10,6 @@ from .algebra import (
     DetectingSubalgebra,
     LieSuperalgebraData,
     detecting_subalgebra,
-    element_matrix,
     gl_even_subalgebra,
     gl_superalgebra,
 )

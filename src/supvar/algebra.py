@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InvariantBroken, SupvarError
-from .linalg import ONE, ZERO, IncrementalSpan, RationalMatrix, axpy
+from .linalg import ONE, IncrementalSpan, axpy
 from .roots import eps
 
 Label = tuple  # ("E", a, b)
@@ -201,15 +201,6 @@ def gl_even_subalgebra(m: int, n: int) -> LieSuperalgebraData:
     return _gl_data(m, n, labels, f"gl({m})+gl({n})")
 
 
-def element_matrix(m: int, n: int, element: dict) -> RationalMatrix:
-    """Sparse gl(m|n) element as an (m+n) x (m+n) matrix."""
-    size = m + n
-    rows = [[ZERO] * size for _ in range(size)]
-    for (_, a, b), coeff in element.items():
-        rows[a - 1][b - 1] += coeff
-    return RationalMatrix(rows)
-
-
 class DetectingSubalgebra:
     """The rank-variety home: r odd generators inside gl(m|n).
 
@@ -240,10 +231,6 @@ class DetectingSubalgebra:
         for sq in self.squares:
             if any(a != b for (_, a, b) in sq):
                 raise SupvarError("a detecting generator square is not diagonal")
-
-    def matrix(self, t: int) -> RationalMatrix:
-        """Defining-representation matrix of x_t (1-based t)."""
-        return element_matrix(self.m, self.n, self.odd_basis[t - 1])
 
     def generator_labels(self, t: int) -> tuple:
         """The two matrix-unit labels entering x_t (1-based t)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantBroken, NotDominant, TooLarge
-from .linalg import RationalMatrix, rank
+from .linalg import span_dim
 from .roots import Root, Weight, bilinear_form, is_dominant_integral, rho, root_system
 
 
@@ -99,7 +99,7 @@ def atypicality_oracle(lam: Weight) -> int:
 
     def independent(indices: list[int]) -> bool:
         vectors = [candidates[i].as_weight().coords for i in indices]
-        return rank(RationalMatrix(vectors)) == len(vectors)
+        return span_dim(vectors) == len(vectors)
 
     def extend(chosen: list[int], start: int):
         nonlocal best

@@ -266,23 +266,21 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     target = zero_weight(g.m, g.n)
 
     degrees = []
-    spans = []
     for p in range(p_max + 2):
         keys = tuple(_weight_slice(g, M, odd_labels, p, target, budget))
         units = [{k: 1} for k in range(len(keys))]
         basis = tuple(column_kernel(_raising_images(g, M, odd_labels, keys, units)))
         degrees.append(CochainDegree(keys=keys, basis=basis, dim=len(basis)))
-        span = IncrementalSpan()
-        for b in basis:
-            span.add(b)
-        spans.append(span)
 
     differentials = []
     for p in range(p_max + 1):
         src, dst = degrees[p], degrees[p + 1]
+        span = IncrementalSpan()
+        for b in dst.basis:
+            span.add(b)
         cols = []
         for img in _differential_columns(M, odd_labels, src.keys, dst.keys, src.basis):
-            coords = spans[p + 1].express(img)
+            coords = span.express(img)
             if coords is None:
                 raise SignConventionBroken(
                     "differential image is not an invariant cochain"

@@ -37,8 +37,11 @@ Construction chain:
   the top layer to carry the inner product inherited from the tensor-power
   construction, and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
-  Each Kac basis vector met in a column is projected to the kept
-  coordinates once, and the quotient columns combine those projections.
+  The form stays in ints, one weight block at a time, and one span takes
+  each block's columns from the highest position down: the columns it
+  accepts are the kept basis, and each Kac basis vector met in a column is
+  projected to the kept coordinates once, by expressing its form column
+  over the kept ones.  The quotient columns combine those projections.
 
 All reps are immutable after construction.  The actions of Kac modules,
 duals and tensor products only gain labels on first read, each fixed once
@@ -47,12 +50,14 @@ pays for those alone; ``parity_shift`` and ``direct_sum`` build eagerly.
 
 Both representation checks are sparse matrix identities over the integers,
 on the stored int actions, and the form blocks are filled from the same
-ints.  Adjointness
-G A_a = A_{tau a}^T G is checked on every Kac form ``simple_module`` builds,
-whatever its size; G is symmetric (asserted per block), so the identity for
-tau(a) is the transpose of the one for a and each pair {a, tau a} is checked
-once.  A Cartan label is checked to act by den times the weights instead,
-which implies its identity (``_check_form_adjointness``).  ``verify_rep``
+ints.  Adjointness G A_a = A_{tau a}^T G is checked on every Kac form
+``simple_module`` builds, whatever its size, on the int blocks themselves:
+each layer carries its own power of den, so a label that changes the layer
+takes that power as one int factor.  G is symmetric (asserted per block), so
+the identity for tau(a) is the transpose of the one for a and each pair
+{a, tau a} is checked once.  A Cartan label is checked to act by den times
+the weights instead, which implies its identity
+(``_check_form_adjointness``).  ``verify_rep``
 checks A_a A_b - s A_b A_a = A_[a,b], s = (-1)^{|a||b|},
 for the label pairs a <= b where neither is a Cartan label and one is a
 Chevalley generator E_{i,i+1} or E_{i+1,i}; its docstring proves that those
@@ -81,15 +86,7 @@ from .errors import (
     NotDominant,
     ShapeMismatch,
 )
-from .linalg import (
-    ONE,
-    IncrementalSpan,
-    RationalMatrix,
-    axpy,
-    column_kernel,
-    format_scalar,
-    rank,
-)
+from .linalg import ONE, IncrementalSpan, axpy, format_scalar, span_dim
 from .roots import Weight, dim_L0, format_weight, is_dominant_integral, weight, zero_weight
 
 
@@ -472,7 +469,8 @@ def _integerize(matrices: dict) -> tuple[int, dict]:
     """One common denominator d, and d times each sparse-column matrix, as ints.
 
     The one place rational matrices become ints: the actions of L0 modules
-    and of simple heads, and the L0 inner product in ``_form_blocks``.
+    and of simple heads, and the L0 inner product that seeds the int form
+    blocks of ``_form_blocks``.
     """
     d = lcm(*{x.denominator for cols in matrices.values()
               for col in cols.values() for x in col.values()})
@@ -510,16 +508,16 @@ def _transpose_label(label):
 
 
 def _form_blocks(K: SuperModuleRep) -> list:
-    """Weight blocks of the contravariant form on a Kac module.
+    """Weight blocks of the contravariant form on a Kac module, as ints.
 
-    Returns [(global indices, matrix rows)], one entry per weight, ordered by
+    Returns [(global indices, int rows)], one entry per weight, ordered by
     layer and then weight.  Entries follow the peel rule
     <y_h u', w> = <u', tau(y_h) w> down to the top layer, where the form is
     the L0 inner product.  Distinct weight spaces pair to zero because each
     block weight pins the monomial length, so each layer is filled from the
     blocks of the layer above, in ints: with d the module's ``den`` and g the
-    common denominator of the L0 inner product, layer k holds g d^k times
-    the form.
+    common denominator of the L0 inner product, a block of layer k holds
+    g d^k times the form.  Each block is checked symmetric.
     """
     if K.meta.get("kind") != "kac":
         raise FormInconsistent("the contravariant form is seeded on Kac modules")
@@ -547,31 +545,34 @@ def _form_blocks(K: SuperModuleRep) -> list:
             i2 = basis_index[(S[1:], t)]
             value.update(((i, j), sum(c * value[i2, z] for z, c in up.get(j, {}).items()))
                          for j in idxs)
-        ints = [[value[i, j] for j in idxs] for i in idxs]
+        rows = [[value[i, j] for j in idxs] for i in idxs]
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
-                if ints[a][b] != ints[b][a]:
+                if rows[a][b] != rows[b][a]:
                     raise FormInconsistent("contravariant form block is not symmetric")
-        scale = g * d ** layer_of[w]
-        exact = {x: Fraction(x, scale) for x in {x for row in ints for x in row}}
-        blocks.append((idxs, [[exact[x] for x in row] for row in ints]))
+        blocks.append((idxs, rows))
     return blocks
 
 
 def _check_form_adjointness(K: SuperModuleRep, blocks: list):
     """Check <a.u, u'> = <u, tau(a).u'>, as G A_a = A_{tau a}^T G on ints.
 
-    The products run for the labels E_ab with a < b, each standing for the
-    pair {E_ab, E_ba} (G is symmetric).  A Cartan label h = E_aa is its own
+    G is the int form of ``_form_blocks``, g d^k times the form on layer k,
+    and A the int actions, d times the action.  A label of z-degree z sends
+    layer k to layer k - z, so on the ints the identity reads
+    d^z G A_a = A_{tau a}^T G: d G A_a = A_{tau a}^T G for the labels of
+    g_1, and G A_a = A_{tau a}^T G for the even labels.  The products run
+    for the labels E_ab with a < b, each standing for the pair
+    {E_ab, E_ba} (G is symmetric).  A Cartan label h = E_aa is its own
     transpose, and its identity needs no product once A_h = den diag(mu_i[a])
     is checked, column by column in O(dim): G holds only entries between
     basis vectors of one weight, so (G A_h)_ij = G_ij den mu_j[a] and
     (A_h^T G)_ij = den mu_i[a] G_ij agree wherever G_ij is nonzero.
     """
-    form = {}
+    G = {}
     for idxs, rows in blocks:
         for b, j in enumerate(idxs):
-            form[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
+            G[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
     A, d = K.actions, K.den
     for label in K.algebra.labels:
         a = label[1]
@@ -580,14 +581,14 @@ def _check_form_adjointness(K: SuperModuleRep, blocks: list):
                         for i, w in enumerate(K.weights) if w.coords[a - 1]}
             if A[label] != diagonal:
                 raise FormInconsistent(f"Cartan element {label} does not act by the weights")
-    G = _integerize({"form": form})[1]["form"]
+    z_degree = K.algebra.z_degree
     for label in [lab for lab in K.algebra.labels if lab[1] < lab[2]]:
         transposed: dict = {}
         for j, col in A[_transpose_label(label)].items():
             for i, x in col.items():
                 transposed.setdefault(i, {})[j] = x
         out: dict = {}
-        _int_mul_add(out, G, A[label], 1)
+        _int_mul_add(out, G, A[label], d if z_degree[label] == 1 else 1)
         _int_mul_add(out, transposed, G, -1)
         col = _nonzero_column(out)
         if col is not None:
@@ -600,34 +601,24 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     blocks = _form_blocks(K)
     _check_form_adjointness(K, blocks)
 
-    # Per weight block, one span holds the radical and then the unit vectors
-    # e_p kept as quotient basis.  Offering e_p for p from the top down keeps
-    # exactly the positions where no radical vector has its first nonzero
-    # entry, and makes every block vector a unique combination of the two.
-    kept: list[int] = []
-    kept_local = []  # per block: kept local positions
-    spans = []  # per block: None, or (span, {acceptance index: kept local position})
+    # The int columns of every weight block go into one span, from the
+    # highest position down.  Column p depends on the columns after it
+    # exactly when a radical vector has its first nonzero entry at p, so the
+    # accepted positions are the kept ones.  G e_i = sum_p y_p G e_p holds
+    # exactly when e_i - sum_p y_p e_p is in the radical, so the coordinates
+    # of column i over the kept columns are those of e_i in the quotient.
+    # Blocks hold disjoint Kac indices, so they never mix in the span.
+    span = IncrementalSpan()
+    accepted: list[int] = []  # acceptance index -> Kac index
+    column = {}  # Kac index -> its int form column, keyed by Kac index
     for idxs, rows in blocks:
-        radical = column_kernel(rows)  # a symmetric block's rows are its columns
-        if radical:
-            span = IncrementalSpan()
-            for v in radical:
-                span.add(v)
-            units = {}
-            for p in reversed(range(len(idxs))):
-                if span.add({p: ONE}):
-                    units[span.dim - 1] = p
-            spans.append((span, units))
-            local_kept = sorted(units.values())
-        else:
-            spans.append(None)
-            local_kept = list(range(len(idxs)))
-        kept_local.append(local_kept)
-        kept.extend(idxs[p] for p in local_kept)
-    kept.sort()
+        for p in reversed(range(len(idxs))):
+            # a symmetric block's rows are its columns
+            col = column[idxs[p]] = {i: x for i, x in zip(idxs, rows[p]) if x}
+            if span.add(col):
+                accepted.append(idxs[p])
+    kept = sorted(accepted)
     new_index = {old: new for new, old in enumerate(kept)}
-
-    block_of = {i: (b, pos) for b, (idxs, _) in enumerate(blocks) for pos, i in enumerate(idxs)}
     # Kac basis vector -> its kept coordinates modulo the radical; a kept
     # vector is its own quotient basis vector, with the int coefficient 1
     projections = {old: ((new, 1),) for new, old in enumerate(kept)}
@@ -636,14 +627,9 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
         """Kept coordinates of Kac basis vector i modulo the radical, on first need."""
         proj = projections.get(i)
         if proj is None:
-            b, pos = block_of[i]
-            idxs = blocks[b][0]
-            span, units = spans[b]
-            coords = span.express({pos: 1})
-            if coords is None:
-                raise FormInconsistent("quotient coordinates failed inside a weight block")
-            proj = projections[i] = tuple((new_index[idxs[units[k]]], c)
-                                          for k, c in coords.items() if k in units)
+            # column i was offered to the span, so it lies in it
+            coords = span.express(column[i]).items()
+            proj = projections[i] = tuple((new_index[accepted[k]], c) for k, c in coords)
         return proj
 
     # quotient coordinates of the int Kac columns, which are K.den times the action
@@ -664,11 +650,10 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     names = [K.basis_names[i] for i in kept]
 
     # the induced form on the quotient must be nondegenerate
-    for (idxs, rows), lk in zip(blocks, kept_local):
-        if lk:
-            sub = RationalMatrix([[rows[p][q] for q in lk] for p in lk])
-            if rank(sub) != len(lk):
-                raise FormInconsistent("induced form on the quotient is degenerate")
+    for idxs, rows in blocks:
+        local = [p for p, i in enumerate(idxs) if i in new_index]
+        if span_dim([rows[p][q] for q in local] for p in local) != len(local):
+            raise FormInconsistent("induced form on the quotient is degenerate")
 
     return SuperModuleRep(
         K.algebra, parities, weights, actions, basis_names=names,

@@ -5,7 +5,6 @@ import pytest
 from supvar.algebra import (
     LieSuperalgebraData,
     detecting_subalgebra,
-    element_matrix,
     gl_even_subalgebra,
     gl_superalgebra,
 )
@@ -175,11 +174,16 @@ def test_detecting_squares_are_diagonal():
 
 
 def test_element_matrix():
+    # x_1 and x_1^2 of gl(2|2) as 4 x 4 matrices of the defining representation
+    def element_matrix(element):
+        rows = [[ZERO] * 4 for _ in range(4)]
+        for (_, a, b), coeff in element.items():
+            rows[a - 1][b - 1] += coeff
+        return rows
+
     d = detecting_subalgebra(2, 2)
-    x1 = d.matrix(1)
-    assert x1.entries[1][2] == 1 and x1.entries[2][1] == 1
-    assert sum(1 for row in x1.entries for v in row if v != 0) == 2
-    sq = element_matrix(2, 2, d.squares[0])
-    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*x1.entries)]
-              for row in x1.entries]
-    assert tuple(map(tuple, square)) == sq.entries
+    x1 = element_matrix(d.odd_basis[0])
+    assert x1[1][2] == 1 and x1[2][1] == 1
+    assert sum(1 for row in x1 for v in row if v != 0) == 2
+    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*x1)] for row in x1]
+    assert square == element_matrix(d.squares[0])

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import supvar
 from supvar.linalg import (
     IncrementalSpan,
     RationalMatrix,
@@ -242,3 +245,18 @@ def test_float_entries_rejected():
         span_dim([[1, Fraction(1, 2), 0.5]])
     with pytest.raises(TypeError):
         IncrementalSpan().add({"a": 2, "b": 0.0})
+
+
+def test_dense_layer_has_no_new_callers():
+    # RationalMatrix and its wrappers are bound only where they are defined,
+    # re-exported, or part of a public signature (clifford's OddFormData.gram);
+    # every other module eliminates through IncrementalSpan and span_dim
+    dense = {"RationalMatrix", "rank", "kernel_basis", "solve"}
+    allowed = {"supvar.linalg", "supvar.clifford"}
+    bound = {}
+    for info in pkgutil.iter_modules(supvar.__path__, "supvar."):
+        if info.name not in allowed:
+            names = dense & set(vars(importlib.import_module(info.name)))
+            if names:
+                bound[info.name] = sorted(names)
+    assert bound == {}

@@ -18,7 +18,7 @@ from supvar.errors import (
     InvariantBroken,
     NotDominant,
 )
-from supvar.linalg import ONE, ZERO, axpy, column_kernel
+from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel
 from supvar.modules import (
     L0_module,
     SuperModuleRep,
@@ -256,7 +256,11 @@ def test_verify_rep_gl3_kac_modules():
 
 
 def checked_form(K):
-    """The contravariant form of K as a dense matrix, after the adjointness check."""
+    """The int contravariant form of K as a dense matrix, after the adjointness check.
+
+    Each block is an int multiple of the form, g d^k on layer k, with d = K.den
+    and g the common denominator of the L0 inner product.
+    """
     blocks = _form_blocks(K)
     _check_form_adjointness(K, blocks)
     G = [[ZERO] * K.dim for _ in range(K.dim)]
@@ -366,6 +370,55 @@ def test_radical_ignores_contravariant_rescaling():
         for (_, rows), (_, rows3) in zip(blocks, scaled):
             assert rows3 == [[3 * x for x in row] for row in rows]
             assert column_kernel(rows3) == column_kernel(rows)
+
+
+def reference_quotient(K):
+    """Kept Kac indices, int actions and den of K modulo its form radical, in two stages.
+
+    Per weight block, ``column_kernel`` finds the radical; one span holds it
+    and then the unit vectors e_p offered from the top position down, and
+    every block vector's coordinates on the kept unit vectors are read off.
+    """
+    kept, projections = [], {}
+    for idxs, rows in _form_blocks(K):
+        span = IncrementalSpan()
+        for v in column_kernel(rows):
+            span.add(v)
+        units = {}  # acceptance index -> Kac index of a kept unit vector
+        for p in reversed(range(len(idxs))):
+            if span.add({p: 1}):
+                units[span.dim - 1] = idxs[p]
+        kept.extend(units.values())
+        for p, i in enumerate(idxs):
+            coords = span.express({p: 1})
+            projections[i] = [(units[k], c) for k, c in coords.items() if k in units]
+    kept.sort()
+    new_index = {old: new for new, old in enumerate(kept)}
+    actions = {}
+    for label in K.algebra.labels:
+        cols = {}
+        for new_col, old in enumerate(kept):
+            col: dict = {}
+            for i, c in K.actions[label].get(old, {}).items():
+                axpy(col, ((new_index[k], x) for k, x in projections[i]), c)
+            if col:
+                cols[new_col] = col
+        actions[label] = cols
+    den, actions = _integerize(actions)
+    return kept, actions, den * K.den
+
+
+def test_simple_module_matches_the_two_stage_reference_quotient(sweep_modules):
+    sweep, _ = sweep_modules
+    heads = [(lam, M) for _, _, name, M, lam in sweep if name.startswith("simple:")]
+    # gl(3|1) 0,-2,-2|2 has K.den 2, so its form layers carry different scales
+    heads += [(lam, simple_module(lam)) for lam in (parse_weight(3, 1, "0,-2,-2|2"),
+                                                    parse_weight(3, 2, "1,0,0|0,-1"))]
+    for lam, L in heads:
+        K = kac_module(lam)
+        kept, actions, den = reference_quotient(K)
+        assert L.basis_names == tuple(K.basis_names[i] for i in kept), format_weight(lam)
+        assert (L.actions, L.den) == (actions, den), format_weight(lam)
 
 
 def test_atypical_gl11_simples_are_one_dimensional():
