@@ -61,7 +61,6 @@ from .errors import (
 from .linalg import (
     IncrementalSpan,
     RationalMatrix,
-    Scalar,
     format_scalar,
     kernel_basis,
     rank,

@@ -12,13 +12,16 @@ in g0 and dies by horizontality.  d squares to zero on invariants (graded
 Jacobi plus invariance); the construction asserts this exactly and raises if
 it fails.
 
-Cochains stay in ints up to the differential's coordinates: the invariant
-basis is ``column_kernel``'s primitive int relations, the module's int
-actions over its ``den`` build the raising images and the differential
-images, and only the coordinates of d^p over the next basis are
-``Fraction``s.  For Ext the coefficient module ``dual(K) tensor N`` builds a
-label's columns on its first read, so only the odd labels and the simple
-raisings the complex reads are ever summed.
+Cochains are ints from the slice to the ranks.  The invariant basis is
+``column_kernel``'s primitive int relations, and the module's int actions
+over its ``den`` build the raising images and the differentials.  d^p is
+stored as den times the images of the degree-p basis vectors, over the
+positions of the next slice: scaling changes no rank, and neither does
+reading an image in the slice instead of over the (independent) next basis.
+So both Ext routes rank the same objects, int images over slice positions.
+For Ext the coefficient module ``dual(K) tensor N`` builds a label's columns
+on its first read, so only the odd labels and the simple raisings the
+complex reads are ever summed.
 
 The invariants are the weight-zero vectors killed by the simple raising
 operators E_{i,i+1} (i != m).  This is exact: M's weights are its Cartan
@@ -46,7 +49,7 @@ from operator import sub
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
 from .errors import ConstructionOverflow, InvariantBroken, SignConventionBroken, Unsupported
-from .linalg import IncrementalSpan, axpy, column_kernel, span_dim
+from .linalg import axpy, column_kernel, span_dim
 from .modules import SuperModuleRep, dual, tensor
 from .roots import Weight, zero_weight
 
@@ -200,26 +203,28 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
     """M.den times the action-term differential of sparse vectors over slice positions.
 
     Images are sparse vectors over the positions of next_keys, the slice one
-    degree up; an image outside that slice raises SignConventionBroken.
+    degree up; an image outside that slice raises SignConventionBroken.  A
+    slice position's image is built once per call and shared by the vectors.
     """
     next_pos = {key: k for k, key in enumerate(next_keys)}
     acting = [(e, cols) for e, cols in enumerate(M.actions.get(lab) for lab in gens) if cols]
+    image_of: dict = {}  # slice position -> its image
     columns = []
     for vec in vecs:
-        img: dict = {}
-        for pos, coeff in vec.items():
-            mono, i = keys[pos]
-            for e, cols in acting:
-                column = cols.get(i)
-                if column:
-                    new_mono = tuple(sorted(mono + (e,)))
-                    axpy(img, (((new_mono, j), c) for j, c in column.items()), coeff)
         col: dict = {}
-        for key, c in img.items():
-            k = next_pos.get(key)
-            if k is None:
-                raise SignConventionBroken("differential leaves the weight slice")
-            col[k] = c
+        for pos, coeff in vec.items():
+            if pos not in image_of:
+                mono, i = keys[pos]
+                img: dict = {}
+                for e, cols in acting:
+                    column = cols.get(i)
+                    if column:
+                        new_mono = tuple(sorted(mono + (e,)))
+                        axpy(img, (((new_mono, j), c) for j, c in column.items()), 1)
+                if not next_pos.keys() >= img.keys():
+                    raise SignConventionBroken("differential leaves the weight slice")
+                image_of[pos] = [(next_pos[key], c) for key, c in img.items()]
+            axpy(col, image_of[pos], coeff)
         columns.append(col)
     return columns
 
@@ -243,7 +248,9 @@ class CochainComplex:
         self.module = M
         self.p_max = p_max
         self.degrees = degrees            # list of CochainDegree, length p_max+2
-        self.differentials = differentials  # d^p as list of sparse columns, p <= p_max
+        # d^p for p <= p_max: per basis vector of degree p, M.den times its
+        # image, a sparse int column over the positions of degrees[p+1].keys
+        self.differentials = differentials
 
     def dims(self) -> list[int]:
         return [deg.dim for deg in self.degrees]
@@ -254,7 +261,8 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     """The relative complex of (g, even part) with coefficients in M.
 
     Builds invariant cochains in degrees 0..p_max+1 and differentials
-    d^0..d^p_max, then asserts d.d = 0 exactly.
+    d^0..d^p_max, checking that each image is an invariant cochain and that
+    d.d = 0 exactly.
     """
     if M.algebra is not g and M.algebra.name != g.name:
         raise Unsupported("module is not a representation of the given algebra")
@@ -272,29 +280,22 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
         basis = tuple(column_kernel(_raising_images(g, M, odd_labels, keys, units)))
         degrees.append(CochainDegree(keys=keys, basis=basis, dim=len(basis)))
 
+    # one call per degree maps both that degree's basis (the next differential)
+    # and the images arriving in it (which d must kill), sharing the work
     differentials = []
+    images = _differential_columns(M, odd_labels, degrees[0].keys, degrees[1].keys,
+                                   degrees[0].basis)
     for p in range(p_max + 1):
-        src, dst = degrees[p], degrees[p + 1]
-        span = IncrementalSpan()
-        for b in dst.basis:
-            span.add(b)
-        cols = []
-        for img in _differential_columns(M, odd_labels, src.keys, dst.keys, src.basis):
-            coords = span.express(img)
-            if coords is None:
-                raise SignConventionBroken(
-                    "differential image is not an invariant cochain"
-                )
-            cols.append({k: v / M.den for k, v in coords.items()})
-        differentials.append(cols)
-
-    for p in range(p_max):
-        for col in differentials[p]:
-            out: dict = {}
-            for k, c in col.items():
-                axpy(out, differentials[p + 1][k].items(), c)
-            if out:
+        dst = degrees[p + 1]
+        if span_dim([*dst.basis, *images]) != dst.dim:
+            raise SignConventionBroken("differential image is not an invariant cochain")
+        differentials.append(images)
+        if p < p_max:
+            out = _differential_columns(M, odd_labels, dst.keys, degrees[p + 2].keys,
+                                        [*images, *dst.basis])
+            if any(out[:len(images)]):
                 raise SignConventionBroken("d . d != 0 on the constructed complex")
+            images = out[len(images):]
     return CochainComplex(g, M, p_max, degrees, differentials)
 
 
@@ -315,7 +316,6 @@ def cohomology_dims(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
 class ExtTable:
     dims: tuple[int, ...]
     route: str
-    description: str = ""
 
     def __iter__(self):
         return iter(self.dims)
@@ -326,8 +326,7 @@ def ext_dims(M: SuperModuleRep, N: SuperModuleRep, p_max: int,
     """Ext^p(M, N) for p = 0..p_max through the relative complex of M* tensor N."""
     coeff = tensor(dual(M), N)
     dims = cohomology_dims(M.algebra, coeff, p_max, budget)
-    return ExtTable(tuple(dims), route="full-complex",
-                    description="H(g, g0; M* tensor N)")
+    return ExtTable(tuple(dims), route="full-complex")
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +374,7 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
         if value < 0:
             raise SignConventionBroken("negative multiplicity in the layer reduction")
         dims.append(value)
-    return ExtTable(tuple(dims), route="layer-reduction",
-                    description="Hom_{g0}(L0(lam), H(S(degree-one dual) tensor M))")
+    return ExtTable(tuple(dims), route="layer-reduction")
 
 
 def vanishing_bound(lam: Weight, M: SuperModuleRep) -> int:

@@ -35,8 +35,6 @@ from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

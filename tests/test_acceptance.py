@@ -19,8 +19,9 @@ from supvar.cohomology import (
     kac_ext_dims,
     vanishing_bound,
 )
-from supvar.linalg import RationalMatrix
+from supvar.linalg import IncrementalSpan, RationalMatrix
 from supvar.modules import kac_module, simple_module, trivial_module, verify_rep
+from supvar.roots import parse_weight
 from supvar.support import compare_support, empirical_support
 from sweep import ALGEBRAS, dominant_weights
 
@@ -168,18 +169,30 @@ def test_criterion_9_representation_integrity(module_sweep):
     for m, n, name, M, _ in sweep:
         ok, problems = verify_rep(M)
         assert ok, f"gl({m}|{n}) {name}: {problems[:3]}"
-    complexes = 0
+    # d^p stores den times each basis vector's image over the next slice:
+    # express it over the next basis and compose with the stored d^{p+1}
+    complexes = []
     for m, n in ALGEBRAS:
         g = gl_superalgebra(m, n)
-        cx = build_complex(g, trivial_module(g), 4)
+        complexes.append(build_complex(g, trivial_module(g), 4))
+    L = simple_module(parse_weight(2, 2, "1,0|0,-1"))
+    complexes.append(build_complex(L.algebra, L, 3))
+    composed = 0
+    for cx in complexes:
         for p in range(cx.p_max):
+            span = IncrementalSpan()
+            for b in cx.degrees[p + 1].basis:
+                span.add(b)
             for col in cx.differentials[p]:
+                coords = span.express(col)
+                assert coords is not None, f"d^{p} leaves the invariants"
                 acc = {}
-                for mid, c in col.items():
+                for mid, c in coords.items():
                     for dst, c2 in cx.differentials[p + 1][mid].items():
                         acc[dst] = acc.get(dst, 0) + c * c2
+                        composed += 1
                 assert all(v == 0 for v in acc.values()), f"d.d != 0 at degree {p}"
-        complexes += 1
+    assert composed, "every composition was empty"
     report(9, True,
            f"verify_rep on {len(sweep)} modules, d.d = 0 on trivial-coefficient "
-           f"complexes, in {time.time() - start:.1f}s")
+           f"complexes and L(1,0|0,-1) of gl(2|2), in {time.time() - start:.1f}s")

@@ -4,10 +4,12 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from supvar import cohomology
 from supvar.algebra import gl_even_subalgebra, gl_superalgebra
 from supvar.cohomology import (
     _coadjoint_table,
     _derive_on_monomial,
+    _differential_columns,
     _weight_slice,
     build_complex,
     cohomology_dims,
@@ -16,9 +18,16 @@ from supvar.cohomology import (
     vanishing_bound,
 )
 from supvar.config import RunConfig
-from supvar.errors import ConstructionOverflow, Unsupported
-from supvar.linalg import ONE, axpy, column_kernel
-from supvar.modules import dual, kac_module, simple_module, tensor, trivial_module
+from supvar.errors import ConstructionOverflow, SignConventionBroken, Unsupported
+from supvar.linalg import ONE, axpy, column_kernel, span_dim
+from supvar.modules import (
+    SuperModuleRep,
+    dual,
+    kac_module,
+    simple_module,
+    tensor,
+    trivial_module,
+)
 from supvar.roots import parse_weight, weight, zero_weight
 from views import fraction_actions
 
@@ -262,8 +271,8 @@ def test_ext_over_action_denominator_two():
 
 def test_stored_differential_is_the_true_one():
     # d is built from int actions over den 2 and from basis vectors scaled to
-    # ints; the stored d^p must map each invariant basis vector to its true
-    # image, here recomputed from the Fraction view in the ambient slice
+    # ints; the stored d^p must hold den times each invariant basis vector's
+    # true image, here recomputed from the Fraction view in the ambient slice
     K = kac_module(parse_weight(3, 1, "0,-2,-2|2"))
     g, M = gl_superalgebra(3, 1), tensor(dual(K), K)
     cx = build_complex(g, M, 1)
@@ -278,10 +287,8 @@ def test_stored_differential_is_the_true_one():
                 for e, lab in enumerate(g.odd_labels()):
                     key = tuple(sorted(mono + (e,)))
                     axpy(image, ((pos[key, j], x) for j, x in actions[lab].get(i, {}).items()), c)
-            stored: dict = {}
-            for r, x in col.items():
-                axpy(stored, dst.basis[r].items(), x)
-            assert stored == image and image, p
+            assert col == {k: M.den * x for k, x in image.items()} and image, p
+            assert all(type(x) is int for x in col.values())
 
 
 def _g0_condition_columns(g, M, odd_labels, keys):
@@ -367,7 +374,7 @@ def test_euler_characteristic_independent_of_differential():
             if dims[p] == 0 or dims[p + 1] == 0 or nz == 0:
                 ranks.append(0)
                 continue
-            rows = [[col.get(r, 0) for col in cols] for r in range(dims[p + 1])]
+            rows = [[col.get(r, 0) for col in cols] for r in range(len(cx.degrees[p + 1].keys))]
             from supvar.linalg import rank as mrank
 
             ranks.append(mrank(RationalMatrix(rows)))
@@ -390,3 +397,53 @@ def test_kac_ext_needs_degree_one_part():
 
     with pytest.raises(Unsupported):
         kac_ext_dims(parse_weight(1, 1, "0|0"), tm(g0), 2)
+
+
+def test_cohomology_with_nonzero_differentials():
+    # trivial coefficients give zero differentials; these do not
+    g = gl_superalgebra(2, 2)
+    for spec, dims, ranks in [(simple_module, [0, 1, 0, 2], [0, 1, 1, 1]),
+                              (kac_module, [0, 0, 0, 0], [1, 2, 4, 5])]:
+        M = spec(parse_weight(2, 2, "1,0|0,-1"))
+        assert cohomology_dims(g, M, 3) == dims
+        assert [span_dim(d) for d in build_complex(g, M, 3).differentials] == ranks
+
+
+def _gl22_simple_l():
+    """L(1,0|0,-1) on gl(2|2), whose complex has nonzero differentials."""
+    g = gl_superalgebra(2, 2)
+    return g, simple_module(parse_weight(2, 2, "1,0|0,-1"))
+
+
+def test_build_complex_rejects_a_non_invariant_image():
+    # doubling one odd label's action breaks the bracket relations with g0,
+    # so d no longer maps invariant cochains to invariant cochains
+    g, L = _gl22_simple_l()
+    lab = g.odd_labels()[0]
+    actions = dict(L.actions)
+    actions[lab] = {j: {i: 2 * x for i, x in col.items()} for j, col in L.actions[lab].items()}
+    M = SuperModuleRep(g, L.parities, L.weights, actions, den=L.den)
+    with pytest.raises(SignConventionBroken, match="differential image is not an invariant cochain"):
+        build_complex(g, M, 3)
+
+
+def test_build_complex_rejects_d_squared_nonzero(monkeypatch):
+    # add to every image of a degree-one cochain an invariant degree-two
+    # cochain b with d b != 0: images stay invariant, but d.d does not vanish
+    g, L = _gl22_simple_l()
+    cx = build_complex(g, L, 3)
+    src, dst = cx.degrees[2], cx.degrees[3]
+    b = next(v for v in src.basis
+             if _differential_columns(L, g.odd_labels(), src.keys, dst.keys, [v])[0])
+    true_columns = cohomology._differential_columns
+
+    def shifted(M, gens, keys, next_keys, vecs):
+        columns = true_columns(M, gens, keys, next_keys, vecs)
+        if keys and len(keys[0][0]) == 1:
+            for col in columns:
+                axpy(col, b.items(), 1)
+        return columns
+
+    monkeypatch.setattr(cohomology, "_differential_columns", shifted)
+    with pytest.raises(SignConventionBroken, match=r"d \. d != 0"):
+        build_complex(g, L, 3)
