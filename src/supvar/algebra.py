@@ -227,10 +227,10 @@ class DetectingSubalgebra:
         for s, xs in enumerate(self.odd_basis):
             for t, xt in enumerate(self.odd_basis):
                 if s != t and g.bracket_elements(xs, xt):
-                    raise SupvarError("detecting generators fail to supercommute")
+                    raise InvariantBroken("detecting generators fail to supercommute")
         for sq in self.squares:
             if any(a != b for (_, a, b) in sq):
-                raise SupvarError("a detecting generator square is not diagonal")
+                raise InvariantBroken("a detecting generator square is not diagonal")
 
     def generator_labels(self, t: int) -> tuple:
         """The two matrix-unit labels entering x_t (1-based t)."""

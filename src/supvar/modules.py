@@ -37,11 +37,11 @@ Construction chain:
   the top layer to carry the inner product inherited from the tensor-power
   construction, and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
-  The form stays in ints, one weight block at a time, and one span takes
-  each block's columns from the highest position down: the columns it
-  accepts are the kept basis, and each Kac basis vector met in a column is
-  projected to the kept coordinates once, by expressing its form column
-  over the kept ones.  The quotient columns combine those projections.
+  The form is one sparse int matrix, stored by columns, and one span takes
+  its columns from the highest position down: the columns it accepts are
+  the kept basis, and each Kac basis vector met in a column is projected to
+  the kept coordinates once, by expressing its form column over the kept
+  ones.  The quotient columns combine those projections.
 
 All reps are immutable after construction.  The actions of Kac modules,
 duals and tensor products only gain labels on first read, each fixed once
@@ -49,11 +49,11 @@ published, so a reader of a few labels (the rank test, the Ext complex)
 pays for those alone; ``parity_shift`` and ``direct_sum`` build eagerly.
 
 Both representation checks are sparse matrix identities over the integers,
-on the stored int actions, and the form blocks are filled from the same
-ints.  Adjointness G A_a = A_{tau a}^T G is checked on every Kac form
-``simple_module`` builds, whatever its size, on the int blocks themselves:
-each layer carries its own power of den, so a label that changes the layer
-takes that power as one int factor.  G is symmetric (asserted per block), so
+on the stored int actions, and the form is filled from the same ints.
+Adjointness G A_a = A_{tau a}^T G is checked on every Kac form
+``simple_module`` builds, whatever its size, on the int form itself: each
+layer carries its own power of den, so a label that changes the layer takes
+that power as one int factor.  G is symmetric (asserted entry by entry), so
 the identity for tau(a) is the transpose of the one for a and each pair
 {a, tau a} is checked once.  A Cartan label is checked to act by den times
 the weights instead, which implies its identity
@@ -84,7 +84,6 @@ from .errors import (
     FormInconsistent,
     InvariantBroken,
     NotDominant,
-    ShapeMismatch,
 )
 from .linalg import ONE, IncrementalSpan, axpy, format_scalar, span_dim
 from .roots import Weight, dim_L0, format_weight, is_dominant_integral, weight, zero_weight
@@ -225,10 +224,6 @@ def _gl_factor_module(k: int, block: tuple, budget: int):
     shift = int(block[-1])
     mu = tuple(int(c - shift) for c in block)
     degree = sum(mu)
-    if degree == 0:
-        actions = {(a, b): ({0: {0: shift}} if a == b and shift else {})
-                   for a in range(1, k + 1) for b in range(1, k + 1)}
-        return 1, [(shift,) * k], actions, [[ONE]]
     if k**degree > budget:
         raise ConstructionOverflow(
             f"tensor power dimension {k}**{degree} exceeds budget {budget}"
@@ -259,7 +254,7 @@ def _gl_factor_module(k: int, block: tuple, budget: int):
                     continue
                 coords = span.express(w)
                 if coords is None:
-                    raise ShapeMismatch("lowering closure is not action stable")
+                    raise InvariantBroken("lowering closure is not action stable")
                 cols[col] = {r: c for r, c in coords.items() if c}
             actions[(a, b)] = cols
     weights = []
@@ -292,7 +287,7 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
     d2, w2, act2, gram2 = _gl_factor_module(n, lam.second_block, budget)
     dim = d1 * d2
     if dim != dim_L0(lam):
-        raise ShapeMismatch("constructed dimension disagrees with the Weyl formula")
+        raise InvariantBroken("constructed dimension disagrees with the Weyl formula")
 
     def pair(i, j):
         return i * d2 + j
@@ -470,7 +465,7 @@ def _integerize(matrices: dict) -> tuple[int, dict]:
 
     The one place rational matrices become ints: the actions of L0 modules
     and of simple heads, and the L0 inner product that seeds the int form
-    blocks of ``_form_blocks``.
+    of ``_form``.
     """
     d = lcm(*{x.denominator for cols in matrices.values()
               for col in cols.values() for x in col.values()})
@@ -498,6 +493,20 @@ def _nonzero_column(out: dict):
     return min((j for j, col in out.items() if any(col.values())), default=None)
 
 
+def _cartan_failures(M: SuperModuleRep):
+    """Yield each (label, column i) where a Cartan label E_aa is not den mu_i[a] on e_i."""
+    d = M.den
+    for label in M.algebra.labels:
+        a = label[1]
+        if a != label[2]:
+            continue
+        cols = M.actions.get(label, {})
+        for i, w in enumerate(M.weights):
+            x = d * w.coords[a - 1]
+            if cols.get(i, {}) != ({i: x} if x else {}):
+                yield label, i
+
+
 # ---------------------------------------------------------------------------
 # contravariant form and simple heads
 
@@ -507,80 +516,72 @@ def _transpose_label(label):
     return ("E", b, a)
 
 
-def _form_blocks(K: SuperModuleRep) -> list:
-    """Weight blocks of the contravariant form on a Kac module, as ints.
+def _form(K: SuperModuleRep) -> dict:
+    """The contravariant form on a Kac module, as int sparse columns G[j] = {i: x}.
 
-    Returns [(global indices, int rows)], one entry per weight, ordered by
-    layer and then weight.  Entries follow the peel rule
+    Only nonzero entries are stored.  Entries follow the peel rule
     <y_h u', w> = <u', tau(y_h) w> down to the top layer, where the form is
     the L0 inner product.  Distinct weight spaces pair to zero because each
-    block weight pins the monomial length, so each layer is filled from the
-    blocks of the layer above, in ints: with d the module's ``den`` and g the
-    common denominator of the L0 inner product, a block of layer k holds
-    g d^k times the form.  Each block is checked symmetric.
+    weight pins the monomial length, so row i = (S, t) is filled on the
+    basis vectors of its own weight from the row of (S[1:], t), one layer
+    up, which the Kac index order fills first.  In ints: with d the module's
+    ``den`` and g the common denominator of the L0 inner product, layer k
+    holds g d^k times the form.  G is checked symmetric, so row i is also
+    column i.
     """
     if K.meta.get("kind") != "kac":
         raise FormInconsistent("the contravariant form is seeded on Kac modules")
     basis = K.meta["basis"]
     basis_index = K.meta["basis_index"]
     y_labels = K.meta["y_labels"]
-    d, A = K.den, K.actions
-    g, top = _integerize({"gram": {t: dict(enumerate(row))
+    A = K.actions
+    _, top = _integerize({"gram": {t: dict(enumerate(row))
                                    for t, row in enumerate(K.meta["l0_gram"])}})
     top = top["gram"]
     by_weight: dict = {}
+    for i, w in enumerate(K.weights):
+        by_weight.setdefault(w.coords, []).append(i)
+    G = {}
     for i, (S, t) in enumerate(basis):
-        by_weight.setdefault(K.weights[i].coords, []).append(i)
-    blocks = []
-    layer_of = {w: len(basis[idxs[0]][0]) for w, idxs in by_weight.items()}
-    value: dict = {}  # (i, j) in one weight block -> g d^layer <u_i, u_j>
-
-    for w, idxs in sorted(by_weight.items(), key=lambda kv: (layer_of[kv[0]], kv[0])):
-        for i in idxs:
-            S, t = basis[i]
-            if not S:
-                value.update(((i, j), top[t][basis[j][1]]) for j in idxs)
-                continue
+        idxs = by_weight[K.weights[i].coords]
+        if not S:
+            # on the top layer the Kac index j is the L0 position
+            G[i] = {j: x for j in idxs if (x := top[t][j])}
+            continue
+        prev = G[basis_index[(S[1:], t)]]
+        row = G[i] = {}
+        if prev:
             up = A[_transpose_label(y_labels[S[0]])]
-            i2 = basis_index[(S[1:], t)]
-            value.update(((i, j), sum(c * value[i2, z] for z, c in up.get(j, {}).items()))
-                         for j in idxs)
-        rows = [[value[i, j] for j in idxs] for i in idxs]
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                if rows[a][b] != rows[b][a]:
-                    raise FormInconsistent("contravariant form block is not symmetric")
-        blocks.append((idxs, rows))
-    return blocks
+            for j in idxs:
+                x = sum(c * prev.get(z, 0) for z, c in up.get(j, {}).items())
+                if x:
+                    row[j] = x
+    for j, col in G.items():
+        for i, x in col.items():
+            if G[i].get(j) != x:
+                raise FormInconsistent("contravariant form block is not symmetric")
+    return G
 
 
-def _check_form_adjointness(K: SuperModuleRep, blocks: list):
+def _check_form_adjointness(K: SuperModuleRep, G: dict):
     """Check <a.u, u'> = <u, tau(a).u'>, as G A_a = A_{tau a}^T G on ints.
 
-    G is the int form of ``_form_blocks``, g d^k times the form on layer k,
-    and A the int actions, d times the action.  A label of z-degree z sends
+    G is the int form of ``_form``, g d^k times the form on layer k, and A
+    the int actions, d times the action.  A label of z-degree z sends
     layer k to layer k - z, so on the ints the identity reads
     d^z G A_a = A_{tau a}^T G: d G A_a = A_{tau a}^T G for the labels of
     g_1, and G A_a = A_{tau a}^T G for the even labels.  The products run
     for the labels E_ab with a < b, each standing for the pair
     {E_ab, E_ba} (G is symmetric).  A Cartan label h = E_aa is its own
     transpose, and its identity needs no product once A_h = den diag(mu_i[a])
-    is checked, column by column in O(dim): G holds only entries between
-    basis vectors of one weight, so (G A_h)_ij = G_ij den mu_j[a] and
-    (A_h^T G)_ij = den mu_i[a] G_ij agree wherever G_ij is nonzero.
+    is checked, column by column in O(dim) (``_cartan_failures``): G holds
+    only entries between basis vectors of one weight, so
+    (G A_h)_ij = G_ij den mu_j[a] and (A_h^T G)_ij = den mu_i[a] G_ij agree
+    wherever G_ij is nonzero.
     """
-    G = {}
-    for idxs, rows in blocks:
-        for b, j in enumerate(idxs):
-            G[j] = {i: rows[a][b] for a, i in enumerate(idxs) if rows[a][b]}
+    for label, _ in _cartan_failures(K):
+        raise FormInconsistent(f"Cartan element {label} does not act by the weights")
     A, d = K.actions, K.den
-    for label in K.algebra.labels:
-        a = label[1]
-        if a == label[2]:
-            diagonal = {i: {i: d * w.coords[a - 1]}
-                        for i, w in enumerate(K.weights) if w.coords[a - 1]}
-            if A[label] != diagonal:
-                raise FormInconsistent(f"Cartan element {label} does not act by the weights")
     z_degree = K.algebra.z_degree
     for label in [lab for lab in K.algebra.labels if lab[1] < lab[2]]:
         transposed: dict = {}
@@ -598,25 +599,19 @@ def _check_form_adjointness(K: SuperModuleRep, blocks: list):
 def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperModuleRep:
     """Simple head of the Kac module: quotient by the form radical."""
     K = kac_module(lam, budget)
-    blocks = _form_blocks(K)
-    _check_form_adjointness(K, blocks)
+    G = _form(K)
+    _check_form_adjointness(K, G)
 
-    # The int columns of every weight block go into one span, from the
-    # highest position down.  Column p depends on the columns after it
-    # exactly when a radical vector has its first nonzero entry at p, so the
-    # accepted positions are the kept ones.  G e_i = sum_p y_p G e_p holds
-    # exactly when e_i - sum_p y_p e_p is in the radical, so the coordinates
-    # of column i over the kept columns are those of e_i in the quotient.
-    # Blocks hold disjoint Kac indices, so they never mix in the span.
+    # The int form columns go into one span, from the highest position down.
+    # Column p depends on the columns after it exactly when a radical vector
+    # has its first nonzero entry at p, so the accepted positions are the
+    # kept ones.  G e_i = sum_p y_p G e_p holds exactly when
+    # e_i - sum_p y_p e_p is in the radical, so the coordinates of column i
+    # over the kept columns are those of e_i in the quotient.  Columns of
+    # different weights have disjoint supports, so they never mix in the span.
     span = IncrementalSpan()
-    accepted: list[int] = []  # acceptance index -> Kac index
-    column = {}  # Kac index -> its int form column, keyed by Kac index
-    for idxs, rows in blocks:
-        for p in reversed(range(len(idxs))):
-            # a symmetric block's rows are its columns
-            col = column[idxs[p]] = {i: x for i, x in zip(idxs, rows[p]) if x}
-            if span.add(col):
-                accepted.append(idxs[p])
+    # acceptance index -> Kac index
+    accepted = [i for i in reversed(range(K.dim)) if span.add(G[i])]
     kept = sorted(accepted)
     new_index = {old: new for new, old in enumerate(kept)}
     # Kac basis vector -> its kept coordinates modulo the radical; a kept
@@ -628,7 +623,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
         proj = projections.get(i)
         if proj is None:
             # column i was offered to the span, so it lies in it
-            coords = span.express(column[i]).items()
+            coords = span.express(G[i]).items()
             proj = projections[i] = tuple((new_index[accepted[k]], c) for k, c in coords)
         return proj
 
@@ -649,11 +644,11 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     parities = [K.parities[i] for i in kept]
     names = [K.basis_names[i] for i in kept]
 
-    # the induced form on the quotient must be nondegenerate
-    for idxs, rows in blocks:
-        local = [p for p, i in enumerate(idxs) if i in new_index]
-        if span_dim([rows[p][q] for q in local] for p in local) != len(local):
-            raise FormInconsistent("induced form on the quotient is degenerate")
+    # the induced form on the quotient must be nondegenerate: the kept
+    # columns, restricted to the kept rows, are independent
+    if span_dim({i: x for i, x in G[j].items() if i in new_index}
+                for j in kept) != len(kept):
+        raise FormInconsistent("induced form on the quotient is degenerate")
 
     return SuperModuleRep(
         K.algebra, parities, weights, actions, basis_names=names,
@@ -836,14 +831,8 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
                     problems.append(f"parity breaks: {label} sends {i} to {j}")
                 if c and target is not None and coords[j] != target:
                     problems.append(f"weight breaks: {label} sends {i} to {j}")
-    for label in g.labels:
-        _, a, b = label
-        if a != b:
-            continue
-        for i in range(M.dim):
-            expected = d * coords[i][a - 1]
-            if A[label].get(i, {}) != ({i: expected} if expected else {}):
-                problems.append(f"Cartan element {label} is not diagonal on column {i}")
+    problems += [f"Cartan element {label} is not diagonal on column {i}"
+                 for label, i in _cartan_failures(M)]
     identity = {i: {i: 1} for i in range(M.dim)}
     for k, a in enumerate(g.labels):
         if a[1] == a[2]:

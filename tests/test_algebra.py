@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+import supvar.algebra
 from supvar.algebra import (
+    DetectingSubalgebra,
     LieSuperalgebraData,
     detecting_subalgebra,
     gl_even_subalgebra,
     gl_superalgebra,
 )
-from supvar.errors import SupvarError
+from supvar.errors import InvariantBroken, SupvarError
 from supvar.linalg import ONE, ZERO, axpy
 
 
@@ -171,6 +173,19 @@ def test_detecting_squares_are_diagonal():
             for t in range(d.r):
                 if s != t:
                     assert g.bracket_elements(d.odd_basis[s], d.odd_basis[t]) == {}
+
+
+def test_detecting_checks_are_invariants(monkeypatch):
+    # the generators are fixed elements of gl(m|n), so a failing check is a bug
+    class Skewed:
+        def bracket_elements(self, x, y):
+            return {("E", 1, 2): 1}
+
+    monkeypatch.setattr(supvar.algebra, "gl_superalgebra", lambda m, n: Skewed())
+    with pytest.raises(InvariantBroken, match="supercommute"):
+        DetectingSubalgebra(2, 2)
+    with pytest.raises(InvariantBroken, match="not diagonal"):
+        DetectingSubalgebra(2, 1)
 
 
 def test_element_matrix():

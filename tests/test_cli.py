@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import supvar.cli
+import supvar.modules
 from supvar.cli import main
 from supvar.config import DEFAULT_SEED, RunConfig, load_config
 from supvar.errors import (
@@ -143,7 +144,8 @@ def test_dump_command_deterministic(capsys):
 # simple-module basis keeps, per weight block of the contravariant form, the
 # positions whose form column is independent of the columns after it, so these
 # pin that choice as well as the printed matrices.  gl(3|1) 0,-2,-2|2 has den 2,
-# so its form layers carry different powers of it.
+# so its form layers carry different powers of it; gl(3|3) 1,0,0|0,0,-1 is the
+# head of a Kac module of dim 4608.
 GOLDEN_SIMPLE_DUMPS = {
     (2, 2, "0,0|0,0"): (433, "a77b8a0ea3cb9c0f41f85b0e3f42af3739f1413a60dfe69e878f28e3d25ecbea"),
     (2, 2, "1,0|0,-1"): (14006, "5fe66252ff52b9b6838ff7801d1f98871a947aebdc67ad524aefb8357b9619de"),
@@ -151,6 +153,7 @@ GOLDEN_SIMPLE_DUMPS = {
     (2, 1, "1,0|-1"): (3052, "52e902f5cdef5a692ddf9faec5622fa69626bae0ef13c985016c2797f989356e"),
     (3, 2, "1,0,0|0,-1"): (60509, "bd816b17a02647ef4b2d729748ed78b573dc677bd26de049531fd5b7c730d0c4"),
     (3, 1, "0,-2,-2|2"): (6256, "1c7b4b1fafee18755560cbeae8237c73c611d02c87a2383b7cf1bba73542c53a"),
+    (3, 3, "1,0,0|0,0,-1"): (171393, "cd6cb73dc6eafb012be030a4e031aaea395e4a5e884f653f81bd0c15174851b5"),
 }
 
 
@@ -194,6 +197,15 @@ def test_invariant_broken_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(supvar.cli, "simple_module", broken)
     assert main(["dump", "1", "1", "1|0", "--module", "simple"]) == 4
     assert "adjointness fails" in capsys.readouterr().err
+
+
+def test_construction_invariant_failure_exit_4(capsys, monkeypatch):
+    # the weight is checked dominant integral and within budget before L0 is
+    # built, so an L0 of the wrong dimension is a bug, not malformed input
+    real = supvar.modules.dim_L0
+    monkeypatch.setattr(supvar.modules, "dim_L0", lambda lam: real(lam) + 1)
+    assert main(["dump", "2", "1", "1,0|0", "--module", "l0"]) == 4
+    assert "Weyl formula" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

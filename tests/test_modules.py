@@ -22,8 +22,8 @@ from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel
 from supvar.modules import (
     L0_module,
     SuperModuleRep,
-    _form_blocks,
     _check_form_adjointness,
+    _form,
     _int_mul_add,
     _integerize,
     _nonzero_column,
@@ -258,17 +258,19 @@ def test_verify_rep_gl3_kac_modules():
 def checked_form(K):
     """The int contravariant form of K as a dense matrix, after the adjointness check.
 
-    Each block is an int multiple of the form, g d^k on layer k, with d = K.den
-    and g the common denominator of the L0 inner product.
+    It is an int multiple of the form, g d^k on layer k, with d = K.den and g
+    the common denominator of the L0 inner product.  ``_form`` stores one
+    sparse column per basis vector, with no zero entries.
     """
-    blocks = _form_blocks(K)
-    _check_form_adjointness(K, blocks)
-    G = [[ZERO] * K.dim for _ in range(K.dim)]
-    for idxs, rows in blocks:
-        for a, i in enumerate(idxs):
-            for b, j in enumerate(idxs):
-                G[i][j] = rows[a][b]
-    return G
+    G = _form(K)
+    _check_form_adjointness(K, G)
+    assert sorted(G) == list(range(K.dim))
+    dense = [[ZERO] * K.dim for _ in range(K.dim)]
+    for j, col in G.items():
+        for i, x in col.items():
+            assert x and isinstance(x, int)
+            dense[i][j] = x
+    return dense
 
 
 def test_contravariant_form_values():
@@ -300,22 +302,42 @@ def test_form_blocks_over_fractional_actions():
 
 def test_form_check_runs_beyond_the_old_size_limit(monkeypatch):
     # every Kac form simple_module builds is checked: a form that is off by
-    # one entry on a module of dim 96 must be caught
+    # one diagonal entry of a middle-layer vector, on a module of dim 96,
+    # must be caught
     lam = parse_weight(2, 2, "2,0|0,-1")
     assert kac_module(lam).dim == 96
-    original = supvar.modules._form_blocks
+    original = supvar.modules._form
 
-    def broken_blocks(K):
-        blocks = original(K)
-        idxs, rows = blocks[len(blocks) // 2]
-        rows = [list(row) for row in rows]
-        rows[0][0] += 1
-        blocks[len(blocks) // 2] = (idxs, rows)
-        return blocks
+    def broken_form(K):
+        G = original(K)
+        i = next(i for i, (S, _) in enumerate(K.meta["basis"]) if len(S) == 2)
+        G[i][i] = G[i].get(i, 0) + 1
+        return G
 
     simple_module(lam)
-    monkeypatch.setattr(supvar.modules, "_form_blocks", broken_blocks)
+    monkeypatch.setattr(supvar.modules, "_form", broken_form)
     with pytest.raises(FormInconsistent):
+        simple_module(lam)
+
+
+def test_form_symmetry_check_fires(monkeypatch):
+    # K(1,0,-1|0) of gl(3|1) has dim 64 over an L0 of dim 8 whose zero weight
+    # space is positions 3 and 4; a top-layer inner product that is not
+    # symmetric there must be caught as such
+    lam = parse_weight(3, 1, "1,0,-1|0")
+    original = supvar.modules.kac_module
+
+    def skewed_kac(lam, budget):
+        K = original(lam, budget)
+        assert (K.dim, K.meta["l0_dim"]) == (64, 8)
+        assert [w.coords for w in K.weights[3:5]] == [(0, 0, 0, 0)] * 2
+        gram = [list(row) for row in K.meta["l0_gram"]]
+        gram[3][4] += 1
+        K.meta["l0_gram"] = gram
+        return K
+
+    monkeypatch.setattr(supvar.modules, "kac_module", skewed_kac)
+    with pytest.raises(FormInconsistent, match="contravariant form block is not symmetric"):
         simple_module(lam)
 
 
@@ -357,19 +379,19 @@ def test_simple_typical_weight_keeps_kac_dimension():
 
 
 def test_radical_ignores_contravariant_rescaling():
-    # scaling the top-layer inner product scales every block of the form by
-    # the same factor and leaves every radical unchanged
+    # scaling the top-layer inner product scales every entry of the form by
+    # the same factor and leaves the radical unchanged
     for text in ["1,0|0", "0,0|0", "2,1|0"]:
         lam = parse_weight(2, 1, text)
         K = kac_module(lam)
-        blocks = _form_blocks(K)
+        G = _form(K)
         K.meta["l0_gram"] = [[3 * x for x in row] for row in K.meta["l0_gram"]]
-        scaled = _form_blocks(K)
-        _check_form_adjointness(K, scaled)
-        assert [idxs for idxs, _ in scaled] == [idxs for idxs, _ in blocks]
-        for (_, rows), (_, rows3) in zip(blocks, scaled):
-            assert rows3 == [[3 * x for x in row] for row in rows]
-            assert column_kernel(rows3) == column_kernel(rows)
+        G3 = _form(K)
+        _check_form_adjointness(K, G3)
+        assert G3 == {j: {i: 3 * x for i, x in col.items()} for j, col in G.items()}
+        columns = [G[j] for j in range(K.dim)]
+        columns3 = [G3[j] for j in range(K.dim)]
+        assert column_kernel(columns3) == column_kernel(columns)
 
 
 def reference_quotient(K):
@@ -379,8 +401,13 @@ def reference_quotient(K):
     and then the unit vectors e_p offered from the top position down, and
     every block vector's coordinates on the kept unit vectors are read off.
     """
+    blocks: dict = {}
+    for i, w in enumerate(K.weights):
+        blocks.setdefault(w.coords, []).append(i)
+    G = _form(K)
     kept, projections = [], {}
-    for idxs, rows in _form_blocks(K):
+    for idxs in blocks.values():
+        rows = [[G[i].get(j, 0) for j in idxs] for i in idxs]
         span = IncrementalSpan()
         for v in column_kernel(rows):
             span.add(v)
