@@ -21,7 +21,7 @@ from .algebra import LieSuperalgebraData
 from .atypicality import atypicality, defect
 from .config import RunConfig
 from .errors import AssumptionViolated, BadCodimension
-from .linalg import ZERO, RationalMatrix, rank
+from .linalg import ZERO, scalar, span_dim
 from .modules import simple_module
 from .roots import Weight
 
@@ -29,21 +29,26 @@ from .roots import Weight
 @dataclass(frozen=True)
 class OddFormData:
     dim_c1: int
-    gram: RationalMatrix
+    gram: tuple[tuple[Fraction, ...], ...]
     z: int
     n: int
     n_tilde: int
 
 
-def odd_form_data(gram: RationalMatrix) -> OddFormData:
-    if gram.rows != gram.cols:
+def odd_form_data(rows) -> OddFormData:
+    """Radical data of a square symmetric Gram matrix given as plain rows.
+
+    Entries are ints, Fractions (a non-integral weight gives those) or
+    ``p/q`` strings; ``span_dim`` ranks the rows, scaling each to ints.
+    """
+    gram = tuple(tuple(scalar(x) for x in row) for row in rows)
+    dim_c1 = len(gram)
+    if any(len(row) != dim_c1 for row in gram):
         raise AssumptionViolated("Gram matrix must be square")
-    if gram != gram.transpose():
+    if gram != tuple(zip(*gram)):
         raise AssumptionViolated("Gram matrix must be symmetric")
-    dim_c1 = gram.rows
-    n = rank(gram)
-    z = dim_c1 - n
-    return OddFormData(dim_c1=dim_c1, gram=gram, z=z, n=n, n_tilde=(n + 1) // 2)
+    n = span_dim(gram)
+    return OddFormData(dim_c1=dim_c1, gram=gram, z=dim_c1 - n, n=n, n_tilde=(n + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def form_from_subalgebra(g: LieSuperalgebraData, xs, chi) -> OddFormData:
         [_evaluate_character(chi, brackets[(min(i, j), max(i, j))]) for j in range(size)]
         for i in range(size)
     ]
-    return odd_form_data(RationalMatrix(rows))
+    return odd_form_data(rows)
 
 
 @dataclass(frozen=True)

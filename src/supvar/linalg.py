@@ -10,9 +10,9 @@ divides, so ranks and span membership are decided on ints alone.
 Coordinates are assembled as ints when first asked for.  Only ``express``
 and ``kernel_basis`` (and ``solve``, over ``express``) return ``Fraction``s;
 ``column_kernel`` returns primitive int relations.
-``rank``, ``kernel_basis``, ``solve``, ``column_kernel`` and ``span_dim``
-are thin wrappers over it, and ``RationalMatrix`` is a dense,
-immutable container for their inputs.
+``column_kernel`` and ``span_dim`` wrap it, and so do the dense ``rank``,
+``kernel_basis`` and ``solve`` over the immutable ``RationalMatrix``, kept
+only for the benchmark tracer and the tests.
 
 No result depends on the pivot order.  Ranks and span membership are
 invariants of the subspace, and coordinates over independent vectors are
@@ -88,12 +88,6 @@ class RationalMatrix:
         for row in rows:
             if len(row) != self.cols:
                 raise ShapeMismatch("ragged rows")
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.entries))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
 
     def __repr__(self):
         body = "; ".join(" ".join(format_scalar(x) for x in row) for row in self.entries)

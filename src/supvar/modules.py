@@ -5,7 +5,8 @@ the action of a label is ``actions[label] / den``.  Rationals enter only
 through ``_integerize`` (the L0 closure and the quotient coordinates of
 simple heads); every other construction and every reader works on the ints
 and ``den``, and ``dump_module`` formats ``Fraction(x, den)`` itself.
-There is no dense matrix form.
+The L0 inner product and the contravariant form are int sparse columns
+too.  There is no dense matrix form.
 
 Construction chain:
 
@@ -35,7 +36,8 @@ Construction chain:
 * ``simple_module`` is the quotient of the Kac module by the radical of its
   contravariant form.  The form pairs weight spaces orthogonally, declares
   the top layer to carry the inner product inherited from the tensor-power
-  construction, and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
+  construction (up to a positive factor, which leaves the radical alone),
+  and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
   The form is one sparse int matrix, stored by columns, and one span takes
   its columns from the highest position down: the columns it accepts are
@@ -218,8 +220,9 @@ def _highest_weight_tensor(mu: tuple[int, ...]) -> dict:
 def _gl_factor_module(k: int, block: tuple, budget: int):
     """Simple GL(k) module data for a weakly decreasing integer weight.
 
-    Returns (dim, weights, action cols dict[(a,b)] -> cols, gram rows); the
-    actions are Fractions.
+    Returns (dim, weights, action cols dict[(a,b)] -> cols, gram); the
+    actions are Fractions, and gram is the tensor-power inner product on the
+    int closure basis, as int sparse columns {i: {j: x}}, zeros not stored.
     """
     shift = int(block[-1])
     mu = tuple(int(c - shift) for c in block)
@@ -261,23 +264,21 @@ def _gl_factor_module(k: int, block: tuple, budget: int):
     for v in basis_vecs:
         idx = next(iter(v))
         weights.append(tuple(idx.count(i) + shift for i in range(1, k + 1)))
-    gram = [
-        [sum(ci * basis_vecs[j].get(t, 0) for t, ci in basis_vecs[i].items())
-         for j in range(dim)]
-        for i in range(dim)
-    ]
-    # normalize so the highest weight vector has norm one
-    scale = gram[0][0]
-    gram = [[Fraction(x, scale) for x in row] for row in gram]
+    gram = {i: {j: x for j, v in enumerate(basis_vecs)
+                if (x := sum(c * v.get(t, 0) for t, c in u.items()))}
+            for i, u in enumerate(basis_vecs)}
     return dim, weights, actions, gram
 
 
 def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperModuleRep:
     """Simple gl(m) x gl(n) module of highest weight lam, even-concentrated.
 
-    The module carries a ``gram`` entry in ``meta``: the matrix of the
-    standard inner product inherited from the tensor-power construction, used
-    as the top-layer seed of the contravariant form on Kac modules.
+    The module carries a ``gram`` entry in ``meta``: the inner product
+    inherited from the tensor-power construction, the Kronecker product of
+    the factors', as int sparse columns {i: {j: x}} with no stored zeros.  It
+    seeds the top layer of the contravariant form on Kac modules.  It is not
+    normalized, but a positive factor scales the whole form and changes
+    neither its radical nor the quotient coordinates.
     """
     if not is_dominant_integral(lam):
         raise NotDominant(f"{format_weight(lam)} is not dominant integral")
@@ -308,10 +309,11 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
     weights = [
         weight(m, n, w1[i] + w2[j]) for i in range(d1) for j in range(d2)
     ]
-    gram = [
-        [gram1[i1][j1] * gram2[i2][j2] for j1 in range(d1) for j2 in range(d2)]
+    gram = {
+        pair(i1, i2): {pair(j1, j2): x1 * x2
+                       for j1, x1 in gram1[i1].items() for j2, x2 in gram2[i2].items()}
         for i1 in range(d1) for i2 in range(d2)
-    ]
+    }
     den, actions = _integerize(actions)
     return SuperModuleRep(
         algebra, [0] * dim, weights, actions,
@@ -464,8 +466,7 @@ def _integerize(matrices: dict) -> tuple[int, dict]:
     """One common denominator d, and d times each sparse-column matrix, as ints.
 
     The one place rational matrices become ints: the actions of L0 modules
-    and of simple heads, and the L0 inner product that seeds the int form
-    of ``_form``.
+    and of simple heads.
     """
     d = lcm(*{x.denominator for cols in matrices.values()
               for col in cols.values() for x in col.values()})
@@ -525,8 +526,8 @@ def _form(K: SuperModuleRep) -> dict:
     weight pins the monomial length, so row i = (S, t) is filled on the
     basis vectors of its own weight from the row of (S[1:], t), one layer
     up, which the Kac index order fills first.  In ints: with d the module's
-    ``den`` and g the common denominator of the L0 inner product, layer k
-    holds g d^k times the form.  G is checked symmetric, so row i is also
+    ``den``, layer k holds d^k times the form whose top layer is the int
+    L0 inner product ``l0_gram``.  G is checked symmetric, so row i is also
     column i.
     """
     if K.meta.get("kind") != "kac":
@@ -535,9 +536,7 @@ def _form(K: SuperModuleRep) -> dict:
     basis_index = K.meta["basis_index"]
     y_labels = K.meta["y_labels"]
     A = K.actions
-    _, top = _integerize({"gram": {t: dict(enumerate(row))
-                                   for t, row in enumerate(K.meta["l0_gram"])}})
-    top = top["gram"]
+    top = K.meta["l0_gram"]
     by_weight: dict = {}
     for i, w in enumerate(K.weights):
         by_weight.setdefault(w.coords, []).append(i)
@@ -546,7 +545,7 @@ def _form(K: SuperModuleRep) -> dict:
         idxs = by_weight[K.weights[i].coords]
         if not S:
             # on the top layer the Kac index j is the L0 position
-            G[i] = {j: x for j in idxs if (x := top[t][j])}
+            G[i] = {j: x for j in idxs if (x := top[t].get(j))}
             continue
         prev = G[basis_index[(S[1:], t)]]
         row = G[i] = {}
@@ -566,7 +565,7 @@ def _form(K: SuperModuleRep) -> dict:
 def _check_form_adjointness(K: SuperModuleRep, G: dict):
     """Check <a.u, u'> = <u, tau(a).u'>, as G A_a = A_{tau a}^T G on ints.
 
-    G is the int form of ``_form``, g d^k times the form on layer k, and A
+    G is the int form of ``_form``, d^k times the form on layer k, and A
     the int actions, d times the action.  A label of z-degree z sends
     layer k to layer k - z, so on the ints the identity reads
     d^z G A_a = A_{tau a}^T G: d G A_a = A_{tau a}^T G for the labels of

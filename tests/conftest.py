@@ -2,6 +2,10 @@ import time
 
 import pytest
 
+# sweep.py is not a test module: register it so its asserts are rewritten
+# and still fire under python -O
+pytest.register_assert_rewrite("sweep")
+
 from sweep import build_sweep
 
 

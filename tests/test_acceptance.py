@@ -19,10 +19,11 @@ from supvar.cohomology import (
     kac_ext_dims,
     vanishing_bound,
 )
-from supvar.linalg import IncrementalSpan, RationalMatrix
+from supvar.linalg import IncrementalSpan
 from supvar.modules import kac_module, simple_module, trivial_module, verify_rep
 from supvar.roots import parse_weight
 from supvar.support import compare_support, empirical_support
+import sweep
 from sweep import ALGEBRAS, dominant_weights
 
 
@@ -117,10 +118,8 @@ def test_criterion_7_clifford_classification_table():
     rows = 0
     for dim_c1 in range(1, 6):
         for n in range(dim_c1 + 1):
-            gram = RationalMatrix(
-                [[1 if (i == j and i < n) else 0 for j in range(dim_c1)]
-                 for i in range(dim_c1)]
-            )
+            gram = [[1 if (i == j and i < n) else 0 for j in range(dim_c1)]
+                    for i in range(dim_c1)]
             form = odd_form_data(gram)
             assert form.n == n and form.z == dim_c1 - n
             assert form.n_tilde == (n + 1) // 2
@@ -196,3 +195,11 @@ def test_criterion_9_representation_integrity(module_sweep):
     report(9, True,
            f"verify_rep on {len(sweep)} modules, d.d = 0 on trivial-coefficient "
            f"complexes and L(1,0|0,-1) of gl(2|2), in {time.time() - start:.1f}s")
+
+
+def test_sweep_dominance_check_fires(monkeypatch):
+    # the sweep's own assert is rewritten by pytest (conftest), so it holds
+    # under python -O too
+    monkeypatch.setattr(sweep, "is_dominant_integral", lambda lam: False)
+    with pytest.raises(AssertionError):
+        dominant_weights(1, 1, 0, 0)

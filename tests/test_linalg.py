@@ -115,13 +115,6 @@ def test_incremental_span_coordinates():
     assert mixed.express({(("E", 1, 2), ((0,), 1)): 4, ("d", 0): 1}) == {0: 2, 1: -1}
 
 
-def test_matrix_algebra():
-    A = RationalMatrix([[1, 2], [3, 4]])
-    assert A.transpose().entries == ((1, 3), (2, 4))
-    assert A.transpose().transpose() == A
-    assert RationalMatrix([[], []]).transpose() == RationalMatrix([])
-
-
 def reference_rref(rows, n_cols):
     """Gauss-Jordan reduced row echelon form and its pivot columns."""
     R = [[Fraction(x) for x in row] for row in rows]
@@ -248,11 +241,11 @@ def test_float_entries_rejected():
 
 
 def test_dense_layer_has_no_new_callers():
-    # RationalMatrix and its wrappers are bound only where they are defined,
-    # re-exported, or part of a public signature (clifford's OddFormData.gram);
-    # every other module eliminates through IncrementalSpan and span_dim
+    # RationalMatrix and its wrappers are bound only where they are defined
+    # (and re-exported by the package); every other module eliminates
+    # through IncrementalSpan and span_dim
     dense = {"RationalMatrix", "rank", "kernel_basis", "solve"}
-    allowed = {"supvar.linalg", "supvar.clifford"}
+    allowed = {"supvar.linalg"}
     bound = {}
     for info in pkgutil.iter_modules(supvar.__path__, "supvar."):
         if info.name not in allowed:

@@ -18,7 +18,7 @@ from supvar.errors import (
     InvariantBroken,
     NotDominant,
 )
-from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel
+from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, span_dim
 from supvar.modules import (
     L0_module,
     SuperModuleRep,
@@ -68,6 +68,24 @@ def test_L0_negative_weights_via_determinant_twist():
 def test_L0_rejects_non_dominant():
     with pytest.raises(NotDominant):
         L0_module(parse_weight(2, 1, "0,1|0"))
+
+
+def test_L0_inner_product_is_sparse_positive_int_columns():
+    # the seed of the contravariant form: int entries with no stored zeros,
+    # symmetric, zero between distinct weights, positive on the diagonal and
+    # nondegenerate
+    for (m, n), text in [((2, 1), "2,1|0"), ((3, 2), "1,0,0|0,-1"),
+                         ((3, 1), "0,-2,-2|2"), ((3, 3), "1,0,0|0,0,-1")]:
+        L0 = L0_module(parse_weight(m, n, text))
+        gram = L0.meta["gram"]
+        assert sorted(gram) == list(range(L0.dim))
+        for j, col in gram.items():
+            for i, x in col.items():
+                assert type(x) is int and x != 0
+                assert gram[i].get(j) == x
+                assert L0.weights[i] == L0.weights[j]
+            assert col[j] > 0
+        assert span_dim(gram[j] for j in range(L0.dim)) == L0.dim
 
 
 def test_kac_dimensions():
@@ -276,7 +294,7 @@ def checked_form(K):
 def test_contravariant_form_values():
     K = kac_module(parse_weight(1, 1, "0|0"))
     G = checked_form(K)
-    assert G[0][0] == 1  # highest weight vector is normalized
+    assert G[0][0] == 1  # the highest weight tensor has norm 1
     assert G[1][1] == 0  # y.v pairs to zero at weight zero
     K = kac_module(parse_weight(1, 1, "1|0"))
     G = checked_form(K)
@@ -331,8 +349,8 @@ def test_form_symmetry_check_fires(monkeypatch):
         K = original(lam, budget)
         assert (K.dim, K.meta["l0_dim"]) == (64, 8)
         assert [w.coords for w in K.weights[3:5]] == [(0, 0, 0, 0)] * 2
-        gram = [list(row) for row in K.meta["l0_gram"]]
-        gram[3][4] += 1
+        gram = {t: dict(col) for t, col in K.meta["l0_gram"].items()}
+        gram[3][4] = gram[3].get(4, 0) + 1
         K.meta["l0_gram"] = gram
         return K
 
@@ -385,7 +403,8 @@ def test_radical_ignores_contravariant_rescaling():
         lam = parse_weight(2, 1, text)
         K = kac_module(lam)
         G = _form(K)
-        K.meta["l0_gram"] = [[3 * x for x in row] for row in K.meta["l0_gram"]]
+        K.meta["l0_gram"] = {t: {j: 3 * x for j, x in col.items()}
+                             for t, col in K.meta["l0_gram"].items()}
         G3 = _form(K)
         _check_form_adjointness(K, G3)
         assert G3 == {j: {i: 3 * x for i, x in col.items()} for j, col in G.items()}
