@@ -6,18 +6,22 @@ so structure constants of matrix units are
 
     [E_ab, E_cd] = delta_{bc} E_ad - (-1)^{|ab||cd|} delta_{da} E_cb.
 
-Super-antisymmetry and the graded Jacobi identity are checked at construction
-time on every basis triple; triples outside the supports are 0 = 0, see
-``_check_axioms``.  The gl(m|n) structure constants are the plain ints 1 and -1.
+``LieSuperalgebraData`` holds the algebra's conventions and checks them once,
+at construction: every structure constant is a nonzero int, every label has a
+weight and a z-degree, no bracket of two labels leaves the labels, and
+super-antisymmetry and the graded Jacobi identity hold on every basis triple
+(triples outside the supports are 0 = 0, see ``_check_axioms``).  Readers
+rely on these facts and do not re-check them.  The gl(m|n) structure
+constants are the plain ints 1 and -1, and the even part gl(m) + gl(n) is the
+restriction of the gl(m|n) table to the even labels.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InvariantBroken, SupvarError
-from .linalg import ONE, IncrementalSpan, axpy
+from .linalg import IncrementalSpan, axpy
 from .roots import eps
 
 Label = tuple  # ("E", a, b)
@@ -40,17 +44,22 @@ def _unit_bracket(m: int, a: int, b: int, c: int, d: int) -> dict:
 class LieSuperalgebraData:
     """Finite basis with parities and structure constants."""
 
-    def __init__(self, name, labels, parity, structure, weight_of=None, z_degree=None,
-                 m=None, n=None):
+    def __init__(self, name, labels, parity, structure, weight_of, z_degree, m, n):
         self.name = name
         self.labels = tuple(labels)
         self.parity = dict(parity)
-        self.structure = structure  # dict[(label, label)] -> dict[label, exact scalar]
-        self.weight_of = weight_of or {}
-        self.z_degree = z_degree or {}
+        self.structure = structure  # dict[(label, label)] -> dict[label, nonzero int]
+        self.weight_of = weight_of
+        self.z_degree = z_degree
         self.m = m
         self.n = n
         self.index = {lab: i for i, lab in enumerate(self.labels)}
+        for lab in self.labels:
+            if lab not in weight_of or lab not in z_degree:
+                raise SupvarError(f"label {lab} has no recorded weight or z-degree")
+        for (a, b), br in structure.items():
+            if any(type(c) is not int or not c for c in br.values()):
+                raise SupvarError(f"the constants of [{a}, {b}] must be nonzero ints")
         self._check_axioms()
 
     def bracket(self, a: Label, b: Label) -> dict:
@@ -89,10 +98,10 @@ class LieSuperalgebraData:
         cartan = [lab for lab in labels if lab[1] == lab[2]]
         gens = frozenset(lab for lab in labels if abs(lab[1] - lab[2]) == 1)
         for b in labels:
-            w = weight_of.get(b)
+            w = weight_of[b]
             for h in cartan:
-                c = None if w is None else w.coords[h[1] - 1]
-                if c is None or self.bracket(h, b) != ({b: c} if c else {}):
+                c = w.coords[h[1] - 1]
+                if self.bracket(h, b) != ({b: c} if c else {}):
                     raise InvariantBroken(f"{h} does not act on {b} by a recorded weight")
         seeds = [lab for lab in labels if lab in gens or lab in cartan]
         span = IncrementalSpan()
@@ -128,6 +137,8 @@ class LieSuperalgebraData:
             # super-antisymmetry: [a,b] = -(-1)^{|a||b|} [b,a]
             sign = -1 if (par[a] and par[b]) else 1
             for k in set(ab) | set(ba):
+                if k not in index:
+                    raise SupvarError(f"[{a}, {b}] leaves the labels at {k}")
                 if ab.get(k, 0) + sign * ba.get(k, 0) != 0:
                     raise SupvarError(f"super-antisymmetry fails on {a}, {b}")
         labels = self.labels
@@ -155,17 +166,13 @@ class LieSuperalgebraData:
                         raise SupvarError(f"graded Jacobi fails on {a}, {b}, {c}")
 
 
-def _gl_labels(m: int, n: int):
+def _gl_data(m: int, n: int) -> LieSuperalgebraData:
     size = m + n
-    return [("E", a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
-
-
-def _gl_data(m: int, n: int, labels, name: str) -> LieSuperalgebraData:
+    labels = [("E", a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
     parity = {("E", a, b): 1 if (a <= m) != (b <= m) else 0 for (_, a, b) in labels}
     z_degree = {}
     weights = {}
     structure = {}
-    label_set = set(labels)
     for (_, a, b) in labels:
         if (a <= m) == (b <= m):
             z_degree[("E", a, b)] = 0
@@ -177,13 +184,9 @@ def _gl_data(m: int, n: int, labels, name: str) -> LieSuperalgebraData:
     for la in labels:
         for lb in labels:
             br = _unit_bracket(m, la[1], la[2], lb[1], lb[2])
-            br = {k: v for k, v in br.items() if k in label_set}
             if br:
                 structure[(la, lb)] = br
-    return LieSuperalgebraData(
-        name, labels, parity, structure, weight_of=weights, z_degree=z_degree,
-        m=m, n=n,
-    )
+    return LieSuperalgebraData(f"gl({m}|{n})", labels, parity, structure, weights, z_degree, m, n)
 
 
 @lru_cache(maxsize=None)
@@ -191,14 +194,15 @@ def gl_superalgebra(m: int, n: int) -> LieSuperalgebraData:
     """gl(m|n) with its consistent Z-grading recorded per basis element."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    return _gl_data(m, n, _gl_labels(m, n), f"gl({m}|{n})")
+    return _gl_data(m, n)
 
 
 @lru_cache(maxsize=None)
 def gl_even_subalgebra(m: int, n: int) -> LieSuperalgebraData:
-    """The even part gl(m) + gl(n), as a Lie algebra in its own right."""
-    labels = [lab for lab in _gl_labels(m, n) if (lab[1] <= m) == (lab[2] <= m)]
-    return _gl_data(m, n, labels, f"gl({m})+gl({n})")
+    """The even part gl(m) + gl(n): the gl(m|n) table restricted to the even labels."""
+    g = gl_superalgebra(m, n)
+    return LieSuperalgebraData(f"gl({m})+gl({n})", g.even_labels(), g.parity, g.structure,
+                               g.weight_of, g.z_degree, m, n)
 
 
 class DetectingSubalgebra:
@@ -216,21 +220,19 @@ class DetectingSubalgebra:
         self.r = min(m, n)
         g = gl_superalgebra(m, n)
         self.odd_basis = tuple(
-            {("E", m + 1 - t, m + t): ONE, ("E", m + t, m + 1 - t): ONE}
+            {("E", m + 1 - t, m + t): 1, ("E", m + t, m + 1 - t): 1}
             for t in range(1, self.r + 1)
-        )
-        # x_t^2 = [x_t, x_t] / 2, stored as the even-part generators used here
-        self.squares = tuple(
-            {k: Fraction(v, 2) for k, v in g.bracket_elements(x, x).items()}
-            for x in self.odd_basis
         )
         for s, xs in enumerate(self.odd_basis):
             for t, xt in enumerate(self.odd_basis):
                 if s != t and g.bracket_elements(xs, xt):
                     raise InvariantBroken("detecting generators fail to supercommute")
-        for sq in self.squares:
-            if any(a != b for (_, a, b) in sq):
+        # x_t^2 = [x_t, x_t] / 2, stored as the even-part generators used here
+        doubled = [g.bracket_elements(x, x) for x in self.odd_basis]
+        for sq in doubled:
+            if any(a != b or v % 2 for (_, a, b), v in sq.items()):
                 raise InvariantBroken("a detecting generator square is not diagonal")
+        self.squares = tuple({k: v // 2 for k, v in sq.items()} for sq in doubled)
 
     def generator_labels(self, t: int) -> tuple:
         """The two matrix-unit labels entering x_t (1-based t)."""

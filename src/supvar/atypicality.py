@@ -39,8 +39,12 @@ class SupportDescription:
     g_support_dim: int
 
     def nonempty_subsets(self) -> list[tuple[int, ...]]:
-        families = sorted(tuple(sorted(s)) for s in self.subsets if s)
-        return sorted(families, key=lambda s: (len(s), s))
+        return sorted_nonempty(self.subsets)
+
+
+def sorted_nonempty(family) -> list[tuple[int, ...]]:
+    """The nonempty sets of a family as sorted tuples, by size, then lexicographically."""
+    return sorted((tuple(sorted(s)) for s in family if s), key=lambda s: (len(s), s))
 
 
 def defect(m: int, n: int) -> int:

@@ -48,7 +48,7 @@ from operator import sub
 
 from .algebra import LieSuperalgebraData
 from .config import RunConfig
-from .errors import ConstructionOverflow, InvariantBroken, SignConventionBroken, Unsupported
+from .errors import ConstructionOverflow, SignConventionBroken, Unsupported
 from .linalg import axpy, column_kernel, span_dim
 from .modules import SuperModuleRep, dual, tensor
 from .roots import Weight, zero_weight
@@ -62,8 +62,8 @@ from .roots import Weight, zero_weight
 def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
     """a |-> {e: {f: c}} with a.X_e = sum_f c X_f, for each even a in labels.
 
-    c is minus the coefficient of w_e in [a, w_f], an int: every gl(m|n)
-    structure constant is one, and a non-integral one raises.
+    c is minus the coefficient of w_e in [a, w_f], an int, as every
+    structure constant ``LieSuperalgebraData`` accepts is one.
     """
     index = {lab: e for e, lab in enumerate(gens)}
     table: dict = {}
@@ -76,9 +76,7 @@ def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
                     raise Unsupported(
                         "the even part does not stabilize the chosen odd subspace"
                     )
-                if c.denominator != 1:
-                    raise InvariantBroken(f"[{a}, {lab_f}] is not integral")
-                act.setdefault(e, {})[f] = -c.numerator
+                act.setdefault(e, {})[f] = -c
         table[a] = act
     return table
 
@@ -346,7 +344,7 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     the differential and the multiplicity count both preserve weights.
     """
     g = M.algebra
-    g1_labels = [lab for lab in g.labels if g.z_degree.get(lab) == 1]
+    g1_labels = [lab for lab in g.labels if g.z_degree[lab] == 1]
     if not g1_labels:
         raise Unsupported("algebra carries no degree-one part")
 

@@ -174,10 +174,8 @@ def _empty_actions(algebra) -> dict:
 
 
 def trivial_module(algebra: LieSuperalgebraData) -> SuperModuleRep:
-    m = algebra.m or 1
-    n = algebra.n or 1
     return SuperModuleRep(
-        algebra, [0], [zero_weight(m, n)], _empty_actions(algebra),
+        algebra, [0], [zero_weight(algebra.m, algebra.n)], _empty_actions(algebra),
         basis_names=["1"], meta={"kind": "trivial"},
     )
 
@@ -353,9 +351,8 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     (i, e, c): the label sends y_{S_j} v to c y_{S_i} (e.v), where e is the
     g0 label acting on L0 at the right end, or None for v itself.  A label's
     row is straightened on its first read, and all rows share one memo of
-    (label, S) straightenings.  Every [label, y_h] is checked integral when
-    the table is made, so a non-integral structure constant raises before
-    any row is read.
+    (label, S) straightenings.  The brackets [label, y_h] are read as the
+    ints ``LieSuperalgebraData`` checked at construction.
     """
     g = gl_superalgebra(m, n)
     y_labels = _odd_negative_labels(m, n)
@@ -363,15 +360,8 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     mn = len(y_labels)
     subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
                      key=lambda S: (len(S), S))
-    brackets = {}
-    for label in g.labels:
-        for h, y in enumerate(y_labels):
-            terms = []
-            for lab2, cb in g.bracket(label, y).items():
-                if cb.denominator != 1:
-                    raise InvariantBroken(f"[{label}, {y}] is not integral")
-                terms.append((lab2, cb.numerator))
-            brackets[label, h] = terms
+    brackets = {(label, h): g.bracket(label, y).items()
+                for label in g.labels for h, y in enumerate(y_labels)}
     memo: dict = {}
 
     def act(label, S: tuple) -> dict:
@@ -822,13 +812,13 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     coords = [w.coords for w in M.weights]
     for label in g.labels:
         pa = g.parity[label]
-        shift = g.weight_of.get(label)
+        shift = g.weight_of[label].coords
         for i, col in A[label].items():
-            target = None if shift is None else tuple(map(add, coords[i], shift.coords))
+            target = tuple(map(add, coords[i], shift))
             for j, c in col.items():
                 if c and (M.parities[j] - M.parities[i] - pa) % 2 != 0:
                     problems.append(f"parity breaks: {label} sends {i} to {j}")
-                if c and target is not None and coords[j] != target:
+                if c and coords[j] != target:
                     problems.append(f"weight breaks: {label} sends {i} to {j}")
     problems += [f"Cartan element {label} is not diagonal on column {i}"
                  for label, i in _cartan_failures(M)]
@@ -840,14 +830,12 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
         for b in g.labels[k if pa else k + 1:]:
             if b[1] == b[2] or (a not in gens and b not in gens):
                 continue
-            br = g.bracket(a, b)
-            q = lcm(*(c.denominator for c in br.values()))  # clears the structure constants
             s = -1 if (pa and g.parity[b]) else 1
             out: dict = {}
-            _int_mul_add(out, A[a], A[b], q)
-            _int_mul_add(out, A[b], A[a], -s * q)
-            for e, c in br.items():
-                _int_mul_add(out, A[e], identity, -d * int(c * q))
+            _int_mul_add(out, A[a], A[b], 1)
+            _int_mul_add(out, A[b], A[a], -s)
+            for e, c in g.bracket(a, b).items():
+                _int_mul_add(out, A[e], identity, -d * c)
             i = _nonzero_column(out)
             if i is not None:
                 problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")

@@ -40,7 +40,7 @@ from itertools import combinations
 from math import lcm
 
 from .algebra import detecting_subalgebra
-from .atypicality import SupportDescription, defect, theoretical_support
+from .atypicality import SupportDescription, defect, sorted_nonempty, theoretical_support
 from .config import DEFAULT_SEED, RunConfig
 from .errors import ShapeMismatch, ZeroPoint
 from .linalg import ZERO, IncrementalSpan, axpy, scalar
@@ -79,14 +79,7 @@ class EmpiricalSupport:
     dim: int
 
     def nonempty_subsets(self) -> list[tuple[int, ...]]:
-        return sorted((tuple(sorted(s)) for s in self.subsets), key=lambda s: (len(s), s))
-
-
-def _ambient_mn(M: SuperModuleRep) -> tuple[int, int]:
-    m, n = M.algebra.m, M.algebra.n
-    if m is None or n is None:
-        raise ShapeMismatch("module algebra does not carry gl(m|n) data")
-    return m, n
+        return sorted_nonempty(self.subsets)
 
 
 def _deciding_block(M: SuperModuleRep, a) -> list[int]:
@@ -105,7 +98,7 @@ def _deciding_block(M: SuperModuleRep, a) -> list[int]:
 
 
 def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
-    m, n = _ambient_mn(M)
+    m, n = M.algebra.m, M.algebra.n
     r = defect(m, n)
     if point.r != r:
         raise ShapeMismatch(f"point has {point.r} coordinates, defect is {r}")
@@ -179,7 +172,7 @@ def empirical_support(M: SuperModuleRep, samples_per_subset: int = RunConfig.sam
     """
     if samples_per_subset < 1:
         raise ValueError("samples_per_subset must be >= 1")
-    m, n = _ambient_mn(M)
+    m, n = M.algebra.m, M.algebra.n
     r = defect(m, n)
     tested = []
     found = set()
@@ -218,11 +211,8 @@ def compare_support(lam: Weight, samples_per_subset: int = RunConfig.samples_per
     theo = theoretical_support(lam)
     L = simple_module(lam, budget)
     emp = empirical_support(L, samples_per_subset, seed)
-    theo_nonempty = {s for s in theo.subsets if s}
-    only_theo = sorted((tuple(sorted(s)) for s in theo_nonempty - emp.subsets),
-                       key=lambda s: (len(s), s))
-    only_emp = sorted((tuple(sorted(s)) for s in emp.subsets - theo_nonempty),
-                      key=lambda s: (len(s), s))
+    only_theo = sorted_nonempty(theo.subsets - emp.subsets)
+    only_emp = sorted_nonempty(emp.subsets - theo.subsets)
     match = not only_theo and not only_emp and theo.dim == emp.dim
     return SupportComparison(
         lam=lam, theoretical=theo, empirical=emp, match=match,

@@ -41,11 +41,12 @@ def test_z_grading():
 
 
 def test_axiom_check_rejects_bad_structure():
+    g = gl_superalgebra(2, 1)
     labels = [("E", 1, 1), ("E", 1, 2)]
     parity = {lab: 0 for lab in labels}
-    structure = {(("E", 1, 1), ("E", 1, 2)): {("E", 1, 2): ONE}}  # missing the flip
+    structure = {(("E", 1, 1), ("E", 1, 2)): {("E", 1, 2): 1}}  # missing the flip
     with pytest.raises(SupvarError):
-        LieSuperalgebraData("broken", labels, parity, structure)
+        LieSuperalgebraData("broken", labels, parity, structure, g.weight_of, g.z_degree, 2, 1)
 
 
 def reference_check_axioms(labels, parity, structure):
@@ -93,7 +94,9 @@ def test_axiom_check_agrees_with_reference_on_gl(m, n):
         reference_check_axioms(g.labels, g.parity, g.structure)
         as_fractions = {pair: {k: Fraction(v) for k, v in br.items()}
                         for pair, br in g.structure.items()}
-        LieSuperalgebraData(g.name, g.labels, g.parity, as_fractions)
+        with pytest.raises(SupvarError, match="must be nonzero ints"):
+            LieSuperalgebraData(g.name, g.labels, g.parity, as_fractions,
+                                g.weight_of, g.z_degree, m, n)
 
 
 def corrupted_tables(g):
@@ -134,7 +137,8 @@ def test_axiom_check_rejects_what_the_reference_rejects(m, n):
         with pytest.raises(SupvarError) as ref:
             reference_check_axioms(g.labels, g.parity, structure)
         with pytest.raises(SupvarError) as new:
-            LieSuperalgebraData("broken", g.labels, g.parity, structure)
+            LieSuperalgebraData("broken", g.labels, g.parity, structure,
+                                g.weight_of, g.z_degree, m, n)
         assert str(new.value) == str(ref.value), how
         kinds.add((how[0], str(ref.value).split(" fails")[0]))
     assert kinds == {("negate", "graded Jacobi"), ("drop", "graded Jacobi"),
@@ -146,6 +150,43 @@ def test_even_subalgebra_is_closed():
     g0 = gl_even_subalgebra(2, 2)
     assert all(g0.parity[lab] == 0 for lab in g0.labels)
     assert len(g0.labels) == 8
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 3)])
+def test_even_subalgebra_shares_the_gl_table(m, n):
+    g, g0 = gl_superalgebra(m, n), gl_even_subalgebra(m, n)
+    assert g0.structure is g.structure
+    assert g0.weight_of is g.weight_of
+    assert g0.z_degree is g.z_degree
+    assert g0.labels == tuple(g.even_labels())
+    assert g0.name == f"gl({m})+gl({n})"
+
+
+def test_label_set_not_closed_under_the_bracket_is_rejected():
+    g = gl_superalgebra(2, 1)
+    labels = [("E", 1, 2), ("E", 2, 1)]  # [E12, E21] = E11 - E22
+    with pytest.raises(SupvarError, match="leaves the labels"):
+        LieSuperalgebraData("open", labels, g.parity, g.structure, g.weight_of, g.z_degree, 2, 1)
+
+
+@pytest.mark.parametrize("table", ["weight_of", "z_degree"])
+def test_label_without_weight_or_z_degree_is_rejected(table):
+    g = gl_superalgebra(1, 1)
+    tables = {"weight_of": dict(g.weight_of), "z_degree": dict(g.z_degree)}
+    del tables[table][("E", 1, 2)]
+    with pytest.raises(SupvarError, match="no recorded weight or z-degree"):
+        LieSuperalgebraData("unrecorded", g.labels, g.parity, g.structure,
+                            tables["weight_of"], tables["z_degree"], 1, 1)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0], ids=["half", "zero"])
+def test_structure_constant_that_is_not_a_nonzero_int_is_rejected(bad):
+    g = gl_superalgebra(1, 1)
+    key = (("E", 1, 1), ("E", 1, 2))
+    structure = {**g.structure, key: {("E", 1, 2): bad}}
+    with pytest.raises(SupvarError, match="must be nonzero ints"):
+        LieSuperalgebraData("bad-constant", g.labels, g.parity, structure,
+                            g.weight_of, g.z_degree, 1, 1)
 
 
 def test_detecting_generators():

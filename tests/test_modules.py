@@ -1,4 +1,3 @@
-import copy
 import json
 import operator
 import sys
@@ -17,6 +16,7 @@ from supvar.errors import (
     FormInconsistent,
     InvariantBroken,
     NotDominant,
+    SupvarError,
 )
 from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, span_dim
 from supvar.modules import (
@@ -201,17 +201,16 @@ def test_kac_actions_match_reference_straightening():
     assert_kac_matches_reference(parse_weight(3, 1, "0,-2,-2|0"))  # L0 denominator 2
 
 
-def test_exterior_table_rejects_non_integral_brackets(monkeypatch):
-    # the table runs over ints: a structure constant 1/2 must raise, not truncate
+def test_exterior_table_rejects_non_integral_brackets():
+    # the table runs over ints: a structure constant 1/2 must raise, not truncate,
+    # and the algebra rejects it before any table can read it
     real = gl_superalgebra(1, 1)
-    fake = copy.copy(real)
     key = (("E", 1, 1), ("E", 2, 1))
-    fake.structure = {**real.structure,
-                      key: {k: Fraction(v, 2) for k, v in real.structure[key].items()}}
-    supvar.modules._exterior_actions.cache_clear()
-    monkeypatch.setattr(supvar.modules, "gl_superalgebra", lambda m, n: fake)
-    with pytest.raises(InvariantBroken):
-        kac_module(parse_weight(1, 1, "0|0"))
+    structure = {**real.structure,
+                 key: {k: Fraction(v, 2) for k, v in real.structure[key].items()}}
+    with pytest.raises(SupvarError, match="must be nonzero ints"):
+        supvar.algebra.LieSuperalgebraData("half", real.labels, real.parity, structure,
+                                           real.weight_of, real.z_degree, 1, 1)
 
 
 def column_order(cols):
@@ -654,7 +653,9 @@ def test_algebra_not_generated_by_chevalley_generators_is_rejected():
     # the span of E11, E22, E33, E13 is closed under the bracket, but none of
     # its labels is a Chevalley generator, so E13 is never reached
     labels = [("E", 1, 1), ("E", 2, 2), ("E", 3, 3), ("E", 1, 3)]
-    h = supvar.algebra._gl_data(3, 1, labels, "borel-piece")
+    g = gl_superalgebra(3, 1)
+    h = supvar.algebra.LieSuperalgebraData("borel-piece", labels, g.parity, g.structure,
+                                           g.weight_of, g.z_degree, 3, 1)
     with pytest.raises(InvariantBroken, match="span 3 of the 4 labels"):
         verify_rep(trivial_module(h))
 
@@ -664,7 +665,7 @@ def test_algebra_with_cartan_off_the_recorded_weights_is_rejected():
     weight_of = dict(g.weight_of)
     weight_of[("E", 1, 2)] = weight_of[("E", 2, 1)]
     h = supvar.algebra.LieSuperalgebraData("bad-weights", g.labels, g.parity, g.structure,
-                                           weight_of=weight_of, m=1, n=1)
+                                           weight_of, g.z_degree, 1, 1)
     with pytest.raises(InvariantBroken, match="by a recorded weight"):
         h.chevalley_generators
 
