@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import InvariantBroken, SupvarError
-from .linalg import IncrementalSpan, axpy
+from .linalg import axpy
 from .roots import eps
 
 Label = tuple  # ("E", a, b)
@@ -84,35 +84,58 @@ class LieSuperalgebraData:
         return [lab for lab in self.labels if self.parity[lab] == 1]
 
     @cached_property
-    def chevalley_generators(self) -> frozenset:
-        """The labels E_{i,i+1} and E_{i+1,i} of ``labels``, proven to generate.
+    def serre_pairs(self) -> tuple:
+        """The label pairs ``verify_rep`` checks: a Serre presentation of gl(m|n).
 
-        Checked once per algebra, raising ``InvariantBroken`` on failure:
-        every label b has a recorded weight and each Cartan label E_{i,i}
-        brackets it to weight_of[b]_i b, and the generators with the Cartan
-        labels generate every label: the span they start, closed under
-        brackets with them, has full dimension.  ``verify_rep`` rests on both
-        facts.
+        With e_i = E_{i,i+1}, f_i = E_{i+1,i} (e_m odd): (e_i, f_j) for all i, j;
+        the definitions (e_i, E_{i+1,j}), j >= i+2; the Serre relations read
+        through them, (e_i, e_j) for |i-j| > 1, (e_i, E_{i,i+2}) for i != m,
+        (e_{i+1}, E_{i,i+2}) for i+1 != m, (e_m, e_m), and (e_m, E_{m-1,m+2}) if
+        m, n >= 2; and the same for the f_i.  Pairs with a label outside
+        ``labels`` are dropped, which for the even part leaves gl(m) + gl(n).
+        Pairs and tuple are in label order.  Checked once per algebra, raising
+        ``InvariantBroken``: each Cartan E_{i,i} brackets each label b to
+        weight_of[b]_i b, each relation to 0 ([e_i, f_i] into the Cartan), each
+        definition to a nonzero multiple of its label, and every E_{a,b} with
+        |a-b| > 1 is defined.
         """
-        labels, weight_of = self.labels, self.weight_of
+        labels, index, m, top = self.labels, self.index, self.m, self.m + self.n
         cartan = [lab for lab in labels if lab[1] == lab[2]]
-        gens = frozenset(lab for lab in labels if abs(lab[1] - lab[2]) == 1)
         for b in labels:
-            w = weight_of[b]
             for h in cartan:
-                c = w.coords[h[1] - 1]
+                c = self.weight_of[b].coords[h[1] - 1]
                 if self.bracket(h, b) != ({b: c} if c else {}):
                     raise InvariantBroken(f"{h} does not act on {b} by a recorded weight")
-        seeds = [lab for lab in labels if lab in gens or lab in cartan]
-        span = IncrementalSpan()
-        new = [{lab: 1} for lab in seeds]
-        while new:
-            new = [x for x in new if span.add(x)]
-            new = [self.bracket_elements({s: 1}, x) for s in seeds for x in new]
-        if span.dim != len(labels):
-            raise InvariantBroken(f"the Chevalley generators and the Cartan labels "
-                                  f"span {span.dim} of the {len(labels)} labels of {self.name}")
-        return gens
+
+        def E(a, b):
+            return ("E", a, b)
+
+        def flip(lab):  # E_{a,b} -> E_{b,a} takes each e_i to f_i
+            return E(lab[2], lab[1])
+
+        up = [(E(i, i + 1), E(j, j + 1)) for i in range(1, top) for j in range(i + 2, top)]
+        up += [(E(i + s, i + 1 + s), E(i, i + 2))
+               for i in range(1, top - 1) for s in (0, 1) if i + s != m]
+        up += [(E(m, m + 1), E(m, m + 1))]
+        up += [(E(m, m + 1), E(m - 1, m + 2))] if m > 1 and self.n > 1 else []
+        defs = [(E(i, i + 1), E(i + 1, j), E(i, j))
+                for i in range(1, top) for j in range(i + 2, top + 1)]
+        defs += [tuple(map(flip, d)) for d in defs]
+        rels = [(E(i, i + 1), E(j + 1, j)) for i in range(1, top) for j in range(1, top)]
+        rels += up + [tuple(map(flip, p)) for p in up]
+        rels, defs = ([p for p in ps if p[0] in index and p[1] in index] for ps in (rels, defs))
+        for a, b in rels:
+            br = self.bracket(a, b)
+            if br and (b != flip(a) or any(k[1] != k[2] for k in br)):
+                raise InvariantBroken(f"the relation ({a}, {b}) fails in {self.name}")
+        for a, b, c in defs:
+            if self.bracket(a, b).keys() != {c}:
+                raise InvariantBroken(f"({a}, {b}) does not define {c} in {self.name}")
+        unreached = {lab for lab in labels if abs(lab[1] - lab[2]) > 1} - {d[2] for d in defs}
+        if unreached:
+            raise InvariantBroken(f"no definition reaches {min(unreached)} in {self.name}")
+        pairs = {tuple(sorted(p[:2], key=index.get)) for p in rels + defs}
+        return tuple(sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])))
 
     def _check_axioms(self):
         """Super-antisymmetry and the graded Jacobi identity on every basis triple.
@@ -227,12 +250,10 @@ class DetectingSubalgebra:
             for t, xt in enumerate(self.odd_basis):
                 if s != t and g.bracket_elements(xs, xt):
                     raise InvariantBroken("detecting generators fail to supercommute")
-        # x_t^2 = [x_t, x_t] / 2, stored as the even-part generators used here
-        doubled = [g.bracket_elements(x, x) for x in self.odd_basis]
-        for sq in doubled:
-            if any(a != b or v % 2 for (_, a, b), v in sq.items()):
+        # x_t^2 = [x_t, x_t] / 2 is diagonal, so _square_eigenvalues reads it off weights
+        for x in self.odd_basis:
+            if any(a != b or v % 2 for (_, a, b), v in g.bracket_elements(x, x).items()):
                 raise InvariantBroken("a detecting generator square is not diagonal")
-        self.squares = tuple({k: v // 2 for k, v in sq.items()} for sq in doubled)
 
     def generator_labels(self, t: int) -> tuple:
         """The two matrix-unit labels entering x_t (1-based t)."""

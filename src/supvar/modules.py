@@ -59,12 +59,10 @@ that power as one int factor.  G is symmetric (asserted entry by entry), so
 the identity for tau(a) is the transpose of the one for a and each pair
 {a, tau a} is checked once.  A Cartan label is checked to act by den times
 the weights instead, which implies its identity
-(``_check_form_adjointness``).  ``verify_rep``
-checks A_a A_b - s A_b A_a = A_[a,b], s = (-1)^{|a||b|},
-for the label pairs a <= b where neither is a Cartan label and one is a
-Chevalley generator E_{i,i+1} or E_{i+1,i}; its docstring proves that those
-pairs, with the parity, weight and Cartan checks, imply every pair.  a = b
-is skipped only for even a; for an odd generator a it says 2 A_a^2 = A_[a,a].
+(``_check_form_adjointness``).  ``verify_rep`` checks A_a A_b - s A_b A_a
+= A_[a,b], s = (-1)^{|a||b|}, on the pairs of a Serre presentation; its
+docstring proves that they, with the parity, weight and Cartan checks, imply
+every pair.
 """
 
 from __future__ import annotations
@@ -780,28 +778,30 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     labeled weight coordinates; the rank-variety tests rely on that.
     Weights are compared as coordinate tuples.  Brackets are checked as
     A_a A_b - s A_b A_a = d [a, b] on the stored ints A over d = den, on
-    the pairs a <= b of non-Cartan labels of which one is a Chevalley
-    generator E_{i,i+1} or E_{i+1,i} of the algebra, in label order.
+    the pairs ``g.serre_pairs`` only (25 of 128 on gl(2|2)), in label order.
 
-    Those pairs prove the identity on every pair.  Let V be the set of
-    elements a with [rho a, rho b] = rho [a, b] for every label b.  V is a
-    subspace.  V holds every Cartan h: rho h is diagonal by the weights and
-    each label b shifts weight by its weight alpha_b (both checked here), so
-    [rho h, rho b] = alpha_b(h) rho b, which is rho [h, b] by the algebra's
-    ``chevalley_generators`` check.  So a generator a lies in V once the
-    pairs (a, b) with b non-Cartan hold: (a, h) follows from h in V, and a
-    pair (a, b) with b < a from (b, a), by super-antisymmetry of the
-    brackets (``LieSuperalgebraData`` asserts it) and of supercommutators
-    alike.  V is closed under the bracket: for a, a' in V, graded Jacobi for
-    the operators, which are homogeneous of their labels' parities (checked
-    here), and in the algebra (asserted) gives
-    [rho [a, a'], rho b] = rho [[a, a'], b].  The generators and the Cartan
-    generate the algebra, which ``chevalley_generators`` checks once per
-    algebra, raising ``InvariantBroken`` if not.  So V is everything.  For
-    an odd generator s the pair (s, s) says 2 A_s^2 = A_[s,s] and is kept.
+    They imply every pair, for gl(m|n) and its even part; write rho for the
+    operators.  (1) rho h is diagonal by the weights and each rho b shifts
+    weight by alpha_b (both checked here), so [rho h, rho b] = alpha_b(h) rho b
+    = rho [h, b] for Cartan h, by the ``serre_pairs`` check.  (2) The positive
+    root labels span n+, which the e_i generate subject to the Serre
+    relations: Leites-Saveliev-Serganova (1986), Yamane (Publ. RIMS 30, 1994)
+    and R. B. Zhang ("Serre presentations of Lie superalgebras", 2014), and
+    Serre's theorem for gl(m) + gl(n).  They present the whole algebra, for
+    m = n also sl(n|n) or psl(n|n), with or without the full gl Cartan; all
+    share n+, the one part used here (``tests/test_algebra.py`` recomputes
+    it for m + n <= 7).  So the relation pairs extend e_i -> rho e_i to a
+    representation rho+ of n+, and the definition pairs give rho b = rho+(b)
+    for positive b, by induction on its height; likewise for n-.  (3) The x
+    in n+ with [rho x, rho f_j] = rho [x, f_j] for all j hold the e_i (pairs
+    (e_i, f_j)) and form a subalgebra by graded Jacobi, for the operators
+    (homogeneous, checked here) and in the algebra (asserted), as [n+, f_j]
+    lies in h + n+, where (1) and (2) apply.  So they are n+.  The y in n-
+    with [rho x, rho y] = rho [x, y] for all x in n+ hold the f_j and form a
+    subalgebra likewise, so they are n-.  With super-antisymmetry (asserted,
+    and true of supercommutators) every pair holds.
     """
     g, d = M.algebra, M.den
-    gens = g.chevalley_generators
     A = {label: M.actions.get(label, {}) for label in g.labels}
     problems = [] if isinstance(d, int) and d > 0 else [f"den {d!r} is not a positive int"]
     problems += [f"entry {c!r} of {label} on column {i} row {j} is not an int"
@@ -823,22 +823,16 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     problems += [f"Cartan element {label} is not diagonal on column {i}"
                  for label, i in _cartan_failures(M)]
     identity = {i: {i: 1} for i in range(M.dim)}
-    for k, a in enumerate(g.labels):
-        if a[1] == a[2]:
-            continue
-        pa = g.parity[a]
-        for b in g.labels[k if pa else k + 1:]:
-            if b[1] == b[2] or (a not in gens and b not in gens):
-                continue
-            s = -1 if (pa and g.parity[b]) else 1
-            out: dict = {}
-            _int_mul_add(out, A[a], A[b], 1)
-            _int_mul_add(out, A[b], A[a], -s)
-            for e, c in g.bracket(a, b).items():
-                _int_mul_add(out, A[e], identity, -d * c)
-            i = _nonzero_column(out)
-            if i is not None:
-                problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")
+    for a, b in g.serre_pairs:
+        s = -1 if (g.parity[a] and g.parity[b]) else 1
+        out: dict = {}
+        _int_mul_add(out, A[a], A[b], 1)
+        _int_mul_add(out, A[b], A[a], -s)
+        for e, c in g.bracket(a, b).items():
+            _int_mul_add(out, A[e], identity, -d * c)
+        i = _nonzero_column(out)
+        if i is not None:
+            problems.append(f"bracket compatibility fails on ({a}, {b}) column {i}")
     return not problems, problems
 
 

@@ -572,34 +572,52 @@ def test_verify_rep_checks_odd_squares():
     assert problems == [f"bracket compatibility fails on ({('E', 1, 2)}, {('E', 1, 2)}) column 0"]
 
 
-def all_pairs_bracket_failures(M):
-    """The failing pairs, in label order, of A_a A_b - s A_b A_a = d [a, b] over every
-    label pair a <= b (a = b only for odd a): the all-pairs reference for
-    ``verify_rep``, which checks generator pairs only."""
+def bracket_failures(M, pairs):
+    """The pairs (a, b) of ``pairs`` on which A_a A_b - s A_b A_a = d [a, b] fails,
+    as a generator, so a caller after the verdict stops at the first."""
     g, d = M.algebra, M.den
     A = {label: M.actions.get(label, {}) for label in g.labels}
     identity = {i: {i: 1} for i in range(M.dim)}
-    failures = []
-    for k, a in enumerate(g.labels):
-        pa = g.parity[a]
-        for b in g.labels[k if pa else k + 1:]:
-            s = -1 if (pa and g.parity[b]) else 1
-            out = {}
-            _int_mul_add(out, A[a], A[b], 1)
-            _int_mul_add(out, A[b], A[a], -s)
-            for e, c in g.bracket(a, b).items():
-                _int_mul_add(out, A[e], identity, -d * c)
-            if _nonzero_column(out) is not None:
-                failures.append((a, b))
-    return failures
+    for a, b in pairs:
+        s = -1 if (g.parity[a] and g.parity[b]) else 1
+        out = {}
+        _int_mul_add(out, A[a], A[b], 1)
+        _int_mul_add(out, A[b], A[a], -s)
+        for e, c in g.bracket(a, b).items():
+            _int_mul_add(out, A[e], identity, -d * c)
+        if _nonzero_column(out) is not None:
+            yield a, b
+
+
+def all_pairs(g):
+    """Every label pair a <= b, a = b only for odd a, in label order."""
+    return [(a, b) for k, a in enumerate(g.labels) for b in g.labels[k if g.parity[a] else k + 1:]]
+
+
+def generator_pairs(g):
+    """The pairs of ``all_pairs`` with no Cartan label E_{i,i} and one Chevalley
+    generator E_{i,i+1} or E_{i+1,i}: what ``verify_rep`` checked before it checked
+    a Serre presentation, kept as a second reference."""
+    def gen(lab):
+        return abs(lab[1] - lab[2]) == 1
+    return [(a, b) for a, b in all_pairs(g)
+            if a[1] != a[2] and b[1] != b[2] and (gen(a) or gen(b))]
+
+
+def all_pairs_bracket_failures(M):
+    """The failing pairs, in label order, of the bracket identity over every label
+    pair: the all-pairs reference for ``verify_rep``, which checks Serre pairs only."""
+    return list(bracket_failures(M, all_pairs(M.algebra)))
 
 
 def assert_same_verdict(M):
-    """verify_rep and the all-pairs reference agree; returns the verdict."""
+    """verify_rep, the all-pairs and the generator-pair references agree; returns
+    the verdict."""
     ok, problems = verify_rep(M)
-    failures = all_pairs_bracket_failures(M)
     assert all(p.startswith("bracket compatibility fails") for p in problems), problems[:3]
-    assert ok == (not failures), (problems[:3], failures[:3])
+    for pairs in (all_pairs(M.algebra), generator_pairs(M.algebra)):
+        failure = next(bracket_failures(M, pairs), None)
+        assert ok == (failure is None), (problems[:3], failure)
     return ok
 
 
@@ -607,17 +625,20 @@ def single_entry_corruptions(M):
     """M with den added to one entry of one non-Cartan label, at the first and at
     the last position (column, row) that respects weights and parities."""
     g = M.algebra
-    coords = [w.coords for w in M.weights]
+    rows = {}  # (weight, parity) -> basis indices, ascending
+    for j, w in enumerate(M.weights):
+        rows.setdefault((w.coords, M.parities[j]), []).append(j)
     for x in g.labels:
         if x[1] == x[2]:
             continue
         root, px = g.weight_of[x].coords, g.parity[x]
-        places = [(i, j) for i in range(M.dim) for j in range(M.dim)
-                  if coords[j] == tuple(map(operator.add, coords[i], root))
-                  and (M.parities[j] - M.parities[i] - px) % 2 == 0]
-        for i, j in sorted(set(places[:1] + places[-1:])):
-            actions = {lab: {c: dict(col) for c, col in M.actions[lab].items()}
-                       for lab in g.labels}
+        targets = [rows.get((tuple(map(operator.add, w.coords, root)), (p + px) % 2), [])
+                   for w, p in zip(M.weights, M.parities)]
+        cols = [i for i in range(M.dim) if targets[i]]
+        places = {(cols[0], targets[cols[0]][0]), (cols[-1], targets[cols[-1]][-1])} if cols else ()
+        for i, j in sorted(places):
+            actions = {lab: M.actions[lab] for lab in g.labels}
+            actions[x] = {c: dict(col) for c, col in M.actions[x].items()}
             col = actions[x].setdefault(i, {})
             col[j] = col.get(j, 0) + M.den
             if not col[j]:
@@ -649,14 +670,25 @@ def test_generator_pairs_match_all_pairs_on_corruptions():
         assert not assert_same_verdict(odd_square_module(s))
 
 
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 2), (2, 4)])
+def test_serre_pairs_match_both_references_on_corruptions(m, n):
+    # K(0|0) of dimension 2^(mn); the quartic pair (e_m, E_{m-1,m+2}) for
+    # m = n, m > n and m < n
+    K = kac_module(weight(m, n, [0] * (m + n)))
+    assert K.dim == 2 ** (m * n)
+    assert assert_same_verdict(K)
+    verdicts = [assert_same_verdict(C) for C in single_entry_corruptions(K)]
+    assert len(verdicts) == 2 * ((m + n) ** 2 - m - n) and not any(verdicts)
+
+
 def test_algebra_not_generated_by_chevalley_generators_is_rejected():
     # the span of E11, E22, E33, E13 is closed under the bracket, but none of
-    # its labels is a Chevalley generator, so E13 is never reached
+    # its labels is a Chevalley generator, so no definition pair reaches E13
     labels = [("E", 1, 1), ("E", 2, 2), ("E", 3, 3), ("E", 1, 3)]
     g = gl_superalgebra(3, 1)
     h = supvar.algebra.LieSuperalgebraData("borel-piece", labels, g.parity, g.structure,
                                            g.weight_of, g.z_degree, 3, 1)
-    with pytest.raises(InvariantBroken, match="span 3 of the 4 labels"):
+    with pytest.raises(InvariantBroken, match="no definition reaches \\('E', 1, 3\\)"):
         verify_rep(trivial_module(h))
 
 
@@ -667,7 +699,7 @@ def test_algebra_with_cartan_off_the_recorded_weights_is_rejected():
     h = supvar.algebra.LieSuperalgebraData("bad-weights", g.labels, g.parity, g.structure,
                                            weight_of, g.z_degree, 1, 1)
     with pytest.raises(InvariantBroken, match="by a recorded weight"):
-        h.chevalley_generators
+        h.serre_pairs
 
 
 def test_tensor_dual_parity():
