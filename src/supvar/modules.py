@@ -49,6 +49,13 @@ All reps are immutable after construction.  The actions of Kac modules,
 duals and tensor products only gain labels on first read, each fixed once
 published, so a reader of a few labels (the rank test, the Ext complex)
 pays for those alone; ``parity_shift`` and ``direct_sum`` build eagerly.
+Kac modules are shared while held: ``kac_module(lam, budget)`` returns the
+module of that key that some caller still holds, columns already read
+included, so ``simple_module(lam)`` beside a held K(lam) reuses it.  The
+table of live modules holds its values weakly, so a module goes with its
+last holder and a long run keeps nothing it no longer reads; two threads
+racing on one key get equal modules.  So no reader may edit a module in
+place.
 
 Both representation checks are sparse matrix identities over the integers,
 on the stored int actions, and the form is filled from the same ints.
@@ -75,6 +82,7 @@ from itertools import permutations
 from math import lcm
 from operator import add
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
 from .config import RunConfig
@@ -393,11 +401,34 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     )
 
 
+# (lam, budget) -> the Kac module some caller still holds (``kac_module``)
+_LIVE_KAC: WeakValueDictionary = WeakValueDictionary()
+
+
 def kac_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperModuleRep:
     """The universal highest weight supermodule induced from L0(lam).
 
+    While a caller holds the Kac module of (lam, budget), every call with that
+    key returns that object, label columns already read included; a Kac
+    module is immutable, so its holders cannot tell.  The table of live
+    modules holds them weakly, so a module goes with its last holder and no
+    long run keeps modules it no longer reads; the next call builds it
+    again, equal to the old one.  A new module is published
+    with one ``setdefault``, as ``_OnFirstRead`` publishes a label: two
+    threads racing on one key may both build it and get two equal modules.
+    A key that raises (``NotDominant``, ``ConstructionOverflow``) publishes
+    nothing and raises on every call.
+
     The actions are summed per label on first read (``_OnFirstRead``).
     """
+    key = (lam, budget)
+    K = _LIVE_KAC.get(key)
+    if K is None:
+        K = _LIVE_KAC.setdefault(key, _build_kac_module(lam, budget))
+    return K
+
+
+def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
     m, n = lam.m, lam.n
     g = gl_superalgebra(m, n)
     L0 = L0_module(lam, budget)

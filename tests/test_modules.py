@@ -1,8 +1,11 @@
+import gc
 import json
 import operator
 import sys
 import threading
+import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -106,6 +109,76 @@ def test_kac_superdimension_vanishes():
 def test_kac_budget_guard():
     with pytest.raises(ConstructionOverflow):
         kac_module(parse_weight(2, 2, "0,0|0,0"), budget=10)
+
+
+# an atypical weight outside the acceptance sweep (entries in [-2, 2]): the
+# session fixture holds the sweep's modules, but only the test holds K(LIVE)
+LIVE = (2, 1, "3,1|-1")
+
+
+def test_kac_module_returns_the_module_a_caller_holds():
+    lam = parse_weight(*LIVE)
+    K = kac_module(lam)
+    assert kac_module(lam) is K
+    assert kac_module(parse_weight(*LIVE)) is K  # an equal weight is the same key
+    dumped = json.dumps(dump_module(K))
+    gone = weakref.ref(K)
+    del K
+    gc.collect()
+    assert gone() is None  # nothing kept it alive, so what follows is a new build
+    assert json.dumps(dump_module(kac_module(lam))) == dumped
+
+
+def test_kac_module_is_keyed_by_budget():
+    lam = parse_weight(*LIVE)
+    K = kac_module(lam)
+    tight = kac_module(lam, budget=K.dim)
+    assert tight is not K
+    assert kac_module(lam, budget=K.dim) is tight
+    assert json.dumps(dump_module(tight)) == json.dumps(dump_module(K))
+    # a held module of a larger budget does not lift the guard
+    with pytest.raises(ConstructionOverflow):
+        kac_module(lam, budget=K.dim - 1)
+
+
+def test_kac_module_built_from_four_threads_is_one_module_or_equal_ones():
+    lam = parse_weight(*LIVE)
+    expected = json.dumps(dump_module(kac_module(lam)))
+    barrier = threading.Barrier(4)
+    got = [None] * 4
+
+    def build(k):
+        barrier.wait()
+        got[k] = kac_module(lam)
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(json.dumps(dump_module(K)) == expected for K in got)
+    assert kac_module(lam) in got  # the table holds one of them
+
+
+def test_simple_module_reuses_the_held_kac_module(monkeypatch):
+    lam = parse_weight(*LIVE)
+    real = supvar.modules.L0_module
+    calls = []
+
+    def counted(lam, budget):
+        calls.append(lam)
+        return real(lam, budget)
+
+    monkeypatch.setattr(supvar.modules, "L0_module", counted)
+    head = json.dumps(dump_module(simple_module(lam)))  # builds K and drops it
+    assert len(calls) == 1
+    K = kac_module(lam)
+    assert len(calls) == 2
+    L = simple_module(lam)
+    assert len(calls) == 2  # the head is the quotient of the held K
+    assert L.dim < K.dim
+    assert json.dumps(dump_module(L)) == head
 
 
 def reference_kac(lam):
@@ -225,6 +298,9 @@ def test_kac_labels_read_in_reverse_give_the_forward_columns():
     supvar.modules._exterior_actions.cache_clear()
     K = kac_module(lam)
     backward = {label: column_order(K.actions[label]) for label in reversed(labels)}
+    gone = weakref.ref(K)
+    del K
+    assert gone() is None  # so the next kac_module builds a new module
     supvar.modules._exterior_actions.cache_clear()
     K = kac_module(lam)
     forward = {label: column_order(K.actions[label]) for label in labels}
@@ -235,7 +311,11 @@ def test_kac_labels_read_in_reverse_give_the_forward_columns():
 def test_kac_labels_read_from_four_threads_match_sequential_read():
     lam = parse_weight(3, 2, "1,0,0|0,-1")
     supvar.modules._exterior_actions.cache_clear()
-    expected = dict(kac_module(lam).actions)
+    K = kac_module(lam)
+    expected = dict(K.actions)
+    gone = weakref.ref(K)
+    del K
+    assert gone() is None  # so the next kac_module builds a new module
     supvar.modules._exterior_actions.cache_clear()
     K = kac_module(lam)
     labels = list(K.algebra.labels)
@@ -337,6 +417,13 @@ def test_form_check_runs_beyond_the_old_size_limit(monkeypatch):
         simple_module(lam)
 
 
+def with_l0_gram(K, gram):
+    """A new module equal to K but for the top-layer inner product: K itself may
+    be held elsewhere (``kac_module`` returns the live module), so it is not edited."""
+    return SuperModuleRep(K.algebra, K.parities, K.weights, K.actions,
+                          basis_names=K.basis_names, meta={**K.meta, "l0_gram": gram}, den=K.den)
+
+
 def test_form_symmetry_check_fires(monkeypatch):
     # K(1,0,-1|0) of gl(3|1) has dim 64 over an L0 of dim 8 whose zero weight
     # space is positions 3 and 4; a top-layer inner product that is not
@@ -350,8 +437,7 @@ def test_form_symmetry_check_fires(monkeypatch):
         assert [w.coords for w in K.weights[3:5]] == [(0, 0, 0, 0)] * 2
         gram = {t: dict(col) for t, col in K.meta["l0_gram"].items()}
         gram[3][4] = gram[3].get(4, 0) + 1
-        K.meta["l0_gram"] = gram
-        return K
+        return with_l0_gram(K, gram)
 
     monkeypatch.setattr(supvar.modules, "kac_module", skewed_kac)
     with pytest.raises(FormInconsistent, match="contravariant form block is not symmetric"):
@@ -402,10 +488,10 @@ def test_radical_ignores_contravariant_rescaling():
         lam = parse_weight(2, 1, text)
         K = kac_module(lam)
         G = _form(K)
-        K.meta["l0_gram"] = {t: {j: 3 * x for j, x in col.items()}
-                             for t, col in K.meta["l0_gram"].items()}
-        G3 = _form(K)
-        _check_form_adjointness(K, G3)
+        K3 = with_l0_gram(K, {t: {j: 3 * x for j, x in col.items()}
+                              for t, col in K.meta["l0_gram"].items()})
+        G3 = _form(K3)
+        _check_form_adjointness(K3, G3)
         assert G3 == {j: {i: 3 * x for i, x in col.items()} for j, col in G.items()}
         columns = [G[j] for j in range(K.dim)]
         columns3 = [G3[j] for j in range(K.dim)]
@@ -610,14 +696,29 @@ def all_pairs_bracket_failures(M):
     return list(bracket_failures(M, all_pairs(M.algebra)))
 
 
+@lru_cache(maxsize=None)
+def reference_pairs(g):
+    """``all_pairs(g)`` and ``generator_pairs(g)``, after checking once per
+    algebra that the second is a subset of the first."""
+    pairs, generators = all_pairs(g), generator_pairs(g)
+    assert set(generators) <= set(pairs)
+    return pairs, generators
+
+
 def assert_same_verdict(M):
     """verify_rep, the all-pairs and the generator-pair references agree; returns
-    the verdict."""
+    the verdict.
+
+    The generator pairs are a subset of all pairs, so when all pairs pass they
+    pass too; the generator-pair reference runs only on an all-pairs failure.
+    """
+    pairs, generators = reference_pairs(M.algebra)
     ok, problems = verify_rep(M)
     assert all(p.startswith("bracket compatibility fails") for p in problems), problems[:3]
-    for pairs in (all_pairs(M.algebra), generator_pairs(M.algebra)):
-        failure = next(bracket_failures(M, pairs), None)
-        assert ok == (failure is None), (problems[:3], failure)
+    failure = next(bracket_failures(M, pairs), None)
+    assert ok == (failure is None), (problems[:3], failure)
+    if failure is not None:
+        assert next(bracket_failures(M, generators), None) is not None, (problems[:3], failure)
     return ok
 
 
