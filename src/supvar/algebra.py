@@ -6,19 +6,24 @@ so structure constants of matrix units are
 
     [E_ab, E_cd] = delta_{bc} E_ad - (-1)^{|ab||cd|} delta_{da} E_cb.
 
-``LieSuperalgebraData`` holds the algebra's conventions and checks them once,
-at construction: every structure constant is a nonzero int, every label has a
-weight and a z-degree, no bracket of two labels leaves the labels, and
-super-antisymmetry and the graded Jacobi identity hold on every basis triple
-(triples outside the supports are 0 = 0, see ``_check_axioms``).  Readers
-rely on these facts and do not re-check them.  The gl(m|n) structure
-constants are the plain ints 1 and -1, and the even part gl(m) + gl(n) is the
-restriction of the gl(m|n) table to the even labels.
+``LieSuperalgebraData`` holds the algebra's conventions.  It reads the
+consistent Z-grading off the labels (E_ab has weight eps_a - eps_b, z-degree
+[a <= m] - [b <= m] and parity that z-degree mod 2) and checks once, at
+construction: every label is a matrix unit, every structure constant is a
+nonzero int, no bracket of two labels leaves the labels, super-antisymmetry
+and the graded Jacobi identity hold on every basis triple (triples outside
+the supports are 0 = 0, see ``_check_axioms``), and every bracket term has
+the weight of the two labels together.  Readers rely on these facts and do
+not re-check them: [g_i, g_j] lies in g_{i+j}, so [odd, odd] is even and the
+even part stabilizes each g_{+-1}.  The gl(m|n) structure constants are the
+plain ints 1 and -1, and the even part gl(m) + gl(n) is the restriction of
+the gl(m|n) table to the even labels.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import add
 
 from .errors import InvariantBroken, SupvarError
 from .linalg import axpy
@@ -42,21 +47,28 @@ def _unit_bracket(m: int, a: int, b: int, c: int, d: int) -> dict:
 
 
 class LieSuperalgebraData:
-    """Finite basis with parities and structure constants."""
+    """Matrix-unit labels of gl(m|n) closed under int structure constants.
 
-    def __init__(self, name, labels, parity, structure, weight_of, z_degree, m, n):
+    ``weight_of``, ``z_degree`` and ``parity`` map each label to its
+    ``Weight``, its z-degree and its parity, read off its indices.
+    """
+
+    def __init__(self, name, labels, structure, m, n):
         self.name = name
         self.labels = tuple(labels)
-        self.parity = dict(parity)
         self.structure = structure  # dict[(label, label)] -> dict[label, nonzero int]
-        self.weight_of = weight_of
-        self.z_degree = z_degree
         self.m = m
         self.n = n
         self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.weight_of, self.z_degree, self.parity = {}, {}, {}
         for lab in self.labels:
-            if lab not in weight_of or lab not in z_degree:
-                raise SupvarError(f"label {lab} has no recorded weight or z-degree")
+            if not (type(lab) is tuple and len(lab) == 3 and lab[0] == "E"
+                    and all(type(i) is int and 1 <= i <= m + n for i in lab[1:])):
+                raise SupvarError(f"label {lab!r} is not a matrix unit of gl({m}|{n})")
+            _, a, b = lab
+            self.weight_of[lab] = eps(m, n, a) - eps(m, n, b)
+            self.z_degree[lab] = (a <= m) - (b <= m)
+            self.parity[lab] = self.z_degree[lab] % 2
         for (a, b), br in structure.items():
             if any(type(c) is not int or not c for c in br.values()):
                 raise SupvarError(f"the constants of [{a}, {b}] must be nonzero ints")
@@ -138,7 +150,7 @@ class LieSuperalgebraData:
         return tuple(sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])))
 
     def _check_axioms(self):
-        """Super-antisymmetry and the graded Jacobi identity on every basis triple.
+        """Super-antisymmetry and graded Jacobi on every basis triple, then the grading.
 
         Jacobi reads [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|} [b,[a,c]].  Let
         support[x] = {c : [x,c] != 0}.  For c outside support[a], support[b]
@@ -147,6 +159,12 @@ class LieSuperalgebraData:
         the other c are visited, in label order, so the first failing triple
         is the one a walk over all triples would meet.  Likewise a pair with
         neither (a,b) nor (b,a) in ``structure`` is 0 = 0 for antisymmetry.
+        Pairs are visited in label order and the terms of a pair in the order
+        of [a,b], then the new ones of [b,a], so every message is the same
+        from run to run.  A last pass over the same pairs checks that each
+        term of [a,b] has the weight of a plus b.  It comes after the axioms,
+        so a table that breaks both fails on them, and it adds int coordinate
+        tuples: a matrix unit's weight is integral.
         """
         par, index, bracket = self.parity, self.index, self.bracket
         support: dict = {}  # x -> bitmask of label indices; low bits come first
@@ -154,12 +172,13 @@ class LieSuperalgebraData:
             if br and c in index:
                 support[x] = support.get(x, 0) | 1 << index[c]
         pairs = {(x, y) for (x, y) in self.structure if x in index and y in index}
-        for a, b in sorted(pairs | {(y, x) for x, y in pairs},
-                           key=lambda p: (index[p[0]], index[p[1]])):
+        pairs = sorted(pairs | {(y, x) for x, y in pairs},
+                       key=lambda p: (index[p[0]], index[p[1]]))
+        for a, b in pairs:
             ab, ba = bracket(a, b), bracket(b, a)
             # super-antisymmetry: [a,b] = -(-1)^{|a||b|} [b,a]
             sign = -1 if (par[a] and par[b]) else 1
-            for k in set(ab) | set(ba):
+            for k in {**ab, **ba}:
                 if k not in index:
                     raise SupvarError(f"[{a}, {b}] leaves the labels at {k}")
                 if ab.get(k, 0) + sign * ba.get(k, 0) != 0:
@@ -187,29 +206,24 @@ class LieSuperalgebraData:
                         axpy(out, bracket(b, k).items(), -sgn * v)
                     if out:
                         raise SupvarError(f"graded Jacobi fails on {a}, {b}, {c}")
+        coords = {lab: w.coords for lab, w in self.weight_of.items()}
+        for a, b in pairs:
+            total = tuple(map(add, coords[a], coords[b]))
+            for k in bracket(a, b):
+                if coords[k] != total:
+                    raise SupvarError(f"the weight grading fails on {a}, {b} at {k}")
 
 
 def _gl_data(m: int, n: int) -> LieSuperalgebraData:
     size = m + n
     labels = [("E", a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
-    parity = {("E", a, b): 1 if (a <= m) != (b <= m) else 0 for (_, a, b) in labels}
-    z_degree = {}
-    weights = {}
     structure = {}
-    for (_, a, b) in labels:
-        if (a <= m) == (b <= m):
-            z_degree[("E", a, b)] = 0
-        elif a <= m:
-            z_degree[("E", a, b)] = 1
-        else:
-            z_degree[("E", a, b)] = -1
-        weights[("E", a, b)] = eps(m, n, a) - eps(m, n, b)
     for la in labels:
         for lb in labels:
             br = _unit_bracket(m, la[1], la[2], lb[1], lb[2])
             if br:
                 structure[(la, lb)] = br
-    return LieSuperalgebraData(f"gl({m}|{n})", labels, parity, structure, weights, z_degree, m, n)
+    return LieSuperalgebraData(f"gl({m}|{n})", labels, structure, m, n)
 
 
 @lru_cache(maxsize=None)
@@ -224,8 +238,7 @@ def gl_superalgebra(m: int, n: int) -> LieSuperalgebraData:
 def gl_even_subalgebra(m: int, n: int) -> LieSuperalgebraData:
     """The even part gl(m) + gl(n): the gl(m|n) table restricted to the even labels."""
     g = gl_superalgebra(m, n)
-    return LieSuperalgebraData(f"gl({m})+gl({n})", g.even_labels(), g.parity, g.structure,
-                               g.weight_of, g.z_degree, m, n)
+    return LieSuperalgebraData(f"gl({m})+gl({n})", g.even_labels(), g.structure, m, n)
 
 
 class DetectingSubalgebra:

@@ -154,35 +154,21 @@ def divisibility_check(dim_M: int, superdim_M: int, support_dim: int,
 
 
 @dataclass(frozen=True)
-class SimpleDivisibilityReport:
+class SimpleDivisibilityReport(DivisibilityReport):
     lam: Weight
     r: int
     atyp: int
-    dim: int
-    superdim: int
-    divisor: int
-    divides: bool
-    superdim_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.divides and self.superdim_ok
 
 
 def simple_divisibility(lam: Weight,
                         budget: int = RunConfig.dimension_budget) -> SimpleDivisibilityReport:
-    """2^{floor((r-a)/2)} divides dim L(lam); superdimension 0 when a < r."""
+    """2^{floor((r-a)/2)} divides dim L(lam); superdimension 0 when a < r.
+
+    This is ``divisibility_check`` with the support dimension a = atyp(lam)
+    inside the ambient r = defect: codimension r - a.
+    """
     r = defect(lam.m, lam.n)
     a = atypicality(lam).value
     L = simple_module(lam, budget)
-    divisor = 2 ** ((r - a) // 2)
-    return SimpleDivisibilityReport(
-        lam=lam,
-        r=r,
-        atyp=a,
-        dim=L.dim,
-        superdim=L.superdimension,
-        divisor=divisor,
-        divides=L.dim % divisor == 0,
-        superdim_ok=(a >= r) or (L.superdimension == 0),
-    )
+    law = divisibility_check(L.dim, L.superdimension, a, r)
+    return SimpleDivisibilityReport(**vars(law), lam=lam, r=r, atyp=a)

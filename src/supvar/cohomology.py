@@ -8,9 +8,11 @@ invariants the differential is the action term alone,
 
 with {w_e} a basis of W and {X_e} the dual basis: the bracket term of the
 general relative differential evaluates cochains on [odd, odd], which lands
-in g0 and dies by horizontality.  d squares to zero on invariants (graded
-Jacobi plus invariance); the construction asserts this exactly and raises if
-it fails.
+in g0 and dies by horizontality.  That [odd, odd] lies in g0, and that g0
+maps each g_{+-1} to itself, is the Z-grading ``LieSuperalgebraData`` checks
+against every bracket at construction.  d squares to zero on invariants
+(graded Jacobi plus invariance); the construction asserts this exactly and
+raises if it fails.
 
 Cochains are ints from the slice to the ranks.  The invariant basis is
 ``column_kernel``'s primitive int relations, and the module's int actions
@@ -63,7 +65,9 @@ def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
     """a |-> {e: {f: c}} with a.X_e = sum_f c X_f, for each even a in labels.
 
     c is minus the coefficient of w_e in [a, w_f], an int, as every
-    structure constant ``LieSuperalgebraData`` accepts is one.
+    structure constant ``LieSuperalgebraData`` accepts is one.  gens holds
+    every label of z-degree 1, or of z-degree +-1, and the algebra's grading
+    check makes [a, w_f] of the z-degree of w_f, so each w_e is in gens.
     """
     index = {lab: e for e, lab in enumerate(gens)}
     table: dict = {}
@@ -71,12 +75,7 @@ def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
         act: dict = {}
         for f, lab_f in enumerate(gens):
             for lab_e, c in g.bracket(a, lab_f).items():
-                e = index.get(lab_e)
-                if e is None:
-                    raise Unsupported(
-                        "the even part does not stabilize the chosen odd subspace"
-                    )
-                act.setdefault(e, {})[f] = -c
+                act.setdefault(index[lab_e], {})[f] = -c
         table[a] = act
     return table
 
@@ -235,7 +234,10 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
 class CochainDegree:
     keys: tuple               # ambient slice keys (monomial, module index)
     basis: tuple              # invariant vectors as primitive int sparse dicts over key positions
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 class CochainComplex:
@@ -265,10 +267,6 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     if M.algebra is not g and M.algebra.name != g.name:
         raise Unsupported("module is not a representation of the given algebra")
     odd_labels = g.odd_labels()
-    for la in odd_labels:
-        for lb in odd_labels:
-            if any(g.parity[lc] for lc in g.bracket(la, lb)):
-                raise Unsupported("[odd, odd] must land in the even part")
     target = zero_weight(g.m, g.n)
 
     degrees = []
@@ -276,7 +274,7 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
         keys = tuple(_weight_slice(g, M, odd_labels, p, target, budget))
         units = [{k: 1} for k in range(len(keys))]
         basis = tuple(column_kernel(_raising_images(g, M, odd_labels, keys, units)))
-        degrees.append(CochainDegree(keys=keys, basis=basis, dim=len(basis)))
+        degrees.append(CochainDegree(keys=keys, basis=basis))
 
     # one call per degree maps both that degree's basis (the next differential)
     # and the images arriving in it (which d must kill), sharing the work

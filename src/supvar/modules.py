@@ -330,10 +330,6 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
 # Kac modules as Lambda(g_-1) tensor L0
 
 
-def _odd_negative_labels(m: int, n: int) -> list:
-    return [("E", a, b) for a in range(m + 1, m + n + 1) for b in range(1, m + 1)]
-
-
 def _prepend(h: int, terms: dict):
     """y_h times each term {(S, e): c}, reordered to PBW order with its sign."""
     for (S, e), c in terms.items():
@@ -361,7 +357,7 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     ints ``LieSuperalgebraData`` checked at construction.
     """
     g = gl_superalgebra(m, n)
-    y_labels = _odd_negative_labels(m, n)
+    y_labels = [lab for lab in g.labels if g.z_degree[lab] == -1]
     y_pos = {lab: i for i, lab in enumerate(y_labels)}
     mn = len(y_labels)
     subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
@@ -432,7 +428,7 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
     m, n = lam.m, lam.n
     g = gl_superalgebra(m, n)
     L0 = L0_module(lam, budget)
-    y_labels = _odd_negative_labels(m, n)
+    y_labels = [lab for lab in g.labels if g.z_degree[lab] == -1]
     D = L0.dim
     dim = (1 << len(y_labels)) * D
     if dim > budget:

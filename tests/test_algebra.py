@@ -1,5 +1,10 @@
 from fractions import Fraction
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import supvar.algebra
@@ -42,12 +47,10 @@ def test_z_grading():
 
 
 def test_axiom_check_rejects_bad_structure():
-    g = gl_superalgebra(2, 1)
     labels = [("E", 1, 1), ("E", 1, 2)]
-    parity = {lab: 0 for lab in labels}
     structure = {(("E", 1, 1), ("E", 1, 2)): {("E", 1, 2): 1}}  # missing the flip
     with pytest.raises(SupvarError):
-        LieSuperalgebraData("broken", labels, parity, structure, g.weight_of, g.z_degree, 2, 1)
+        LieSuperalgebraData("broken", labels, structure, 2, 1)
 
 
 def reference_check_axioms(labels, parity, structure):
@@ -96,8 +99,7 @@ def test_axiom_check_agrees_with_reference_on_gl(m, n):
         as_fractions = {pair: {k: Fraction(v) for k, v in br.items()}
                         for pair, br in g.structure.items()}
         with pytest.raises(SupvarError, match="must be nonzero ints"):
-            LieSuperalgebraData(g.name, g.labels, g.parity, as_fractions,
-                                g.weight_of, g.z_degree, m, n)
+            LieSuperalgebraData(g.name, g.labels, as_fractions, m, n)
 
 
 def corrupted_tables(g):
@@ -138,8 +140,7 @@ def test_axiom_check_rejects_what_the_reference_rejects(m, n):
         with pytest.raises(SupvarError) as ref:
             reference_check_axioms(g.labels, g.parity, structure)
         with pytest.raises(SupvarError) as new:
-            LieSuperalgebraData("broken", g.labels, g.parity, structure,
-                                g.weight_of, g.z_degree, m, n)
+            LieSuperalgebraData("broken", g.labels, structure, m, n)
         assert str(new.value) == str(ref.value), how
         kinds.add((how[0], str(ref.value).split(" fails")[0]))
     assert kinds == {("negate", "graded Jacobi"), ("drop", "graded Jacobi"),
@@ -157,27 +158,53 @@ def test_even_subalgebra_is_closed():
 def test_even_subalgebra_shares_the_gl_table(m, n):
     g, g0 = gl_superalgebra(m, n), gl_even_subalgebra(m, n)
     assert g0.structure is g.structure
-    assert g0.weight_of is g.weight_of
-    assert g0.z_degree is g.z_degree
     assert g0.labels == tuple(g.even_labels())
+    for table in ("weight_of", "z_degree", "parity"):
+        assert getattr(g0, table) == {lab: getattr(g, table)[lab] for lab in g0.labels}
     assert g0.name == f"gl({m})+gl({n})"
 
 
 def test_label_set_not_closed_under_the_bracket_is_rejected():
     g = gl_superalgebra(2, 1)
     labels = [("E", 1, 2), ("E", 2, 1)]  # [E12, E21] = E11 - E22
-    with pytest.raises(SupvarError, match="leaves the labels"):
-        LieSuperalgebraData("open", labels, g.parity, g.structure, g.weight_of, g.z_degree, 2, 1)
+    with pytest.raises(SupvarError, match=r"leaves the labels at \('E', 1, 1\)"):
+        LieSuperalgebraData("open", labels, g.structure, 2, 1)
 
 
-@pytest.mark.parametrize("table", ["weight_of", "z_degree"])
-def test_label_without_weight_or_z_degree_is_rejected(table):
+def test_first_label_outside_is_the_same_under_every_hash_seed():
+    # E11 and E22 both leave the labels; the first term of [E12, E21] is named
+    code = ("from supvar.algebra import LieSuperalgebraData, gl_superalgebra\n"
+            "try:\n"
+            "    LieSuperalgebraData('open', [('E', 1, 2), ('E', 2, 1)],\n"
+            "                        gl_superalgebra(2, 1).structure, 2, 1)\n"
+            "except Exception as e:\n"
+            "    print(e)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("0", "6"):  # a set of the two terms iterates E11 first under 0, E22 under 6
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout == "[('E', 1, 2), ('E', 2, 1)] leaves the labels at ('E', 1, 1)\n"
+
+
+@pytest.mark.parametrize("label", [("E", 1, 3), ("E", 0, 1), ("F", 1, 2), ("E", 1),
+                                   ("E", 1.0, 2), "E12"],
+                         ids=["past-m+n", "zero", "not-E", "short", "float", "string"])
+def test_label_that_is_not_a_matrix_unit_is_rejected(label):
     g = gl_superalgebra(1, 1)
-    tables = {"weight_of": dict(g.weight_of), "z_degree": dict(g.z_degree)}
-    del tables[table][("E", 1, 2)]
-    with pytest.raises(SupvarError, match="no recorded weight or z-degree"):
-        LieSuperalgebraData("unrecorded", g.labels, g.parity, g.structure,
-                            tables["weight_of"], tables["z_degree"], 1, 1)
+    with pytest.raises(SupvarError, match="is not a matrix unit of gl\\(1\\|1\\)"):
+        LieSuperalgebraData("unrecorded", [*g.labels[:3], label], g.structure, 1, 1)
+
+
+def test_table_off_the_weight_grading_is_rejected():
+    # [E12, E12] = E11 is antisymmetric and, E11 being central, satisfies
+    # Jacobi, but E11 has weight 0, not 2 (eps_1 - eps_2)
+    labels = [("E", 1, 1), ("E", 2, 2), ("E", 1, 2)]
+    structure = {(("E", 1, 2), ("E", 1, 2)): {("E", 1, 1): 1}}
+    reference_check_axioms(labels, {("E", 1, 1): 0, ("E", 2, 2): 0, ("E", 1, 2): 1}, structure)
+    with pytest.raises(SupvarError, match=r"the weight grading fails on \('E', 1, 2\), "
+                                          r"\('E', 1, 2\) at \('E', 1, 1\)"):
+        LieSuperalgebraData("off-grading", labels, structure, 1, 1)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0], ids=["half", "zero"])
@@ -186,8 +213,7 @@ def test_structure_constant_that_is_not_a_nonzero_int_is_rejected(bad):
     key = (("E", 1, 1), ("E", 1, 2))
     structure = {**g.structure, key: {("E", 1, 2): bad}}
     with pytest.raises(SupvarError, match="must be nonzero ints"):
-        LieSuperalgebraData("bad-constant", g.labels, g.parity, structure,
-                            g.weight_of, g.z_degree, 1, 1)
+        LieSuperalgebraData("bad-constant", g.labels, structure, 1, 1)
 
 
 def test_detecting_generators():
@@ -384,8 +410,7 @@ def E(a, b):
 def test_serre_pairs_reject_a_broken_relation_or_definition(pair, value, message):
     # the table is changed after the axiom check, which no gl(m|n) table fails
     g = gl_superalgebra(2, 2)
-    h = LieSuperalgebraData("changed", g.labels, g.parity, g.structure,
-                            g.weight_of, g.z_degree, 2, 2)
+    h = LieSuperalgebraData("changed", g.labels, g.structure, 2, 2)
     h.structure = {**g.structure, pair: value}
     with pytest.raises(InvariantBroken, match=message):
         h.serre_pairs

@@ -211,6 +211,8 @@ def test_construction_invariant_failure_exit_4(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["dump", "2", "2", "1,0|0,-1", "--module", "simple"],
     ["support", "2", "2", "0,0|0,0", "--empirical", "--module", "simple"],
+    ["cohom", "2", "2", "--coeff", "simple:1,0|0,-1", "--pmax", "3"],
+    ["ext", "2", "2", "--M", "kac:1,0|0,-1", "--N", "simple:1,0|0,-1", "--pmax", "2"],
 ])
 def test_stdout_identical_across_hash_seeds(argv):
     outs = []
