@@ -9,8 +9,9 @@ invariants the differential is the action term alone,
 with {w_e} a basis of W and {X_e} the dual basis: the bracket term of the
 general relative differential evaluates cochains on [odd, odd], which lands
 in g0 and dies by horizontality.  That [odd, odd] lies in g0, and that g0
-maps each g_{+-1} to itself, is the Z-grading ``LieSuperalgebraData`` checks
-against every bracket at construction.  d squares to zero on invariants
+maps each g_{+-1} to itself, is the Z-grading of the matrix units, which holds
+because ``LieSuperalgebraData`` checks at construction that every bracket is
+their supercommutator.  d squares to zero on invariants
 (graded Jacobi plus invariance); the construction asserts this exactly and
 raises if it fails.
 

@@ -822,11 +822,12 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     for positive b, by induction on its height; likewise for n-.  (3) The x
     in n+ with [rho x, rho f_j] = rho [x, f_j] for all j hold the e_i (pairs
     (e_i, f_j)) and form a subalgebra by graded Jacobi, for the operators
-    (homogeneous, checked here) and in the algebra (asserted), as [n+, f_j]
-    lies in h + n+, where (1) and (2) apply.  So they are n+.  The y in n-
-    with [rho x, rho y] = rho [x, y] for all x in n+ hold the f_j and form a
-    subalgebra likewise, so they are n-.  With super-antisymmetry (asserted,
-    and true of supercommutators) every pair holds.
+    (homogeneous, checked here) and in the algebra (a supercommutator, as
+    ``LieSuperalgebraData`` checks), as [n+, f_j] lies in h + n+, where (1)
+    and (2) apply.  So they are n+.  The y in n- with [rho x, rho y] =
+    rho [x, y] for all x in n+ hold the f_j and form a subalgebra likewise,
+    so they are n-.  With super-antisymmetry (true of supercommutators, in
+    the algebra and of the operators) every pair holds.
     """
     g, d = M.algebra, M.den
     A = {label: M.actions.get(label, {}) for label in g.labels}
