@@ -8,15 +8,15 @@ so structure constants of matrix units are
 
 ``LieSuperalgebraData`` holds the algebra's conventions.  It reads the
 consistent Z-grading off the labels (E_ab has weight eps_a - eps_b, z-degree
-[a <= m] - [b <= m] and parity that z-degree mod 2) and checks once, at
-construction: every label is a matrix unit, every structure constant is a
-nonzero int, no bracket of two labels leaves the labels, and every bracket of
-two labels is the supercommutator above (see ``_check_axioms``).  So
-super-antisymmetry, the graded Jacobi identity and the weight grading hold as
-theorems, and readers rely on them without re-checking: [g_i, g_j] lies in
-g_{i+j}, so [odd, odd] is even and the even part stabilizes each g_{+-1}.
-The gl(m|n) structure constants are the plain ints 1 and -1, and the even
-part gl(m) + gl(n) is the restriction of the gl(m|n) table to the even labels.
+[a <= m] - [b <= m] and parity that z-degree mod 2), checks once, at
+construction, that every label is a matrix unit and that no bracket of two
+labels leaves the labels, and builds its table as the supercommutator above
+restricted to the labels.  So super-antisymmetry, the graded Jacobi identity
+and the weight grading hold as theorems (see ``LieSuperalgebraData``), and
+readers rely on them without re-checking: [g_i, g_j] lies in g_{i+j}, so
+[odd, odd] is even and the even part stabilizes each g_{+-1}.  The structure
+constants are the plain ints 1 and -1, and the even part gl(m) + gl(n) is
+gl(m|n) restricted to the even labels.
 """
 
 from __future__ import annotations
@@ -45,19 +45,30 @@ def _unit_bracket(m: int, a: int, b: int, c: int, d: int) -> dict:
 
 
 class LieSuperalgebraData:
-    """Matrix-unit labels of gl(m|n) closed under int structure constants.
+    """Matrix-unit labels of gl(m|n) closed under the supercommutator.
 
-    ``weight_of``, ``z_degree`` and ``parity`` map each label to its
-    ``Weight``, its z-degree and its parity, read off its indices.
+    ``structure`` maps each ordered pair of labels with a nonzero bracket to
+    ``_unit_bracket`` of the pair, built at construction.  ``weight_of``,
+    ``z_degree`` and ``parity`` map each label to its ``Weight``, its z-degree
+    and its parity, read off its indices.
+
+    The table needs no axiom check.  The matrix units span the associative
+    superalgebra of (m+n)-square matrices, E_ab E_cd = delta_{bc} E_ad,
+    graded by their indices: E_ab has parity [a <= m] + [b <= m] mod 2 and
+    weight eps_a - eps_b, and E_ab E_cd has parity and weight the sums of
+    theirs.  The supercommutator of an associative superalgebra satisfies
+    super-antisymmetry and the graded Jacobi identity, and [E_ab, E_cd] has
+    weight eps_a - eps_b + eps_c - eps_d, as its terms E_ad (b = c) and E_cb
+    (d = a) do.  A bracket-closed set of labels inherits all three, so the
+    one check the table needs is closure.
     """
 
-    def __init__(self, name, labels, structure, m, n):
+    def __init__(self, name, labels, m, n):
         self.name = name
         self.labels = tuple(labels)
-        self.structure = structure  # dict[(label, label)] -> dict[label, nonzero int]
         self.m = m
         self.n = n
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.index = index = {lab: i for i, lab in enumerate(self.labels)}
         self.weight_of, self.z_degree, self.parity = {}, {}, {}
         for lab in self.labels:
             if not (type(lab) is tuple and len(lab) == 3 and lab[0] == "E"
@@ -67,10 +78,17 @@ class LieSuperalgebraData:
             self.weight_of[lab] = eps(m, n, a) - eps(m, n, b)
             self.z_degree[lab] = (a <= m) - (b <= m)
             self.parity[lab] = self.z_degree[lab] % 2
-        for (a, b), br in structure.items():
-            if any(type(c) is not int or not c for c in br.values()):
-                raise SupvarError(f"the constants of [{a}, {b}] must be nonzero ints")
-        self._check_axioms()
+        # pairs in label order and terms in the order of [a, b], so the first
+        # label outside is named the same way from run to run
+        self.structure = {}  # dict[(label, label)] -> dict[label, 1 or -1]
+        for a in self.labels:
+            for b in self.labels:
+                ab = _unit_bracket(m, a[1], a[2], b[1], b[2])
+                for k in ab:
+                    if k not in index:
+                        raise SupvarError(f"[{a}, {b}] leaves the labels at {k}")
+                if ab:
+                    self.structure[(a, b)] = ab
 
     def bracket(self, a: Label, b: Label) -> dict:
         return self.structure.get((a, b), {})
@@ -147,46 +165,10 @@ class LieSuperalgebraData:
         pairs = {tuple(sorted(p[:2], key=index.get)) for p in rels + defs}
         return tuple(sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])))
 
-    def _check_axioms(self):
-        """Each entry of the table is the supercommutator of its two matrix units.
 
-        Visits the ordered label pairs in label order: no term of [a,b] may
-        leave the labels (named in the order of the terms of [a,b]), and [a,b]
-        must equal ``_unit_bracket``, so every message is the same from run to
-        run.  That is all the axioms need.  The matrix units span the
-        associative superalgebra of (m+n)-square matrices, E_ab E_cd =
-        delta_{bc} E_ad, graded by their indices: E_ab has parity [a <= m] +
-        [b <= m] mod 2 and weight eps_a - eps_b, and E_ab E_cd has parity and
-        weight the sums of theirs.  The supercommutator of an associative
-        superalgebra satisfies super-antisymmetry and the graded Jacobi
-        identity, and [E_ab, E_cd] has weight eps_a - eps_b + eps_c - eps_d, as
-        its terms E_ad (b = c) and E_cb (d = a) do.  A bracket-closed set of
-        labels inherits all three.  So the check accepts exactly the
-        restrictions of the gl(m|n) bracket to bracket-closed label sets, and
-        rejects some tables that satisfy the axioms, such as gl(1|1) with every
-        constant doubled, or the zero table on E11, E12.
-        """
-        m, index = self.m, self.index
-        for a in self.labels:
-            for b in self.labels:
-                ab = self.bracket(a, b)
-                for k in ab:
-                    if k not in index:
-                        raise SupvarError(f"[{a}, {b}] leaves the labels at {k}")
-                if ab != _unit_bracket(m, a[1], a[2], b[1], b[2]):
-                    raise SupvarError(f"[{a}, {b}] is not the supercommutator of the matrix units")
-
-
-def _gl_data(m: int, n: int) -> LieSuperalgebraData:
-    size = m + n
-    labels = [("E", a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
-    structure = {}
-    for la in labels:
-        for lb in labels:
-            br = _unit_bracket(m, la[1], la[2], lb[1], lb[2])
-            if br:
-                structure[(la, lb)] = br
-    return LieSuperalgebraData(f"gl({m}|{n})", labels, structure, m, n)
+def same_algebra(g: LieSuperalgebraData, h: LieSuperalgebraData) -> bool:
+    """Whether g and h are one algebra: the same labels of the same gl(m|n)."""
+    return g is h or (g.m, g.n, g.labels) == (h.m, h.n, h.labels)
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +176,14 @@ def gl_superalgebra(m: int, n: int) -> LieSuperalgebraData:
     """gl(m|n) with its consistent Z-grading recorded per basis element."""
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
-    return _gl_data(m, n)
+    labels = [("E", a, b) for a in range(1, m + n + 1) for b in range(1, m + n + 1)]
+    return LieSuperalgebraData(f"gl({m}|{n})", labels, m, n)
 
 
 @lru_cache(maxsize=None)
 def gl_even_subalgebra(m: int, n: int) -> LieSuperalgebraData:
-    """The even part gl(m) + gl(n): the gl(m|n) table restricted to the even labels."""
-    g = gl_superalgebra(m, n)
-    return LieSuperalgebraData(f"gl({m})+gl({n})", g.even_labels(), g.structure, m, n)
+    """The even part gl(m) + gl(n): gl(m|n) restricted to the even labels."""
+    return LieSuperalgebraData(f"gl({m})+gl({n})", gl_superalgebra(m, n).even_labels(), m, n)
 
 
 class DetectingSubalgebra:

@@ -16,7 +16,13 @@ from .atypicality import atypicality, defect, theoretical_support
 from .clifford import classify_block, form_from_subalgebra, simple_divisibility
 from .cohomology import cohomology_dims, ext_dims, kac_ext_dims
 from .config import load_config
-from .errors import ConstructionOverflow, InvariantBroken, SupvarError, WeightParseError
+from .errors import (
+    ConstructionOverflow,
+    InvariantBroken,
+    SupvarError,
+    Unsupported,
+    WeightParseError,
+)
 from .modules import (
     L0_module,
     dump_module,
@@ -76,6 +82,9 @@ def cmd_atyp(args, cfg) -> tuple[int, dict]:
 
 
 def cmd_support(args, cfg) -> tuple[int, dict]:
+    if args.module == "kac" and args.mode != "empirical":
+        raise Unsupported("--module kac needs --empirical: the closed form describes "
+                          "simple modules only")
     lam = parse_weight(args.m, args.n, args.weight)
     payload = {"m": args.m, "n": args.n, "weight": format_weight(lam), "mode": args.mode}
     if args.mode == "theoretical":

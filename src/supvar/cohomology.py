@@ -10,8 +10,8 @@ with {w_e} a basis of W and {X_e} the dual basis: the bracket term of the
 general relative differential evaluates cochains on [odd, odd], which lands
 in g0 and dies by horizontality.  That [odd, odd] lies in g0, and that g0
 maps each g_{+-1} to itself, is the Z-grading of the matrix units, which holds
-because ``LieSuperalgebraData`` checks at construction that every bracket is
-their supercommutator.  d squares to zero on invariants
+because ``LieSuperalgebraData`` builds every bracket as their
+supercommutator.  d squares to zero on invariants
 (graded Jacobi plus invariance); the construction asserts this exactly and
 raises if it fails.
 
@@ -49,12 +49,12 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import sub
 
-from .algebra import LieSuperalgebraData
+from .algebra import LieSuperalgebraData, same_algebra
 from .config import RunConfig
-from .errors import ConstructionOverflow, SignConventionBroken, Unsupported
+from .errors import ConstructionOverflow, NotDominant, SignConventionBroken, Unsupported
 from .linalg import axpy, column_kernel, span_dim
 from .modules import SuperModuleRep, dual, tensor
-from .roots import Weight, zero_weight
+from .roots import Weight, format_weight, is_dominant_integral, zero_weight
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,9 @@ def _coadjoint_table(g: LieSuperalgebraData, gens, labels) -> dict:
     """a |-> {e: {f: c}} with a.X_e = sum_f c X_f, for each even a in labels.
 
     c is minus the coefficient of w_e in [a, w_f], an int, as every
-    structure constant ``LieSuperalgebraData`` accepts is one.  gens holds
-    every label of z-degree 1, or of z-degree +-1, and the algebra's grading
-    check makes [a, w_f] of the z-degree of w_f, so each w_e is in gens.
+    structure constant ``LieSuperalgebraData`` builds is 1 or -1.  gens holds
+    every label of z-degree 1, or of z-degree +-1, and the matrix units'
+    grading makes [a, w_f] of the z-degree of w_f, so each w_e is in gens.
     """
     index = {lab: e for e, lab in enumerate(gens)}
     table: dict = {}
@@ -265,7 +265,7 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
     d^0..d^p_max, checking that each image is an invariant cochain and that
     d.d = 0 exactly.
     """
-    if M.algebra is not g and M.algebra.name != g.name:
+    if not same_algebra(M.algebra, g):
         raise Unsupported("module is not a representation of the given algebra")
     odd_labels = g.odd_labels()
     target = zero_weight(g.m, g.n)
@@ -341,7 +341,11 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     simple raising operators) in ker minus image.
     Everything is restricted to the lam weight slices, which is exact because
     the differential and the multiplicity count both preserve weights.
+    Raises ``NotDominant`` unless lam is dominant integral, as no K(lam)
+    exists then.
     """
+    if not is_dominant_integral(lam):
+        raise NotDominant(f"{format_weight(lam)} is not dominant integral")
     g = M.algebra
     g1_labels = [lab for lab in g.labels if g.z_degree[lab] == 1]
     if not g1_labels:

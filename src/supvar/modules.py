@@ -84,7 +84,7 @@ from operator import add
 from typing import NamedTuple
 from weakref import WeakValueDictionary
 
-from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
+from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra, same_algebra
 from .config import RunConfig
 from .errors import (
     AlgebraMismatch,
@@ -354,7 +354,7 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     g0 label acting on L0 at the right end, or None for v itself.  A label's
     row is straightened on its first read, and all rows share one memo of
     (label, S) straightenings.  The brackets [label, y_h] are read as the
-    ints ``LieSuperalgebraData`` checked at construction.
+    ints 1 and -1 ``LieSuperalgebraData`` builds from the matrix units.
     """
     g = gl_superalgebra(m, n)
     y_labels = [lab for lab in g.labels if g.z_degree[lab] == -1]
@@ -675,8 +675,9 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
 
 
 def _check_same_algebra(M: SuperModuleRep, N: SuperModuleRep):
-    if M.algebra is not N.algebra and M.algebra.name != N.algebra.name:
-        raise AlgebraMismatch(f"{M.algebra.name} vs {N.algebra.name}")
+    if not same_algebra(M.algebra, N.algebra):
+        raise AlgebraMismatch(f"{M.algebra.name} vs {N.algebra.name}: not the same labels of "
+                              "one gl(m|n)")
 
 
 def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
@@ -823,7 +824,7 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     in n+ with [rho x, rho f_j] = rho [x, f_j] for all j hold the e_i (pairs
     (e_i, f_j)) and form a subalgebra by graded Jacobi, for the operators
     (homogeneous, checked here) and in the algebra (a supercommutator, as
-    ``LieSuperalgebraData`` checks), as [n+, f_j] lies in h + n+, where (1)
+    ``LieSuperalgebraData`` builds it), as [n+, f_j] lies in h + n+, where (1)
     and (2) apply.  So they are n+.  The y in n- with [rho x, rho y] =
     rho [x, y] for all x in n+ hold the f_j and form a subalgebra likewise,
     so they are n-.  With super-antisymmetry (true of supercommutators, in

@@ -46,18 +46,11 @@ def test_z_grading():
     assert all(g.z_degree[lab] == 0 for lab in g.even_labels())
 
 
-def test_axiom_check_rejects_bad_structure():
-    labels = [("E", 1, 1), ("E", 1, 2)]
-    structure = {(("E", 1, 1), ("E", 1, 2)): {("E", 1, 2): 1}}  # missing the flip
-    with pytest.raises(SupvarError):
-        LieSuperalgebraData("broken", labels, structure, 2, 1)
-
-
 def reference_check_axioms(labels, parity, structure):
     """Super-antisymmetry and graded Jacobi on every triple, in Fractions.
 
-    The test-only evidence that the tables ``_check_axioms`` accepts are Lie
-    superalgebras: that check proves it from the supercommutator instead.
+    The test-only evidence that the tables ``LieSuperalgebraData`` builds are
+    Lie superalgebras: its docstring proves it from the supercommutator instead.
     """
     table = {pair: {k: Fraction(v) for k, v in br.items()} for pair, br in structure.items()}
 
@@ -100,58 +93,6 @@ def test_axiom_check_agrees_with_reference_on_gl(m, n):
     for g in (gl_superalgebra(m, n), gl_even_subalgebra(m, n)):
         assert all(type(v) is int for br in g.structure.values() for v in br.values())
         reference_check_axioms(g.labels, g.parity, g.structure)
-        as_fractions = {pair: {k: Fraction(v) for k, v in br.items()}
-                        for pair, br in g.structure.items()}
-        with pytest.raises(SupvarError, match="must be nonzero ints"):
-            LieSuperalgebraData(g.name, g.labels, as_fractions, m, n)
-
-
-def corrupted_tables(g):
-    """Broken copies of g.structure, each named by how it was broken.
-
-    For each pair a < b: one constant negated in both (a,b) and (b,a), so only
-    Jacobi can fail; one term of a two-term bracket dropped in both orders;
-    the entry (a,b) deleted while (b,a) stays; a term added to (a,b) alone;
-    and a term added to both orders so that antisymmetry still holds.  On a commuting pair the last kind makes [a,b]
-    nonzero while [a,c] = [b,c] = 0 for many c, so a check that skipped the
-    supports of the terms of [a,b] would miss or misplace the failure.
-    """
-    for i, a in enumerate(g.labels):
-        for b in g.labels[i + 1:]:
-            ab, ba = g.bracket(a, b), g.bracket(b, a)
-            for k in ab:
-                yield ("negate", a, b, k), {
-                    **g.structure, (a, b): {**ab, k: -ab[k]}, (b, a): {**ba, k: -ba[k]}}
-                if len(ab) == 2:
-                    yield ("drop", a, b, k), {
-                        **g.structure,
-                        (a, b): {j: v for j, v in ab.items() if j != k},
-                        (b, a): {j: v for j, v in ba.items() if j != k}}
-            if ab:
-                yield ("lose", a, b), {p: br for p, br in g.structure.items() if p != (a, b)}
-            k = next(lab for lab in g.labels if lab not in ab)
-            yield ("add", a, b, k), {**g.structure, (a, b): {**ab, k: 1}}
-            sign = -1 if (g.parity[a] and g.parity[b]) else 1
-            yield ("grow", a, b, k), {
-                **g.structure, (a, b): {**ab, k: 1}, (b, a): {**ba, k: -sign}}
-
-
-@pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
-def test_axiom_check_rejects_what_the_reference_rejects(m, n):
-    g = gl_superalgebra(m, n)
-    kinds = set()
-    for how, structure in corrupted_tables(g):
-        with pytest.raises(SupvarError) as ref:
-            reference_check_axioms(g.labels, g.parity, structure)
-        with pytest.raises(SupvarError) as new:
-            LieSuperalgebraData("broken", g.labels, structure, m, n)
-        a, b = next((a, b) for a in g.labels for b in g.labels
-                    if structure.get((a, b), {}) != g.bracket(a, b))
-        assert str(new.value) == f"[{a}, {b}] is not the supercommutator of the matrix units", how
-        kinds.add((how[0], str(ref.value).split(" fails")[0]))
-    assert kinds == {("negate", "graded Jacobi"), ("drop", "graded Jacobi"),
-                     ("lose", "super-antisymmetry"), ("add", "super-antisymmetry"),
-                     ("grow", "graded Jacobi")}
 
 
 def test_even_subalgebra_is_closed():
@@ -163,7 +104,8 @@ def test_even_subalgebra_is_closed():
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 3)])
 def test_even_subalgebra_shares_the_gl_table(m, n):
     g, g0 = gl_superalgebra(m, n), gl_even_subalgebra(m, n)
-    assert g0.structure is g.structure
+    assert g0.structure == {(a, b): br for (a, b), br in g.structure.items()
+                            if a in g0.index and b in g0.index}
     assert g0.labels == tuple(g.even_labels())
     for table in ("weight_of", "z_degree", "parity"):
         assert getattr(g0, table) == {lab: getattr(g, table)[lab] for lab in g0.labels}
@@ -171,18 +113,16 @@ def test_even_subalgebra_shares_the_gl_table(m, n):
 
 
 def test_label_set_not_closed_under_the_bracket_is_rejected():
-    g = gl_superalgebra(2, 1)
     labels = [("E", 1, 2), ("E", 2, 1)]  # [E12, E21] = E11 - E22
     with pytest.raises(SupvarError, match=r"leaves the labels at \('E', 1, 1\)"):
-        LieSuperalgebraData("open", labels, g.structure, 2, 1)
+        LieSuperalgebraData("open", labels, 2, 1)
 
 
 def test_first_label_outside_is_the_same_under_every_hash_seed():
     # E11 and E22 both leave the labels; the first term of [E12, E21] is named
-    code = ("from supvar.algebra import LieSuperalgebraData, gl_superalgebra\n"
+    code = ("from supvar.algebra import LieSuperalgebraData\n"
             "try:\n"
-            "    LieSuperalgebraData('open', [('E', 1, 2), ('E', 2, 1)],\n"
-            "                        gl_superalgebra(2, 1).structure, 2, 1)\n"
+            "    LieSuperalgebraData('open', [('E', 1, 2), ('E', 2, 1)], 2, 1)\n"
             "except Exception as e:\n"
             "    print(e)\n")
     src = Path(__file__).resolve().parent.parent / "src"
@@ -199,50 +139,13 @@ def test_first_label_outside_is_the_same_under_every_hash_seed():
 def test_label_that_is_not_a_matrix_unit_is_rejected(label):
     g = gl_superalgebra(1, 1)
     with pytest.raises(SupvarError, match="is not a matrix unit of gl\\(1\\|1\\)"):
-        LieSuperalgebraData("unrecorded", [*g.labels[:3], label], g.structure, 1, 1)
-
-
-def test_table_off_the_weight_grading_is_rejected():
-    # [E12, E12] = E11 is antisymmetric and, E11 being central, satisfies
-    # Jacobi, but E11 has weight 0, not 2 (eps_1 - eps_2); the first pair
-    # off the supercommutator is [E11, E12], which is E12, not 0
-    labels = [("E", 1, 1), ("E", 2, 2), ("E", 1, 2)]
-    structure = {(("E", 1, 2), ("E", 1, 2)): {("E", 1, 1): 1}}
-    reference_check_axioms(labels, {("E", 1, 1): 0, ("E", 2, 2): 0, ("E", 1, 2): 1}, structure)
-    with pytest.raises(SupvarError, match=r"^\[\('E', 1, 1\), \('E', 1, 2\)\] is not the "
-                                          r"supercommutator of the matrix units$"):
-        LieSuperalgebraData("off-grading", labels, structure, 1, 1)
-
-
-@pytest.mark.parametrize("table", ["zero-on-E11-E12", "gl11-doubled"])
-def test_lie_superalgebra_off_the_supercommutator_is_rejected(table):
-    # both tables satisfy the axioms, but neither restricts the gl(1|1) bracket
-    g = gl_superalgebra(1, 1)
-    if table == "zero-on-E11-E12":
-        labels, structure = [("E", 1, 1), ("E", 1, 2)], {}
-    else:
-        labels = g.labels
-        structure = {pair: {k: 2 * v for k, v in br.items()} for pair, br in g.structure.items()}
-    reference_check_axioms(labels, g.parity, structure)
-    with pytest.raises(SupvarError) as err:
-        LieSuperalgebraData("off-gl", labels, structure, 1, 1)
-    assert str(err.value) == ("[('E', 1, 1), ('E', 1, 2)] is not the supercommutator "
-                              "of the matrix units")
+        LieSuperalgebraData("unrecorded", [*g.labels[:3], label], 1, 1)
 
 
 def test_restriction_to_a_closed_label_set_is_accepted():
     # [E11, E22] = 0 in gl(1|1), so the zero table on E11, E22 is a restriction
-    g = LieSuperalgebraData("diagonal", [("E", 1, 1), ("E", 2, 2)], {}, 1, 1)
+    g = LieSuperalgebraData("diagonal", [("E", 1, 1), ("E", 2, 2)], 1, 1)
     assert g.bracket(("E", 1, 1), ("E", 2, 2)) == {}
-
-
-@pytest.mark.parametrize("bad", [Fraction(1, 2), 0], ids=["half", "zero"])
-def test_structure_constant_that_is_not_a_nonzero_int_is_rejected(bad):
-    g = gl_superalgebra(1, 1)
-    key = (("E", 1, 1), ("E", 1, 2))
-    structure = {**g.structure, key: {("E", 1, 2): bad}}
-    with pytest.raises(SupvarError, match="must be nonzero ints"):
-        LieSuperalgebraData("bad-constant", g.labels, structure, 1, 1)
 
 
 def test_detecting_generators():
@@ -437,9 +340,9 @@ def E(a, b):
     ((E(2, 1), E(4, 2)), {E(4, 1): 1, E(1, 1): 1}, r"does not define \('E', 4, 1\)"),
 ])
 def test_serre_pairs_reject_a_broken_relation_or_definition(pair, value, message):
-    # the table is changed after the axiom check, which no gl(m|n) table fails
+    # the table is changed after construction, which builds it from the labels
     g = gl_superalgebra(2, 2)
-    h = LieSuperalgebraData("changed", g.labels, g.structure, 2, 2)
+    h = LieSuperalgebraData("changed", g.labels, 2, 2)
     h.structure = {**g.structure, pair: value}
     with pytest.raises(InvariantBroken, match=message):
         h.serre_pairs

@@ -173,6 +173,21 @@ def test_parse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_support_of_a_kac_module_needs_empirical(capsys):
+    # the closed form describes simple modules, and K(0,0|0,0) has empty support
+    for mode in ([], ["--compare"], ["--theoretical"]):
+        assert main(["support", "2", "2", "0,0|0,0", "--module", "kac", *mode]) == 2, mode
+        out, err = capsys.readouterr()
+        assert out == "" and "--module kac needs --empirical" in err
+
+
+def test_kacext_of_a_weight_that_is_not_dominant_exits_2(capsys):
+    # no K(0,1|0,0) exists, as for kac_module, dump and support --theoretical
+    assert main(["kacext", "2", "2", "0,1|0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "is not dominant integral" in err
+
+
 def test_negative_pmax_exits_2(capsys):
     # --pmax goes through RunConfig validation like a config-file p_max
     for argv in (["cohom", "2", "2"], ["ext", "2", "2", "--M", "trivial", "--N", "trivial"],

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from supvar import cohomology
-from supvar.algebra import gl_even_subalgebra, gl_superalgebra
+from supvar.algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra
 from supvar.cohomology import (
     _coadjoint_table,
     _derive_on_monomial,
@@ -18,7 +18,7 @@ from supvar.cohomology import (
     vanishing_bound,
 )
 from supvar.config import RunConfig
-from supvar.errors import ConstructionOverflow, SignConventionBroken, Unsupported
+from supvar.errors import ConstructionOverflow, NotDominant, SignConventionBroken, Unsupported
 from supvar.linalg import ONE, axpy, column_kernel, span_dim
 from supvar.modules import (
     SuperModuleRep,
@@ -142,7 +142,8 @@ def test_weight_slice_matches_enumeration():
     K0 = kac_module(parse_weight(1, 1, "0|0"))
     half = parse_weight(1, 1, "1/2|-1/2")  # non-integral: every slice is empty
     cases.append((g, K0, _g1_labels(g), half, 3))
-    assert kac_ext_dims(half, K0, 3).dims == (0, 0, 0, 0)
+    with pytest.raises(NotDominant):  # and no K(half) exists
+        kac_ext_dims(half, K0, 3)
     nonempty = 0
     for g, M, gens, target, top in cases:
         for degree in range(top + 1):
@@ -397,6 +398,17 @@ def test_kac_ext_needs_degree_one_part():
 
     with pytest.raises(Unsupported):
         kac_ext_dims(parse_weight(1, 1, "0|0"), tm(g0), 2)
+
+
+def test_complex_over_another_algebra_of_the_same_name_is_refused():
+    # a module over the diagonal of gl(1|1) has no odd actions to build the
+    # complex from, whatever the algebra is named; the labels decide
+    g = gl_superalgebra(1, 1)
+    h = LieSuperalgebraData("gl(1|1)", [("E", 1, 1), ("E", 2, 2)], 1, 1)
+    with pytest.raises(Unsupported, match="not a representation of the given algebra"):
+        build_complex(g, trivial_module(h), 3)
+    renamed = LieSuperalgebraData("renamed", g.labels, 1, 1)
+    assert cohomology_dims(g, trivial_module(renamed), 3) == [1, 0, 1, 0]
 
 
 def test_cohomology_with_nonzero_differentials():

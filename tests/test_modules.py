@@ -19,7 +19,6 @@ from supvar.errors import (
     FormInconsistent,
     InvariantBroken,
     NotDominant,
-    SupvarError,
 )
 from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, span_dim
 from supvar.modules import (
@@ -272,17 +271,6 @@ def test_kac_actions_match_reference_straightening():
     assert count == 141
     assert_kac_matches_reference(parse_weight(3, 2, "1,0,-1|1,-1"))
     assert_kac_matches_reference(parse_weight(3, 1, "0,-2,-2|0"))  # L0 denominator 2
-
-
-def test_exterior_table_rejects_non_integral_brackets():
-    # the table runs over ints: a structure constant 1/2 must raise, not truncate,
-    # and the algebra rejects it before any table can read it
-    real = gl_superalgebra(1, 1)
-    key = (("E", 1, 1), ("E", 2, 1))
-    structure = {**real.structure,
-                 key: {k: Fraction(v, 2) for k, v in real.structure[key].items()}}
-    with pytest.raises(SupvarError, match="must be nonzero ints"):
-        supvar.algebra.LieSuperalgebraData("half", real.labels, structure, 1, 1)
 
 
 def column_order(cols):
@@ -785,17 +773,16 @@ def test_algebra_not_generated_by_chevalley_generators_is_rejected():
     # the span of E11, E22, E33, E13 is closed under the bracket, but none of
     # its labels is a Chevalley generator, so no definition pair reaches E13
     labels = [("E", 1, 1), ("E", 2, 2), ("E", 3, 3), ("E", 1, 3)]
-    g = gl_superalgebra(3, 1)
-    h = supvar.algebra.LieSuperalgebraData("borel-piece", labels, g.structure, 3, 1)
+    h = supvar.algebra.LieSuperalgebraData("borel-piece", labels, 3, 1)
     with pytest.raises(InvariantBroken, match="no definition reaches \\('E', 1, 3\\)"):
         verify_rep(trivial_module(h))
 
 
 def test_algebra_with_cartan_off_the_recorded_weights_is_rejected():
-    # the table is changed after the grading check, which no gl(m|n) table
-    # fails: E11 now acts on E12 by -1, the E11-coordinate of E21's weight
+    # the table is changed after construction, which builds it from the
+    # labels: E11 now acts on E12 by -1, the E11-coordinate of E21's weight
     g = gl_superalgebra(1, 1)
-    h = supvar.algebra.LieSuperalgebraData("bad-weights", g.labels, g.structure, 1, 1)
+    h = supvar.algebra.LieSuperalgebraData("bad-weights", g.labels, 1, 1)
     h.structure = {**g.structure, (("E", 1, 1), ("E", 1, 2)): {("E", 1, 2): -1}}
     with pytest.raises(InvariantBroken, match="by a recorded weight"):
         h.serre_pairs
@@ -824,6 +811,15 @@ def test_tensor_dual_parity():
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
         tensor(trivial_module(gl_superalgebra(1, 1)), trivial_module(gl_superalgebra(2, 1)))
+
+
+def test_algebras_that_share_a_name_but_not_their_labels_do_not_combine():
+    # tensoring over the diagonal of gl(1|1) would drop the odd actions of K
+    h = supvar.algebra.LieSuperalgebraData("gl(1|1)", [("E", 1, 1), ("E", 2, 2)], 1, 1)
+    with pytest.raises(AlgebraMismatch, match="not the same labels"):
+        tensor(trivial_module(h), kac_module(parse_weight(1, 1, "0|0")))
+    renamed = supvar.algebra.LieSuperalgebraData("renamed", gl_superalgebra(1, 1).labels, 1, 1)
+    assert tensor(trivial_module(renamed), kac_module(parse_weight(1, 1, "0|0"))).dim == 2
 
 
 def test_direct_sum():
