@@ -9,10 +9,11 @@ so structure constants of matrix units are
 ``LieSuperalgebraData`` holds the algebra's conventions.  It reads the
 consistent Z-grading off the labels (E_ab has weight eps_a - eps_b, z-degree
 [a <= m] - [b <= m] and parity that z-degree mod 2), checks once, at
-construction, that every label is a matrix unit and that no bracket of two
-labels leaves the labels, and builds its table as the supercommutator above
-restricted to the labels.  So super-antisymmetry, the graded Jacobi identity
-and the weight grading hold as theorems (see ``LieSuperalgebraData``), and
+construction, that m, n >= 1, that every label is a matrix unit named once
+and that no bracket of two labels leaves the labels, and builds its table
+as the supercommutator above restricted to the labels.  So
+super-antisymmetry, the graded Jacobi identity and the weight grading hold
+as theorems (see ``LieSuperalgebraData``), and
 readers rely on them without re-checking: [g_i, g_j] lies in g_{i+j}, so
 [odd, odd] is even and the even part stabilizes each g_{+-1}.  The structure
 constants are the plain ints 1 and -1, and the even part gl(m) + gl(n) is
@@ -45,7 +46,7 @@ def _unit_bracket(m: int, a: int, b: int, c: int, d: int) -> dict:
 
 
 class LieSuperalgebraData:
-    """Matrix-unit labels of gl(m|n) closed under the supercommutator.
+    """Distinct matrix-unit labels of gl(m|n), m, n >= 1, closed under the supercommutator.
 
     ``structure`` maps each ordered pair of labels with a nonzero bracket to
     ``_unit_bracket`` of the pair, built at construction.  ``weight_of``,
@@ -64,6 +65,8 @@ class LieSuperalgebraData:
     """
 
     def __init__(self, name, labels, m, n):
+        if not all(type(k) is int and k >= 1 for k in (m, n)):
+            raise SupvarError(f"gl({m}|{n}) needs ints m, n >= 1")
         self.name = name
         self.labels = tuple(labels)
         self.m = m
@@ -78,6 +81,10 @@ class LieSuperalgebraData:
             self.weight_of[lab] = eps(m, n, a) - eps(m, n, b)
             self.z_degree[lab] = (a <= m) - (b <= m)
             self.parity[lab] = self.z_degree[lab] % 2
+        if len(index) != len(self.labels):
+            # index keeps a label's last place, so this is the first label repeated
+            dup = next(lab for i, lab in enumerate(self.labels) if index[lab] != i)
+            raise SupvarError(f"label {dup!r} is repeated in {name}")
         # pairs in label order and terms in the order of [a, b], so the first
         # label outside is named the same way from run to run
         self.structure = {}  # dict[(label, label)] -> dict[label, 1 or -1]

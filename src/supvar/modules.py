@@ -24,11 +24,13 @@ Construction chain:
   past the monomial, let g1 annihilate the top layer and g0 act on L0 at the
   right end) touches only the Lambda(g_-1) factor, and every gl(m|n)
   structure constant is an integer: it runs once per (m, n) on the subsets
-  alone, into a cached integer table, and each action is that table
-  combined with the int L0 actions, over the L0 denominator.  Both steps run
-  per label on first read: the table straightens a label's row the first
-  time a Kac module asks for it, and a Kac module sums a label's int
-  columns the first time a reader asks for them, so a reader of a few
+  alone, as int bitmasks, into a cached integer table, and each action is
+  that table combined with the int L0 actions, over the L0 denominator.
+  Each z-degree has its own rule: g_-1 wedges, g0 acts as a derivation,
+  and g1 takes one pass over the subsets that reads the g0 rows.  Both
+  steps run per label on first read: the table straightens a label's row
+  the first time a Kac module asks for it, and a Kac module sums a label's
+  int columns the first time a reader asks for them, so a reader of a few
   labels (the rank test reads the 2r of the x_t) pays for those alone.
   Weights, parities and basis names are built up front from per-subset int
   offsets and name prefixes the table computes once.
@@ -74,7 +76,6 @@ every pair.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -330,19 +331,15 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
 # Kac modules as Lambda(g_-1) tensor L0
 
 
-def _prepend(h: int, terms: dict):
-    """y_h times each term {(S, e): c}, reordered to PBW order with its sign."""
-    for (S, e), c in terms.items():
-        if h not in S:
-            pos = bisect_left(S, h)
-            yield (S[:pos] + (h,) + S[pos:], e), -c if pos % 2 else c
-
-
 class _ExteriorTable(NamedTuple):
     subsets: list      # subsets S of odd negative root positions, in PBW order
     offsets: list      # per subset, sum of the weights of its y_h, as int coordinates
     prefixes: list     # per subset, its basis-name prefix "y[...]"
     rows: Mapping      # label -> per column subset, the terms (i, e, c)
+
+
+def _odd(mask: int) -> bool:
+    return bin(mask).count("1") & 1 == 1
 
 
 @lru_cache(maxsize=None)
@@ -352,9 +349,25 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     Per label of gl(m|n) and column subset j, ``rows`` holds the terms
     (i, e, c): the label sends y_{S_j} v to c y_{S_i} (e.v), where e is the
     g0 label acting on L0 at the right end, or None for v itself.  A label's
-    row is straightened on its first read, and all rows share one memo of
-    (label, S) straightenings.  The brackets [label, y_h] are read as the
-    ints 1 and -1 ``LieSuperalgebraData`` builds from the matrix units.
+    row is built on its first read, on subsets as int bitmasks, by one rule
+    per z-degree; the brackets [label, y_h] are the ints 1 and -1
+    ``LieSuperalgebraData`` builds from the matrix units.
+
+    * z = -1: y_k y_S = (-1)^{#{h in S : h < k}} y_{S+k}, and 0 if k is in S.
+    * z = 0: a acts as a derivation, y_S a v plus each y_h of S replaced by
+      [a, y_h], reordered with its sign.  A non-Cartan [a, y_h] is one other
+      y, so no two places meet; a Cartan one is a multiple of y_h, and those
+      multiples add up in one term (S, None), all of one sign.
+    * z = +1: x y_h y_rest = [x, y_h] y_rest - y_h x y_rest with h the least
+      element of S, one pass over the subsets in PBW order: [x, y_h] is in
+      g0, so its terms read the z = 0 rows of the labels of [x, y_h] on rest,
+      and x y_rest was built earlier in the pass.
+
+    Each row lists its terms in the order the recursion
+    a y_h y_rest = [a, y_h] y_rest + (-1)^{|a|} y_h a y_rest on the least h
+    of S gives them (``tests/test_modules.py`` keeps it as the reference),
+    so the Kac columns summed from the rows, their pivots and every dump
+    are the recursion's.
     """
     g = gl_superalgebra(m, n)
     y_labels = [lab for lab in g.labels if g.z_degree[lab] == -1]
@@ -362,38 +375,58 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     mn = len(y_labels)
     subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
                      key=lambda S: (len(S), S))
-    brackets = {(label, h): g.bracket(label, y).items()
-                for label in g.labels for h, y in enumerate(y_labels)}
-    memo: dict = {}
+    masks = [sum(1 << h for h in S) for S in subsets]
+    index = {mask: i for i, mask in enumerate(masks)}
 
-    def act(label, S: tuple) -> dict:
-        cached = memo.get((label, S))
-        if cached is not None:
-            return cached
-        out: dict = {}
-        deg = g.z_degree[label]
-        if not S:
-            if deg == -1:
-                out[((y_pos[label],), None)] = 1
-            elif deg == 0:
-                out[((), label)] = 1
-        else:
-            # a y_h y_rest = [a, y_h] y_rest + (-1)^{|a|} y_h a y_rest
-            h, rest = S[0], S[1:]
-            for lab2, cb in brackets[label, h]:
-                axpy(out, act(lab2, rest).items(), cb)
-            axpy(out, _prepend(h, act(label, rest)), -1 if g.parity[label] else 1)
-        return memo.setdefault((label, S), out)
+    def lower(label) -> list:
+        bit = 1 << y_pos[label]
+        return [[] if s & bit else [(index[s | bit], None, -1 if _odd(s & (bit - 1)) else 1)]
+                for s in masks]
 
-    index = {S: i for i, S in enumerate(subsets)}
+    def derivation(label) -> list:
+        # per h, [label, y_h] = c y_k as (c, k, the bits of h and k, the bits strictly between)
+        moves = [[(c, k, 1 << h | 1 << k, (1 << max(h, k)) - (2 << min(h, k)))
+                  for k, c in ((y_pos[y], c) for y, c in g.bracket(label, y_labels[h]).items())]
+                 for h in range(mn)]
+        out = []
+        for i, (S, s) in enumerate(zip(subsets, masks)):
+            row, cartan = [], 0
+            for h in S:
+                for c, k, flip, between in moves[h]:
+                    if k == h:
+                        cartan += c
+                    elif not s >> k & 1:
+                        row.append((index[s ^ flip], None, -c if _odd(s & between) else c))
+            if cartan:
+                row.append((i, None, cartan))
+            row.append((i, label, 1))
+            out.append(row)
+        return out
+
+    def raising(label) -> list:
+        parts = [[(rows[e], c) for e, c in g.bracket(label, y).items()] for y in y_labels]
+        acts = [{}]
+        for S, s in zip(subsets[1:], masks[1:]):
+            h = S[0]
+            bit = 1 << h
+            rest = index[s ^ bit]
+            out: dict = {}
+            for row, c in parts[h]:
+                axpy(out, (((i, e), x) for i, e, x in row[rest]), c)
+            axpy(out, (((index[masks[i] | bit], e), -x if _odd(masks[i] & (bit - 1)) else x)
+                       for (i, e), x in acts[rest].items() if not masks[i] & bit), -1)
+            acts.append(out)
+        return [[(i, e, x) for (i, e), x in out.items()] for out in acts]
+
+    build = {-1: lower, 0: derivation, 1: raising}
+    rows = _OnFirstRead(g.labels, lambda label: build[g.z_degree[label]](label))
     y_coords = [g.weight_of[y].coords for y in y_labels]
     return _ExteriorTable(
         subsets=subsets,
         offsets=[tuple(map(sum, zip((0,) * (m + n), *(y_coords[h] for h in S))))
                  for S in subsets],
         prefixes=["y[" + ",".join(str(h + 1) for h in S) + "]" for S in subsets],
-        rows=_OnFirstRead(g.labels, lambda label: [
-            [(index[S2], e, c) for (S2, e), c in act(label, S).items()] for S in subsets]),
+        rows=rows,
     )
 
 

@@ -11,6 +11,8 @@ there; the verdict is decided on the zero block M0, where <x> acts like an
 exterior algebra on one generator and projectivity means rank(X|M0) equals
 dim(M0)/2.  Because X restricted to M0 squares to zero, its rank never
 exceeds dim(M0)/2, so the elimination can stop early once that bound is hit.
+On a Kac module the first half of the columns offered is independent
+(``_free_half_first``), so it stops after half of the block's columns.
 
 The test runs in ints.  A support variety is a cone: X_{sa} = s X_a and
 c(mu) scales by s^2, so the verdict at a equals the verdict at a scaled by
@@ -97,6 +99,27 @@ def _deciding_block(M: SuperModuleRep, a) -> list[int]:
                   if not any(k for x, k in zip(a, key) if x) for i in idxs)
 
 
+def _free_half_first(M: SuperModuleRep, a, block: list[int]) -> list[int]:
+    """The block, with the Kac basis vectors y_S v with f_{t0} not in S first.
+
+    Here t0 is the first t with a_t != 0 and f_t = E_{m+t,m+1-t}, the g_-1
+    part of x_t.  On a Kac module x sends y_S v to (f ^ y_S) v, one layer
+    down, plus terms one layer up, with f = sum a_t f_t.  Wedging by f is
+    injective on the y_S with f_{t0} not in S, since f_{t0} lies in f with
+    the coefficient a_{t0} != 0.  So in a vanishing combination of the X
+    columns of that half, the deepest layer's coefficients vanish, and those
+    columns are independent.  Toggling f_{t0} in S keeps every
+    x_t^2-eigenvalue, so that half is half the block, and the rank test
+    stops after its size/2 columns.  Any other module keeps the block order.
+    """
+    if M.meta.get("kind") != "kac":
+        return block
+    t0 = next(t for t, x in enumerate(a) if x) + 1
+    f = M.meta["y_labels"].index(("E", M.algebra.m + t0, M.algebra.m + 1 - t0))
+    basis = M.meta["basis"]
+    return sorted(block, key=lambda i: f in basis[i][0])
+
+
 def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     m, n = M.algebra.m, M.algebra.n
     r = defect(m, n)
@@ -117,19 +140,20 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     terms = [(M.actions.get(lab, {}), x) for t, x in enumerate(a) if x
              for lab in det.generator_labels(t + 1)]
     in_block = set(block)
-    columns = []
-    for i in block:
-        col: dict = {}
-        for action, x in terms:
-            axpy(col, action.get(i, {}).items(), x)
-        if not in_block.issuperset(col):
-            raise ShapeMismatch("zero eigenblock is not action stable")
-        columns.append(col)
+    # every label of X keeps the block, checked on each label up front: the
+    # early exit leaves some columns of X unbuilt
+    for action, _ in terms:
+        for i in block:
+            if not in_block.issuperset(action.get(i, ())):
+                raise ShapeMismatch("zero eigenblock is not action stable")
 
     # rank <= size/2 since X squares to 0 on the block, so stop once that bound is hit
     target = size // 2
     span = IncrementalSpan()
-    for col in columns:
+    for i in _free_half_first(M, a, block):
+        col: dict = {}
+        for action, x in terms:
+            axpy(col, action.get(i, {}).items(), x)
         if span.add(col) and span.dim == target:
             return True
     return 2 * span.dim == size

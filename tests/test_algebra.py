@@ -142,6 +142,17 @@ def test_label_that_is_not_a_matrix_unit_is_rejected(label):
         LieSuperalgebraData("unrecorded", [*g.labels[:3], label], 1, 1)
 
 
+def test_repeated_label_is_rejected():
+    with pytest.raises(SupvarError, match=r"label \('E', 1, 1\) is repeated in dup"):
+        LieSuperalgebraData("dup", [("E", 1, 1)] * 2, 1, 1)
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 0), (0, 0)])
+def test_empty_block_is_rejected(m, n):
+    with pytest.raises(SupvarError, match=r"needs ints m, n >= 1"):
+        LieSuperalgebraData("empty", [], m, n)
+
+
 def test_restriction_to_a_closed_label_set_is_accepted():
     # [E11, E22] = 0 in gl(1|1), so the zero table on E11, E22 is a restriction
     g = LieSuperalgebraData("diagonal", [("E", 1, 1), ("E", 2, 2)], 1, 1)

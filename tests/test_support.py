@@ -5,12 +5,20 @@ from math import lcm
 import pytest
 
 from supvar.algebra import detecting_subalgebra, gl_superalgebra
-from supvar.errors import ZeroPoint
-from supvar.linalg import axpy, span_dim
-from supvar.modules import direct_sum, kac_module, simple_module, tensor, trivial_module
+from supvar.errors import ShapeMismatch, ZeroPoint
+from supvar.linalg import IncrementalSpan, axpy, span_dim
+from supvar.modules import (
+    SuperModuleRep,
+    direct_sum,
+    kac_module,
+    simple_module,
+    tensor,
+    trivial_module,
+)
 from supvar.roots import parse_weight
 from supvar.support import (
     _deciding_block,
+    _free_half_first,
     atyp_module,
     compare_support,
     empirical_support,
@@ -257,3 +265,36 @@ def test_empirical_support_of_kac_module_builds_only_detecting_columns():
     assert empirical_support(K).subsets == frozenset()
     # Kac actions are summed per label on first read
     assert set(K.actions._built) == {lab for t in (1, 2, 3) for lab in det.generator_labels(t)}
+
+
+def test_kac_rank_test_stops_after_the_free_half(monkeypatch):
+    # the columns y_S v with f_{t0} not in S are independent, so every add is accepted
+    K = kac_module(parse_weight(3, 3, "1,0,0|0,0,-1"))
+    calls = []
+    add = IncrementalSpan.add
+
+    def counted_add(span, vec):
+        calls.append(vec)
+        return add(span, vec)
+
+    monkeypatch.setattr(IncrementalSpan, "add", counted_add)
+    assert is_projective_at(K, odd_point([0, 1, 1]))
+    assert 2 * len(calls) == len(_deciding_block(K, [0, 1, 1])) == 528
+
+
+def test_block_leak_on_a_column_after_the_early_exit_is_caught():
+    K = kac_module(parse_weight(2, 2, "0,0|0,0"))
+    a = [1, 0]
+    block = _deciding_block(K, a)
+    outside = next(i for i in range(K.dim) if i not in block)
+    # offered last, after the size/2 columns that end the test on K
+    last = _free_half_first(K, a, block)[-1]
+    label = detecting_subalgebra(2, 2).generator_labels(1)[0]
+    actions = {lab: {j: dict(col) for j, col in K.actions[lab].items()}
+               for lab in K.algebra.labels}
+    actions[label].setdefault(last, {})[outside] = 1
+    leaky = SuperModuleRep(K.algebra, K.parities, K.weights, actions,
+                           basis_names=K.basis_names, meta=K.meta, den=K.den)
+    assert is_projective_at(K, odd_point(a))
+    with pytest.raises(ShapeMismatch, match="not action stable"):
+        is_projective_at(leaky, odd_point(a))
