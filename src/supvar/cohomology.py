@@ -21,7 +21,9 @@ over its ``den`` build the raising images and the differentials.  d^p is
 stored as den times the images of the degree-p basis vectors, over the
 positions of the next slice: scaling changes no rank, and neither does
 reading an image in the slice instead of over the (independent) next basis.
-So both Ext routes rank the same objects, int images over slice positions.
+So both Ext routes rank the same objects, int images over slice positions,
+and a complex to degree p_max builds bases for degrees 0..p_max only, keeping
+just the slice keys of degree p_max+1 that d^p_max is stored over.
 For Ext the coefficient module ``dual(K) tensor N`` builds a label's columns
 on its first read, so only the odd labels and the simple raisings the
 complex reads are ever summed.
@@ -31,7 +33,9 @@ operators E_{i,i+1} (i != m).  This is exact: M's weights are its Cartan
 eigenvalues (verify_rep checks this), so g0 = gl(m) + gl(n) acts semisimply
 on the finite-dimensional S^p(W*) tensor M, and a weight-zero vector killed
 by the simple raising operators is a g0 highest-weight vector of weight zero,
-which spans a trivial g0-module.
+which spans a trivial g0-module.  The same definition checks the
+differential: the simple raising operators must kill every image of every
+d^p, in each degree alike, the top one included.
 
 Two independent Ext routes are provided for Kac modules: the full relative
 complex of dual(K) tensor M, and the reduction that computes cohomology of
@@ -242,15 +246,21 @@ class CochainDegree:
 
 
 class CochainComplex:
-    """Invariant bases and differentials for degrees 0..p_max+1."""
+    """Invariant bases for degrees 0..p_max and differentials d^0..d^p_max.
 
-    def __init__(self, g, M, p_max, degrees, differentials):
+    d^p_max lands in degree p_max+1, of which only the slice keys are kept:
+    no rank reads a basis there, and the raising operators check its images.
+    """
+
+    def __init__(self, g, M, p_max, degrees, top_keys, differentials):
         self.algebra = g
         self.module = M
         self.p_max = p_max
-        self.degrees = degrees            # list of CochainDegree, length p_max+2
+        self.degrees = degrees            # list of CochainDegree, length p_max+1
+        self.top_keys = top_keys          # slice keys of degree p_max+1
         # d^p for p <= p_max: per basis vector of degree p, M.den times its
-        # image, a sparse int column over the positions of degrees[p+1].keys
+        # image, a sparse int column over the positions of the degree-(p+1)
+        # keys, degrees[p+1].keys or, for p = p_max, top_keys
         self.differentials = differentials
 
     def dims(self) -> list[int]:
@@ -261,39 +271,41 @@ def build_complex(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
                   budget: int = RunConfig.dimension_budget) -> CochainComplex:
     """The relative complex of (g, even part) with coefficients in M.
 
-    Builds invariant cochains in degrees 0..p_max+1 and differentials
-    d^0..d^p_max, checking that each image is an invariant cochain and that
-    d.d = 0 exactly.
+    Builds invariant cochains in degrees 0..p_max and differentials
+    d^0..d^p_max, the last over the slice keys of degree p_max+1.  Each image
+    of each d^p must be killed by the simple raising operators, which is
+    the definition of an invariant cochain, and d.d = 0 must hold exactly.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
     if not same_algebra(M.algebra, g):
         raise Unsupported("module is not a representation of the given algebra")
     odd_labels = g.odd_labels()
     target = zero_weight(g.m, g.n)
+    slices = [tuple(_weight_slice(g, M, odd_labels, p, target, budget))
+              for p in range(p_max + 2)]
 
-    degrees = []
-    for p in range(p_max + 2):
-        keys = tuple(_weight_slice(g, M, odd_labels, p, target, budget))
-        units = [{k: 1} for k in range(len(keys))]
-        basis = tuple(column_kernel(_raising_images(g, M, odd_labels, keys, units)))
-        degrees.append(CochainDegree(keys=keys, basis=basis))
-
-    # one call per degree maps both that degree's basis (the next differential)
-    # and the images arriving in it (which d must kill), sharing the work
-    differentials = []
-    images = _differential_columns(M, odd_labels, degrees[0].keys, degrees[1].keys,
-                                   degrees[0].basis)
-    for p in range(p_max + 1):
-        dst = degrees[p + 1]
-        if span_dim([*dst.basis, *images]) != dst.dim:
+    # per degree, one raising call covers the images of d arriving in it
+    # (which must be invariant) and, below the top, the slice's unit vectors
+    # (whose kernel is the basis); one differential call then maps both those
+    # images (which d must kill) and the basis (the next differential)
+    degrees, differentials = [], []
+    images: list = []
+    for p, keys in enumerate(slices):
+        units = [{k: 1} for k in range(len(keys))] if p <= p_max else []
+        raised = _raising_images(g, M, odd_labels, keys, [*images, *units])
+        if any(raised[:len(images)]):
             raise SignConventionBroken("differential image is not an invariant cochain")
+        if p > p_max:
+            break
+        basis = tuple(column_kernel(raised[len(images):]))
+        degrees.append(CochainDegree(keys=keys, basis=basis))
+        out = _differential_columns(M, odd_labels, keys, slices[p + 1], [*images, *basis])
+        if any(out[:len(images)]):
+            raise SignConventionBroken("d . d != 0 on the constructed complex")
+        images = out[len(images):]
         differentials.append(images)
-        if p < p_max:
-            out = _differential_columns(M, odd_labels, dst.keys, degrees[p + 2].keys,
-                                        [*images, *dst.basis])
-            if any(out[:len(images)]):
-                raise SignConventionBroken("d . d != 0 on the constructed complex")
-            images = out[len(images):]
-    return CochainComplex(g, M, p_max, degrees, differentials)
+    return CochainComplex(g, M, p_max, degrees, slices[-1], differentials)
 
 
 def cohomology_dims(g: LieSuperalgebraData, M: SuperModuleRep, p_max: int,
@@ -344,6 +356,8 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     Raises ``NotDominant`` unless lam is dominant integral, as no K(lam)
     exists then.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
     if not is_dominant_integral(lam):
         raise NotDominant(f"{format_weight(lam)} is not dominant integral")
     g = M.algebra

@@ -18,8 +18,9 @@ class RunConfig:
     output: str = "json"
 
     def __post_init__(self):
-        if self.samples_per_subset < 1 or self.p_max < 0 or self.dimension_budget < 1:
-            raise ValueError("all bounds must be positive")
+        for name, least in (("samples_per_subset", 1), ("p_max", 0), ("dimension_budget", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.output not in ("json", "table"):
             raise ValueError("output must be 'json' or 'table'")
 

@@ -193,7 +193,8 @@ def test_negative_pmax_exits_2(capsys):
     for argv in (["cohom", "2", "2"], ["ext", "2", "2", "--M", "trivial", "--N", "trivial"],
                  ["kacext", "2", "2", "0,0|0,0"]):
         assert main(argv + ["--pmax", "-1"]) == 2, argv
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and "p_max must be >= 0" in err
 
 
 def test_budget_exceeded_exit_3(capsys):
@@ -266,9 +267,16 @@ def test_config_precedence(tmp_path):
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        RunConfig(samples_per_subset=0)
-    with pytest.raises(ValueError):
         RunConfig(output="xml")
+
+
+@pytest.mark.parametrize("bound, least", [
+    ("samples_per_subset", 1), ("p_max", 0), ("dimension_budget", 1)])
+def test_config_names_the_bound_it_rejects(bound, least):
+    # p_max = 0 is valid, so the message states each bound's own least value
+    assert getattr(RunConfig(**{bound: least}), bound) == least
+    with pytest.raises(ValueError, match=f"^{bound} must be >= {least}$"):
+        RunConfig(**{bound: least - 1})
 
 
 def test_seed_env_var(capsys, monkeypatch):

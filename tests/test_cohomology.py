@@ -34,7 +34,7 @@ from views import fraction_actions
 
 def test_cochain_dimensions_trivial_coefficients():
     g = gl_superalgebra(1, 1)
-    cx = build_complex(g, trivial_module(g), 4)
+    cx = build_complex(g, trivial_module(g), 5)
     assert cx.dims() == [1, 0, 1, 0, 1, 0]
     assert all(not col for cols in cx.differentials for col in cols)
 
@@ -81,7 +81,8 @@ def _trivial_complex(m, n, p_max):
 
 
 def test_slice_budgets():
-    assert [len(deg.keys) for deg in _trivial_complex(3, 3, 6).degrees] == [
+    cx = _trivial_complex(3, 3, 6)
+    assert [len(deg.keys) for deg in cx.degrees] + [len(cx.top_keys)] == [
         1, 0, 9, 0, 63, 0, 339, 0]
     # degree 6 pairs 165 half-monomials of each side, over 4 x budget
     g = gl_superalgebra(3, 3)
@@ -159,30 +160,43 @@ def _sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def _character_count(g, m, n, p):
-    """dim (S^p(W*))^{g0} = sum over w in S_m x S_n of sign(w) mult_p(rho - w rho).
+def _character_count(g, M, p):
+    """dim (S^p(W*) tensor M)^{g0} = sum over w in S_m x S_n of sign(w) mult_p(rho - w rho).
 
     The multiplicity of the trivial g0-module, read off Weyl's character
-    formula times the Weyl denominator; mult_p counts the degree-p monomials
-    in the duals of the odd labels by weight.  rho - w rho has first-block sum
-    0, while each g1* factor contributes -1 and each g-1* factor +1, so only
-    monomials with p/2 factors from each side count.
+    formula times the Weyl denominator; mult_p counts the pairs of a
+    degree-p monomial in the duals of the odd labels and a weight of M by
+    their total weight, the convolution of the monomial weight counts with M's
+    weight multiset.  rho - w rho has first-block sum 0, while each g1*
+    factor contributes -1, each g-1* factor +1 and a weight of M its own
+    first-block sum s, so only monomials with (p + s)/2 g1* factors count.
     """
-    if p % 2:
-        return 0
-    counts = []
-    for z in (1, -1):
-        side = [(-g.weight_of[lab]).coords for lab in g.odd_labels() if g.z_degree[lab] == z]
-        counts.append(Counter(tuple(map(sum, zip((0,) * (m + n), *half)))
-                              for half in combinations_with_replacement(side, p // 2)))
-    up, down = counts
+    m, n = g.m, g.n
+    zero = (0,) * (m + n)
+    sides = [[(-g.weight_of[lab]).coords for lab in g.odd_labels() if g.z_degree[lab] == z]
+             for z in (1, -1)]
+
+    @lru_cache(maxsize=None)
+    def halves(side, k):
+        return Counter(tuple(map(sum, zip(zero, *half)))
+                       for half in combinations_with_replacement(sides[side], k))
+
+    # (g-1* factor count, weight of a g1* half plus a weight of M) -> count
+    up = Counter()
+    for w in M.weights:
+        k_up, odd = divmod(p + sum(w.first_block), 2)
+        if odd or not 0 <= k_up <= p:
+            continue
+        for u, c in halves(0, int(k_up)).items():
+            up[p - int(k_up), tuple(x + y for x, y in zip(u, w.coords))] += c
     rho = tuple(range(m, 0, -1)) + tuple(range(n, 0, -1))
     total = 0
     for p1 in permutations(range(m)):
         for p2 in permutations(range(n)):
             w_rho = tuple(rho[i] for i in p1) + tuple(rho[m + j] for j in p2)
             mu = tuple(a - b for a, b in zip(rho, w_rho))
-            mult = sum(c * down[tuple(x - y for x, y in zip(mu, wu))] for wu, c in up.items())
+            mult = sum(c * halves(1, k_down)[tuple(x - y for x, y in zip(mu, wu))]
+                       for (k_down, wu), c in up.items())
             total += _sign(p1) * _sign(p2) * mult
     return total
 
@@ -196,8 +210,24 @@ def test_invariant_dims_match_character_count(m, n, expected):
     # independent of the raising-operator kernel: only weights are counted
     g = gl_superalgebra(m, n)
     cx = _trivial_complex(m, n, 6)
-    counts = [_character_count(g, m, n, p) for p in range(7)]
-    assert counts == [len(deg.basis) for deg in cx.degrees[:7]] == expected
+    counts = [_character_count(g, trivial_module(g), p) for p in range(7)]
+    assert counts == [len(deg.basis) for deg in cx.degrees] == expected
+
+
+@pytest.mark.parametrize("kac, p_max, expected", [
+    (None, 3, [0, 2, 2, 4, 2]),
+    ("0,0|0,0", 2, [1, 6, 14, 21]),
+    ("-1,-1|1,1", 2, [0, 1, 2, 7]),
+])
+def test_invariant_dims_with_module_coefficients_match_character_count(kac, p_max, expected):
+    # L(1,0|0,-1) of gl(2|2), or dual(K) tensor it; the last count is of
+    # degree p_max+1, whose basis is not built
+    g, L = _gl22_simple_l()
+    M = L if kac is None else tensor(dual(kac_module(parse_weight(2, 2, kac))), L)
+    cx = build_complex(g, M, p_max)
+    counts = [_character_count(g, M, p) for p in range(p_max + 2)]
+    assert counts[:-1] == [len(deg.basis) for deg in cx.degrees]
+    assert counts == expected
 
 
 def test_cohomology_kac_coefficients_and_dual():
@@ -270,6 +300,11 @@ def test_ext_over_action_denominator_two():
         assert kac_ext_dims(lam, N, 1).dims == (1, 0)
 
 
+def _next_keys(cx, p):
+    """The slice keys d^p's columns are over: degree p+1's, or the top's."""
+    return cx.degrees[p + 1].keys if p < cx.p_max else cx.top_keys
+
+
 def test_stored_differential_is_the_true_one():
     # d is built from int actions over den 2 and from basis vectors scaled to
     # ints; the stored d^p must hold den times each invariant basis vector's
@@ -279,8 +314,8 @@ def test_stored_differential_is_the_true_one():
     cx = build_complex(g, M, 1)
     actions = fraction_actions(M)
     for p, cols in enumerate(cx.differentials):
-        src, dst = cx.degrees[p], cx.degrees[p + 1]
-        pos = {key: k for k, key in enumerate(dst.keys)}
+        src = cx.degrees[p]
+        pos = {key: k for k, key in enumerate(_next_keys(cx, p))}
         for vec, col in zip(src.basis, cols):
             image: dict = {}
             for k, c in vec.items():
@@ -312,16 +347,16 @@ def test_invariants_match_all_even_label_reference():
     cases = []
     for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
         g = gl_superalgebra(m, n)
-        cases.append((g, trivial_module(g), 4))
+        cases.append((g, trivial_module(g), 5))
     g = gl_superalgebra(2, 1)
     K0 = kac_module(parse_weight(2, 1, "0,0|0"))
-    cases += [(g, K0, 4), (g, dual(K0), 4)]
+    cases += [(g, K0, 5), (g, dual(K0), 5)]
     g = gl_superalgebra(2, 2)
     M = tensor(dual(kac_module(parse_weight(2, 2, "0,0|0,0"))),
                simple_module(parse_weight(2, 2, "1,0|0,-1")))
-    cases.append((g, M, 2))
+    cases.append((g, M, 3))
     K = kac_module(parse_weight(3, 1, "0,-2,-2|2"))  # den 2
-    cases.append((gl_superalgebra(3, 1), tensor(dual(K), K), 1))
+    cases.append((gl_superalgebra(3, 1), tensor(dual(K), K), 2))
     for g, M, p_max in cases:
         cx = build_complex(g, M, p_max)
         assert any(cx.dims()[1:])
@@ -372,10 +407,10 @@ def test_euler_characteristic_independent_of_differential():
         for p in range(p_max + 1):
             cols = cx.differentials[p]
             nz = sum(1 for c in cols if c)
-            if dims[p] == 0 or dims[p + 1] == 0 or nz == 0:
+            if dims[p] == 0 or nz == 0:
                 ranks.append(0)
                 continue
-            rows = [[col.get(r, 0) for col in cols] for r in range(len(cx.degrees[p + 1].keys))]
+            rows = [[col.get(r, 0) for col in cols] for r in range(len(_next_keys(cx, p)))]
             from supvar.linalg import rank as mrank
 
             ranks.append(mrank(RationalMatrix(rows)))
@@ -459,3 +494,55 @@ def test_build_complex_rejects_d_squared_nonzero(monkeypatch):
     monkeypatch.setattr(cohomology, "_differential_columns", shifted)
     with pytest.raises(SignConventionBroken, match=r"d \. d != 0"):
         build_complex(g, L, 3)
+
+
+def test_build_complex_rejects_a_non_invariant_image_in_the_top_degree(monkeypatch):
+    # only d^p_max's images, which land in degree p_max+1 where no basis is
+    # built, get a vector the raising operators do not kill
+    g, L = _gl22_simple_l()
+    p_max = 2
+    cx = build_complex(g, L, p_max)
+    top, n_images = cx.top_keys, cx.degrees[p_max].dim
+    bad = next(v for v in ({k: 1} for k in range(len(top)))
+               if cohomology._raising_images(g, L, g.odd_labels(), top, [v])[0])
+    true_columns = cohomology._differential_columns
+
+    def shifted(M, gens, keys, next_keys, vecs):
+        columns = true_columns(M, gens, keys, next_keys, vecs)
+        if next_keys == top:
+            for col in columns[len(columns) - n_images:]:
+                axpy(col, bad.items(), 1)
+        return columns
+
+    monkeypatch.setattr(cohomology, "_differential_columns", shifted)
+    with pytest.raises(SignConventionBroken, match="differential image is not an invariant cochain"):
+        build_complex(g, L, p_max)
+
+
+def test_invariant_bases_are_built_up_to_p_max_only(monkeypatch):
+    calls = []
+    true_kernel = cohomology.column_kernel
+
+    def counted(columns):
+        calls.append(len(columns))
+        return true_kernel(columns)
+
+    monkeypatch.setattr(cohomology, "column_kernel", counted)
+    g, L = _gl22_simple_l()
+    for p_max in (0, 3):
+        calls.clear()
+        cx = build_complex(g, L, p_max)
+        assert len(calls) == p_max + 1
+        assert calls == [len(deg.keys) for deg in cx.degrees]
+
+
+@pytest.mark.parametrize("route", [
+    lambda C: build_complex(C.algebra, C, -1),
+    lambda C: cohomology_dims(C.algebra, C, -1),
+    lambda C: ext_dims(C, C, -1),
+    lambda C: kac_ext_dims(parse_weight(1, 1, "0|0"), C, -1),
+], ids=["build_complex", "cohomology_dims", "ext_dims", "kac_ext_dims"])
+def test_negative_p_max_is_rejected(route):
+    # a negative degree bound is bad input on every route, never an empty table
+    with pytest.raises(ValueError, match="^p_max must be >= 0$"):
+        route(trivial_module(gl_superalgebra(1, 1)))
