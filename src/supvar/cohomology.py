@@ -23,7 +23,10 @@ positions of the next slice: scaling changes no rank, and neither does
 reading an image in the slice instead of over the (independent) next basis.
 So both Ext routes rank the same objects, int images over slice positions,
 and a complex to degree p_max builds bases for degrees 0..p_max only, keeping
-just the slice keys of degree p_max+1 that d^p_max is stored over.
+just the slice keys of degree p_max+1 that d^p_max is stored over.  The
+raising images are over int rows, a block of M.dim per (raising, monomial)
+pair, and the differential writes onto next-slice positions, so the hot loops
+add stored pairs at an offset (``axpy``'s shift) and rebuild no keys.
 For Ext the coefficient module ``dual(K) tensor N`` builds a label's columns
 on its first read, so only the odd labels and the simple raisings the
 complex reads are ever summed.
@@ -176,15 +179,25 @@ def _raising_images(g, M: SuperModuleRep, gens, keys, vecs) -> list[dict]:
     """Per sparse vector over slice positions, its stacked raising images.
 
     The simple raising operators are E_{i,i+1} with i != m, the even labels
-    one step above the diagonal.  Rows are keyed (label, (monomial, module
-    index)), so the vectors they all kill are one kernel computation.  Images
-    are M.den times the true ones, so the derivation term is scaled by M.den.
+    one step above the diagonal.  Each (raising, monomial) pair is numbered
+    once per call as a block of M.dim int rows, row block * M.dim + module
+    index, so the vectors they all kill are one kernel computation.  The
+    rows are first seen in the order of the (label, (monomial, index)) keys
+    they stand for, so a span numbers them alike.  Images are M.den times the
+    true ones, so the derivation term is scaled by M.den.
     """
     raisings = [lab for lab in g.even_labels() if lab[2] == lab[1] + 1]
     table = _coadjoint_table(g, gens, raisings)
-    acts = [(a, M.actions.get(a, {})) for a in raisings]
-    den = M.den
-    derivations: dict = {}  # monomial -> per raising, its derivation; shared by module indices
+    acts = [M.actions.get(a, {}) for a in raisings]
+    den, dim = M.den, M.dim
+    blocks: dict = {}  # (raising position, monomial) -> the offset of its block
+
+    def offset(r: int, mono: tuple) -> int:
+        return blocks.setdefault((r, mono), dim * len(blocks))
+
+    # monomial -> per raising, its block's offset and its derivation over
+    # block offsets; shared by module indices
+    derivations: dict = {}
     images = []
     for vec in vecs:
         out: dict = {}
@@ -192,11 +205,13 @@ def _raising_images(g, M: SuperModuleRep, gens, keys, vecs) -> list[dict]:
             mono, i = keys[pos]
             derived_by = derivations.get(mono)
             if derived_by is None:
-                derived_by = derivations[mono] = [_derive_on_monomial(table[a], mono)
-                                                  for a in raisings]
-            for (a, cols), derived in zip(acts, derived_by):
-                axpy(out, (((a, (new_mono, i)), c) for new_mono, c in derived.items()), den * coeff)
-                axpy(out, (((a, (mono, r)), c) for r, c in cols.get(i, {}).items()), coeff)
+                derived_by = derivations[mono] = [
+                    (offset(r, mono), [(offset(r, new_mono), c) for new_mono, c
+                                       in _derive_on_monomial(table[a], mono).items()])
+                    for r, a in enumerate(raisings)]
+            for cols, (base, derived) in zip(acts, derived_by):
+                axpy(out, derived, den * coeff, i)
+                axpy(out, cols.get(i, {}).items(), coeff, base)
         images.append(out)
     return images
 
@@ -205,10 +220,15 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
     """M.den times the action-term differential of sparse vectors over slice positions.
 
     Images are sparse vectors over the positions of next_keys, the slice one
-    degree up; an image outside that slice raises SignConventionBroken.  A
-    slice position's image is built once per call and shared by the vectors.
+    degree up, written there through a map monomial -> {module index:
+    position}; an image term outside that slice raises SignConventionBroken.
+    Distinct generators give distinct monomials, so no two terms of a
+    position's image meet.  That image is built once per call and shared by
+    the vectors.
     """
-    next_pos = {key: k for k, key in enumerate(next_keys)}
+    next_pos: dict = {}
+    for k, (mono, j) in enumerate(next_keys):
+        next_pos.setdefault(mono, {})[j] = k
     acting = [(e, cols) for e, cols in enumerate(M.actions.get(lab) for lab in gens) if cols]
     image_of: dict = {}  # slice position -> its image
     columns = []
@@ -217,15 +237,14 @@ def _differential_columns(M: SuperModuleRep, gens, keys, next_keys, vecs) -> lis
         for pos, coeff in vec.items():
             if pos not in image_of:
                 mono, i = keys[pos]
-                img: dict = {}
+                img = image_of[pos] = []
                 for e, cols in acting:
                     column = cols.get(i)
                     if column:
-                        new_mono = tuple(sorted(mono + (e,)))
-                        axpy(img, (((new_mono, j), c) for j, c in column.items()), 1)
-                if not next_pos.keys() >= img.keys():
-                    raise SignConventionBroken("differential leaves the weight slice")
-                image_of[pos] = [(next_pos[key], c) for key, c in img.items()]
+                        at = next_pos.get(tuple(sorted(mono + (e,))), {})
+                        if not at.keys() >= column.keys():
+                            raise SignConventionBroken("differential leaves the weight slice")
+                        img.extend(zip(map(at.get, column), column.values()))
             axpy(col, image_of[pos], coeff)
         columns.append(col)
     return columns
@@ -368,23 +387,23 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     slices = [
         _weight_slice(g, M, g1_labels, j, lam, budget) for j in range(p_max + 2)
     ]
-    units = [[{k: 1} for k in range(len(keys))] for keys in slices]
+    units = [[{k: 1} for k in range(len(keys))] for keys in slices[:-1]]
     diffs = [_differential_columns(M, g1_labels, slices[j], slices[j + 1], units[j])
              for j in range(p_max + 1)]
     dims = []
     for j in range(p_max + 1):
+        # one raising call covers the unit vectors and the images of d^{j-1},
+        # as in build_complex
+        prev = diffs[j - 1] if j else []
+        raised = _raising_images(g, M, g1_labels, slices[j], [*units[j], *prev])
+        cols, composed = raised[:len(units[j])], raised[len(units[j]):]
         # highest weight vectors inside ker d^j
-        cols = _raising_images(g, M, g1_labels, slices[j], units[j])
         for col, d in zip(cols, diffs[j]):
             col.update((("d", r), v) for r, v in d.items())
         mult_ker = len(cols) - span_dim(cols)
         # highest weight vectors inside the image of d^{j-1}: the raising
         # operators' kernel on span(prev), by rank-nullity
-        mult_im = 0
-        if j:
-            prev = diffs[j - 1]
-            composed = _raising_images(g, M, g1_labels, slices[j], prev)
-            mult_im = span_dim(prev) - span_dim(composed)
+        mult_im = span_dim(prev) - span_dim(composed)
         value = mult_ker - mult_im
         if value < 0:
             raise SignConventionBroken("negative multiplicity in the layer reduction")

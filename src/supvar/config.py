@@ -18,6 +18,10 @@ class RunConfig:
     output: str = "json"
 
     def __post_init__(self):
+        for name in _INT_KEYS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         for name, least in (("samples_per_subset", 1), ("p_max", 0), ("dimension_budget", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
@@ -35,16 +39,20 @@ def load_config(path: str | None = None, env: dict | None = None, **overrides) -
     if path:
         values = {}
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
+                if not line or line.startswith("#"):
                     continue
-                key, _, value = line.partition("=")
+                key, eq, value = line.partition("=")
                 key, value = key.strip(), value.strip()
+                if not eq:
+                    raise ValueError(f"{path}:{number}: {line!r} is not 'key = value'")
                 if key in _INT_KEYS:
                     values[key] = int(value, 0)
                 elif key == "output":
                     values[key] = value
+                else:
+                    raise ValueError(f"{path}:{number}: unknown key {key!r}")
         cfg = replace(cfg, **values)
     if SEED_ENV_VAR in env:
         cfg = replace(cfg, seed=int(env[SEED_ENV_VAR], 0))

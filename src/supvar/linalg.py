@@ -12,7 +12,9 @@ and ``kernel_basis`` (and ``solve``, over ``express``) return ``Fraction``s;
 ``column_kernel`` returns primitive int relations.
 ``column_kernel`` and ``span_dim`` wrap it, and so do the dense ``rank``,
 ``kernel_basis`` and ``solve`` over the immutable ``RationalMatrix``, kept
-only for the benchmark tracer and the tests.
+only for the benchmark tracer and the tests.  ``axpy``, the one
+accumulate-and-drop-zero loop, adds stored int-keyed pairs at an offset
+(``shift``), so a caller that lays its rows out in blocks never rebuilds keys.
 
 No result depends on the pivot order.  Ranks and span membership are
 invariants of the subspace, and coordinates over independent vectors are
@@ -57,17 +59,21 @@ def format_scalar(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def axpy(out: dict, items: Iterable, c) -> None:
-    """out += c * vec for a sparse vec given as (key, value) pairs.
+def axpy(out: dict, items: Iterable, c, shift: int = 0) -> None:
+    """out[k + shift] += c * v for each pair (k, v) of a sparse vec.
 
     Entries that cancel to zero are removed, so sparse vectors never store
     zeros and an empty dict is the zero vector.  Missing keys start at int 0,
     so Fraction inputs give Fractions and int inputs stay ints.  The product
     is skipped for c = ONE, the coefficient of basis vectors, which saves a
-    Fraction multiplication per entry on the commonest call.
+    Fraction multiplication per entry on the commonest call.  A nonzero shift
+    needs int keys; it lets a caller add stored pairs at an offset instead of
+    rebuilding them.  Keys of any hashable type pass through a zero shift.
     """
     unit = c is ONE
     for k, v in items:
+        if shift:
+            k += shift
         nv = out.get(k, 0) + (v if unit else c * v)
         if nv:
             out[k] = nv

@@ -485,7 +485,8 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
                 continue
             for t in range(D):
                 col: dict = {}
-                axpy(col, ((i * D + r, c * x) for i, e, c in terms for r, x in right[e][t]), ONE)
+                for i, e, c in terms:
+                    axpy(col, right[e][t], c, i * D)
                 if col:
                     cols[j * D + t] = col
         return cols
@@ -743,23 +744,14 @@ def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
         for i in range(M.dim):
             base = i * dn
             flip = 1 if (odd and M.parities[i]) else 0
-            mcol = m_cols.get(i)
-            if not mcol:
-                for j, parts in n_parts.items():
-                    cols[base + j] = {base + r: c for r, c in parts[flip]}
-                continue
-            m_part = [(r * dn, fm * c) for r, c in mcol.items()]
-            for j in range(dn):
+            m_part = [(r * dn, fm * c) for r, c in m_cols.get(i, {}).items()]
+            for j in range(dn) if m_part else n_parts:
                 col = {r + j: c for r, c in m_part}
                 parts = n_parts.get(j)
                 if parts is not None:
-                    if i in mcol and j in n_cols[j]:
-                        axpy(col, ((base + r, c) for r, c in parts[flip]), ONE)
-                        if not col:
-                            continue
-                    else:
-                        col.update((base + r, c) for r, c in parts[flip])
-                cols[base + j] = col
+                    axpy(col, parts[flip], ONE, base)
+                if col:
+                    cols[base + j] = col
         return cols
 
     parities = [(M.parities[i] + N.parities[j]) % 2 for i in range(M.dim) for j in range(N.dim)]

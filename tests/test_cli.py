@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,32 @@ def test_config_precedence(tmp_path):
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         RunConfig(output="xml")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("pmax = 2", "unknown key 'pmax'"),
+    ("samples = 5", "unknown key 'samples'"),
+    ("budget = 10", "unknown key 'budget'"),
+    ("p_max 2", "'p_max 2' is not 'key = value'"),
+], ids=["pmax", "samples", "budget", "no-equals"])
+def test_config_file_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, line, message):
+    # the CLI's flag names are not config keys; a line that would leave the
+    # default in place silently is an error naming the line and the key
+    path = tmp_path / "supvar.conf"
+    path.write_text(f"# bounds\n\np_max = 3\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+        load_config(str(path), env={})
+    assert main(["cohom", "1", "1", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("field", ["seed", "samples_per_subset", "p_max", "dimension_budget"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "7", None])
+def test_config_rejects_a_value_that_is_not_an_int(field, value):
+    # a bool is an int subclass, but never a count or a seed
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an int, not {value!r}')}$"):
+        RunConfig(**{field: value})
 
 
 @pytest.mark.parametrize("bound, least", [

@@ -32,6 +32,92 @@ from supvar.roots import parse_weight, weight, zero_weight
 from views import fraction_actions
 
 
+# ---------------------------------------------------------------------------
+# the tuple-keyed cochain builders, kept as the reference for the int-keyed ones
+
+
+def reference_raising_images(g, M, gens, keys, vecs):
+    """_raising_images with rows keyed (label, (monomial, module index))."""
+    raisings = [lab for lab in g.even_labels() if lab[2] == lab[1] + 1]
+    table = _coadjoint_table(g, gens, raisings)
+    acts = [(a, M.actions.get(a, {})) for a in raisings]
+    derivations: dict = {}
+    images = []
+    for vec in vecs:
+        out: dict = {}
+        for pos, coeff in vec.items():
+            mono, i = keys[pos]
+            derived_by = derivations.get(mono)
+            if derived_by is None:
+                derived_by = derivations[mono] = [_derive_on_monomial(table[a], mono)
+                                                  for a in raisings]
+            for (a, cols), derived in zip(acts, derived_by):
+                axpy(out, (((a, (new_mono, i)), c) for new_mono, c in derived.items()),
+                     M.den * coeff)
+                axpy(out, (((a, (mono, r)), c) for r, c in cols.get(i, {}).items()), coeff)
+        images.append(out)
+    return images
+
+
+def reference_differential_columns(M, gens, keys, next_keys, vecs):
+    """_differential_columns through a tuple-keyed image per slice position."""
+    next_pos = {key: k for k, key in enumerate(next_keys)}
+    acting = [(e, cols) for e, cols in enumerate(M.actions.get(lab) for lab in gens) if cols]
+    image_of: dict = {}
+    columns = []
+    for vec in vecs:
+        col: dict = {}
+        for pos, coeff in vec.items():
+            if pos not in image_of:
+                mono, i = keys[pos]
+                img: dict = {}
+                for e, cols in acting:
+                    column = cols.get(i)
+                    if column:
+                        new_mono = tuple(sorted(mono + (e,)))
+                        axpy(img, (((new_mono, j), c) for j, c in column.items()), 1)
+                assert next_pos.keys() >= img.keys()
+                image_of[pos] = [(next_pos[key], c) for key, c in img.items()]
+            axpy(col, image_of[pos], coeff)
+        columns.append(col)
+    return columns
+
+
+def assert_complex_matches_reference(cx, budget=RunConfig.dimension_budget):
+    """cx's bases and differentials equal the tuple-keyed builders', term for term.
+
+    The reference builds each degree's basis from the unit vectors' raising
+    images alone and maps it by the differential, so the comparison is of
+    item lists, dict order included.
+    """
+    g, M, gens = cx.algebra, cx.module, cx.algebra.odd_labels()
+    target = zero_weight(g.m, g.n)
+    slices = [_weight_slice(g, M, gens, p, target, budget) for p in range(cx.p_max + 2)]
+    assert [deg.keys for deg in cx.degrees] + [cx.top_keys] == [tuple(k) for k in slices]
+    for p, deg in enumerate(cx.degrees):
+        units = [{k: 1} for k in range(len(slices[p]))]
+        basis = column_kernel(reference_raising_images(g, M, gens, slices[p], units))
+        assert [list(v.items()) for v in deg.basis] == [list(v.items()) for v in basis], p
+        images = reference_differential_columns(M, gens, slices[p], slices[p + 1], basis)
+        assert ([list(c.items()) for c in cx.differentials[p]]
+                == [list(c.items()) for c in images]), p
+
+
+@pytest.fixture(autouse=True)
+def complexes_match_reference(monkeypatch):
+    """Every complex built in this module, directly or through cohomology_dims
+    and ext_dims, is checked against the tuple-keyed reference."""
+    true_build = cohomology.build_complex
+
+    def checked(g, M, p_max, budget=RunConfig.dimension_budget):
+        cx = true_build(g, M, p_max, budget)
+        assert_complex_matches_reference(cx, budget)
+        return cx
+
+    monkeypatch.setattr(cohomology, "build_complex", checked)
+    monkeypatch.setitem(globals(), "build_complex", checked)
+
+
 def test_cochain_dimensions_trivial_coefficients():
     g = gl_superalgebra(1, 1)
     cx = build_complex(g, trivial_module(g), 5)
@@ -384,8 +470,8 @@ def test_vanishing_bounds():
 
 
 def test_ext_with_mixed_condition_keys():
-    # the layer route stacks differential rows keyed ("d", r) with raising rows
-    # keyed (label, (monomial, index)) into one kernel computation
+    # the layer route stacks differential rows keyed ("d", r) with the int
+    # raising rows into one kernel computation
     lam = parse_weight(2, 2, "-1,-1|1,1")
     K0 = kac_module(parse_weight(2, 2, "0,0|0,0"))
     assert kac_ext_dims(lam, K0, 1).dims == (0, 1)
@@ -472,6 +558,20 @@ def test_build_complex_rejects_a_non_invariant_image():
     M = SuperModuleRep(g, L.parities, L.weights, actions, den=L.den)
     with pytest.raises(SignConventionBroken, match="differential image is not an invariant cochain"):
         build_complex(g, M, 3)
+
+
+def test_differential_image_outside_the_next_slice_raises():
+    # images are written straight onto next-slice positions; a term with no
+    # position there is a broken grading, not a dropped entry
+    g, L = _gl22_simple_l()
+    cx = build_complex(g, L, 2)
+    src, dst = cx.degrees[1], cx.degrees[2]
+    col = next(c for c in _differential_columns(L, g.odd_labels(), src.keys, dst.keys, src.basis)
+               if c)
+    k = next(iter(col))
+    short = dst.keys[:k] + dst.keys[k + 1:]
+    with pytest.raises(SignConventionBroken, match="differential leaves the weight slice"):
+        _differential_columns(L, g.odd_labels(), src.keys, short, src.basis)
 
 
 def test_build_complex_rejects_d_squared_nonzero(monkeypatch):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import supvar
 from supvar.linalg import (
+    ONE,
     IncrementalSpan,
     RationalMatrix,
+    axpy,
     column_kernel,
     format_scalar,
     kernel_basis,
@@ -231,6 +233,29 @@ def test_engine_matches_gauss_jordan_reference(rows, data):
     for b in rhs:
         expected = reference_solve(rows, A.cols, b)
         assert solve(A, b) == engine_solve(rows, b) == expected
+
+
+def test_axpy_with_a_shift():
+    # out[k + shift] += c * v; a cancelled entry is removed, and a new key is
+    # appended after the ones already held
+    out = {0: 1, 7: 3, 9: 2}
+    axpy(out, [(2, 1), (4, 5), (1, 4)], -3, 5)
+    assert list(out.items()) == [(0, 1), (9, -13), (6, -12)]
+    out = {10: Fraction(1, 2)}
+    axpy(out, [(0, Fraction(-1, 4)), (1, 2)], Fraction(2), 10)
+    assert out == {11: 4} and type(out[11]) is Fraction
+    # c is ONE adds the stored values themselves, ints staying ints
+    out = {3: -1}
+    axpy(out, [(0, 1), (1, 7)], ONE, 3)
+    assert out == {4: 7} and type(out[4]) is int
+
+
+def test_axpy_without_a_shift_takes_any_keys():
+    out = {("a", (1,)): 2, ("b", ()): 1}
+    axpy(out, [(("b", ()), -1), (("c", (0, 1)), 3)], 1)
+    assert list(out.items()) == [(("a", (1,)), 2), (("c", (0, 1)), 3)]
+    axpy(out, iter([(("a", (1,)), 1)]), -2, 0)
+    assert list(out.items()) == [(("c", (0, 1)), 3)]
 
 
 def test_float_entries_rejected():
