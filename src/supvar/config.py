@@ -48,7 +48,11 @@ def load_config(path: str | None = None, env: dict | None = None, **overrides) -
                 if not eq:
                     raise ValueError(f"{path}:{number}: {line!r} is not 'key = value'")
                 if key in _INT_KEYS:
-                    values[key] = int(value, 0)
+                    try:
+                        values[key] = int(value, 0)
+                    except ValueError:
+                        raise ValueError(f"{path}:{number}: {key} must be an int, "
+                                         f"not {value!r}") from None
                 elif key == "output":
                     values[key] = value
                 else:

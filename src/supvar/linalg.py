@@ -68,12 +68,20 @@ def axpy(out: dict, items: Iterable, c, shift: int = 0) -> None:
     is skipped for c = ONE, the coefficient of basis vectors, which saves a
     Fraction multiplication per entry on the commonest call.  A nonzero shift
     needs int keys; it lets a caller add stored pairs at an offset instead of
-    rebuilding them.  Keys of any hashable type pass through a zero shift.
+    rebuilding them.  Keys of any hashable type pass through a zero shift,
+    which is tested once per call, not per entry: elimination never shifts.
     """
     unit = c is ONE
-    for k, v in items:
-        if shift:
+    if shift:
+        for k, v in items:
             k += shift
+            nv = out.get(k, 0) + (v if unit else c * v)
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+        return
+    for k, v in items:
         nv = out.get(k, 0) + (v if unit else c * v)
         if nv:
             out[k] = nv

@@ -28,10 +28,11 @@ Construction chain:
   that table combined with the int L0 actions, over the L0 denominator.
   Each z-degree has its own rule: g_-1 wedges, g0 acts as a derivation,
   and g1 takes one pass over the subsets that reads the g0 rows.  Both
-  steps run per label on first read: the table straightens a label's row
-  the first time a Kac module asks for it, and a Kac module sums a label's
-  int columns the first time a reader asks for them, so a reader of a few
-  labels (the rank test reads the 2r of the x_t) pays for those alone.
+  steps run on first read: the table straightens a label's row the first
+  time a Kac module asks for it, and a Kac module sums a label's int
+  columns the first time a reader asks for them, or one column at a time
+  (``action_column``), so a reader of a few columns pays for those alone:
+  the rank test reads the 2r labels of the x_t on its deciding blocks only.
   Weights, parities and basis names are built up front from per-subset int
   offsets and name prefixes the table computes once.
 
@@ -48,9 +49,10 @@ Construction chain:
   ones.  The quotient columns combine those projections.
 
 All reps are immutable after construction.  The actions of Kac modules,
-duals and tensor products only gain labels on first read, each fixed once
-published, so a reader of a few labels (the rank test, the Ext complex)
-pays for those alone; ``parity_shift`` and ``direct_sum`` build eagerly.
+duals and tensor products only gain labels on first read, and those of Kac
+modules single columns too, each fixed once published, so a reader of a few
+labels (the Ext complex) or columns (the rank test) pays for those alone;
+``parity_shift`` and ``direct_sum`` build eagerly.
 Kac modules are shared while held: ``kac_module(lam, budget)`` returns the
 module of that key that some caller still holds, columns already read
 included, so ``simple_module(lam)`` beside a held K(lam) reuses it.  The
@@ -151,15 +153,19 @@ class _OnFirstRead(Mapping):
     the value privately and publishes it with one ``dict.setdefault``, so
     readers racing on one key all get the first published value, which
     equals what a sequential read builds.  Iteration follows the key order
-    given.
+    given.  With ``build_column(key, i) == build(key).get(i, {})``,
+    ``column(key, i)`` of a value not yet built builds that column alone and
+    publishes it by the same rule; building the value drops those columns.
     """
 
-    __slots__ = ("_keys", "_build", "_built")
+    __slots__ = ("_keys", "_build", "_built", "_build_column", "_columns")
 
-    def __init__(self, keys, build):
+    def __init__(self, keys, build, build_column=None):
         self._keys = dict.fromkeys(keys)
         self._build = build
         self._built: dict = {}
+        self._build_column = build_column
+        self._columns: dict = {}
 
     def __getitem__(self, key):
         try:
@@ -167,13 +173,30 @@ class _OnFirstRead(Mapping):
         except KeyError:
             if key not in self._keys:
                 raise
-        return self._built.setdefault(key, self._build(key))
+        value = self._built.setdefault(key, self._build(key))
+        self._columns.pop(key, None)
+        return value
+
+    def column(self, key, i) -> dict:
+        built = self._built.get(key)
+        if built is None and self._build_column is not None and key in self._keys:
+            cols = self._columns.setdefault(key, {})
+            col = cols.get(i)
+            return cols.setdefault(i, self._build_column(key, i)) if col is None else col
+        return (self[key] if built is None else built).get(i, {})
 
     def __iter__(self):
         return iter(self._keys)
 
     def __len__(self):
         return len(self._keys)
+
+
+def action_column(M: SuperModuleRep, label, i: int) -> dict:
+    """Column i of M's stored int action of label; on a Kac module, only that column is built."""
+    if isinstance(M.actions, _OnFirstRead):
+        return M.actions.column(label, i)
+    return M.actions.get(label, {}).get(i, {})
 
 
 def _empty_actions(algebra) -> dict:
@@ -491,13 +514,20 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
                     cols[j * D + t] = col
         return cols
 
+    def column(label, k) -> dict:
+        j, t = divmod(k, D)
+        col: dict = {}
+        for i, e, c in table.rows[label][j]:
+            axpy(col, right[e][t], c, i * D)
+        return col
+
     l0_coords = [w.coords for w in L0.weights]
     weights = [Weight(m, n, tuple(map(add, w, offset)))
                for offset in table.offsets for w in l0_coords]
     parities = [len(S) % 2 for S in table.subsets for _ in range(D)]
     names = [f"{prefix}v{t}" for prefix in table.prefixes for t in range(D)]
     return SuperModuleRep(
-        g, parities, weights, _OnFirstRead(g.labels, columns), basis_names=names,
+        g, parities, weights, _OnFirstRead(g.labels, columns, column), basis_names=names,
         meta={
             "kind": "kac", "weight": lam, "l0_gram": L0.meta["gram"],
             "l0_dim": D, "basis": basis, "basis_index": basis_index,

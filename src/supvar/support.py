@@ -15,8 +15,10 @@ On a Kac module the first half of the columns offered is independent
 (``_free_half_first``), so it stops after half of the block's columns.
 
 The test runs in ints.  A support variety is a cone: X_{sa} = s X_a and
-c(mu) scales by s^2, so the verdict at a equals the verdict at a scaled by
-the lcm of its denominators, whose coordinates are ints.  Each
+c(mu) scales by s^2, so the verdict at a equals the verdict at every nonzero
+multiple of a.  So the point is scaled to the primitive int vector whose
+first nonzero entry is positive, and ``empirical_support`` tests each such
+vector once, however many sampled points it stands for.  Each
 module groups its basis once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
 x_t^2-eigenvalues, so M0 is the union of the groups on which c vanishes,
 found per point without a loop over the weights.  Only the groups of M0 on
@@ -25,7 +27,8 @@ other group of M0, x is free (``_deciding_block`` proves it), so those
 groups cannot change the verdict.  The columns of X there are int
 combinations of the stored int actions of the labels of the x_t with
 a_t != 0, which are the module's ``den`` times the actions; that scales X by
-a nonzero constant, which changes no rank.
+a nonzero constant, which changes no rank.  Only those columns are read
+(``action_column``), so a Kac module builds no other column of the labels.
 
 The empirical support samples deterministic rational points with prescribed
 coordinate support and reports which coordinate subspaces contain a
@@ -39,14 +42,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import detecting_subalgebra
 from .atypicality import SupportDescription, defect, sorted_nonempty, theoretical_support
 from .config import DEFAULT_SEED, RunConfig
 from .errors import ShapeMismatch, ZeroPoint
 from .linalg import ZERO, IncrementalSpan, axpy, scalar
-from .modules import SuperModuleRep, simple_module
+from .modules import SuperModuleRep, action_column, simple_module
 from .roots import Weight
 
 
@@ -120,14 +123,24 @@ def _free_half_first(M: SuperModuleRep, a, block: list[int]) -> list[int]:
     return sorted(block, key=lambda i: f in basis[i][0])
 
 
-def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
+def _primitive(point: OddPoint) -> tuple[int, ...]:
+    """The point scaled to a primitive int vector whose first nonzero entry is positive."""
+    den = lcm(*[x.denominator for x in point.coords])
+    a = [x.numerator * (den // x.denominator) for x in point.coords]
+    g = gcd(*a) if next(x for x in a if x) > 0 else -gcd(*a)
+    return tuple(x // g for x in a)
+
+
+def is_projective_at(M: SuperModuleRep, point: OddPoint) -> bool:
+    """Projectivity of M over the subalgebra generated by sum a_t x_t."""
+    if point.is_zero():
+        raise ZeroPoint("the origin lies in every support variety by convention")
     m, n = M.algebra.m, M.algebra.n
     r = defect(m, n)
     if point.r != r:
         raise ShapeMismatch(f"point has {point.r} coordinates, defect is {r}")
-    # the support is a cone, so test the point scaled to ints
-    den = lcm(*[x.denominator for x in point.coords])
-    a = [x.numerator * (den // x.denominator) for x in point.coords]
+    # the support is a cone, so test the point scaled to a primitive int vector
+    a = _primitive(point)
 
     block = _deciding_block(M, a)
     if not block:
@@ -137,15 +150,14 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
         return False
 
     det = detecting_subalgebra(m, n)
-    terms = [(M.actions.get(lab, {}), x) for t, x in enumerate(a) if x
+    terms = [({i: action_column(M, lab, i) for i in block}, x) for t, x in enumerate(a) if x
              for lab in det.generator_labels(t + 1)]
     in_block = set(block)
     # every label of X keeps the block, checked on each label up front: the
-    # early exit leaves some columns of X unbuilt
+    # early exit leaves some columns of X unoffered
     for action, _ in terms:
-        for i in block:
-            if not in_block.issuperset(action.get(i, ())):
-                raise ShapeMismatch("zero eigenblock is not action stable")
+        if not all(in_block.issuperset(col) for col in action.values()):
+            raise ShapeMismatch("zero eigenblock is not action stable")
 
     # rank <= size/2 since X squares to 0 on the block, so stop once that bound is hit
     target = size // 2
@@ -153,17 +165,10 @@ def _zero_block_rank_test(M: SuperModuleRep, point: OddPoint) -> bool:
     for i in _free_half_first(M, a, block):
         col: dict = {}
         for action, x in terms:
-            axpy(col, action.get(i, {}).items(), x)
+            axpy(col, action[i].items(), x)
         if span.add(col) and span.dim == target:
             return True
     return 2 * span.dim == size
-
-
-def is_projective_at(M: SuperModuleRep, point: OddPoint) -> bool:
-    """Projectivity of M over the subalgebra generated by sum a_t x_t."""
-    if point.is_zero():
-        raise ZeroPoint("the origin lies in every support variety by convention")
-    return _zero_block_rank_test(M, point)
 
 
 def _fold_seed(seed: int, *values: int) -> int:
@@ -200,11 +205,16 @@ def empirical_support(M: SuperModuleRep, samples_per_subset: int = RunConfig.sam
     r = defect(m, n)
     tested = []
     found = set()
+    # the support is a cone: one test per point up to scale
+    verdicts: dict = {}
     for size in range(1, r + 1):
         for subset in combinations(range(1, r + 1), size):
             for k in range(samples_per_subset):
                 pt = _sample_point(seed, m, n, subset, k, r)
-                verdict = is_projective_at(M, pt)
+                key = _primitive(pt)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = is_projective_at(M, pt)
                 tested.append((subset, pt.coords, verdict))
                 if not verdict:
                     found.add(frozenset(subset))

@@ -289,6 +289,20 @@ def test_config_file_rejects_unknown_keys_and_lines_without_equals(tmp_path, cap
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p_max", "two"), ("seed", "0x"), ("samples_per_subset", "2.5"), ("dimension_budget", "")])
+def test_config_file_names_the_line_and_key_of_a_value_that_is_not_an_int(
+        tmp_path, capsys, key, value):
+    path = tmp_path / "supvar.conf"
+    path.write_text(f"p_max = 3\n# bounds\n{key} = {value}\n")
+    message = f"{path}:3: {key} must be an int, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(str(path), env={})
+    assert main(["cohom", "1", "1", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 @pytest.mark.parametrize("field", ["seed", "samples_per_subset", "p_max", "dimension_budget"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "7", None])
 def test_config_rejects_a_value_that_is_not_an_int(field, value):

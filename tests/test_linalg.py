@@ -258,6 +258,32 @@ def test_axpy_without_a_shift_takes_any_keys():
     assert list(out.items()) == [(("c", (0, 1)), 3)]
 
 
+def reference_axpy(out, items, c, shift):
+    for k, v in items:
+        k = k + shift
+        out[k] = out.get(k, 0) + c * v
+        if not out[k]:
+            del out[k]
+
+
+@pytest.mark.parametrize("shift", [0, 4, -2])
+def test_axpy_branches_match_a_per_entry_reference(shift):
+    # the shift is tested once per call; both loops add, cancel and order keys
+    # as one per-entry loop does, and an entry that cancels at its offset goes
+    rng = random.Random(shift)
+    for c in (ONE, 3, -1, Fraction(-2, 3)):
+        for _ in range(20):
+            out = {k: rng.choice((-2, -1, 1, 2)) for k in rng.sample(range(12), 5)}
+            items = [(k, rng.choice((-1, 1, 2))) for k in rng.sample(range(-3, 10), 6)]
+            expected = dict(out)
+            reference_axpy(expected, items, c, shift)
+            axpy(out, iter(items), c, shift)
+            assert list(out.items()) == list(expected.items())
+    out = {shift + 1: 3, shift + 2: 1}
+    axpy(out, [(1, 1), (2, 5)], -3, shift)
+    assert out == {shift + 2: -14}
+
+
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         span_dim([[1, Fraction(1, 2), 0.5]])

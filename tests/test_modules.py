@@ -15,6 +15,7 @@ import pytest
 import supvar.algebra
 import supvar.modules
 from supvar.algebra import gl_superalgebra
+from supvar.config import RunConfig
 from supvar.errors import (
     AlgebraMismatch,
     ConstructionOverflow,
@@ -26,11 +27,13 @@ from supvar.linalg import ONE, ZERO, IncrementalSpan, axpy, column_kernel, span_
 from supvar.modules import (
     L0_module,
     SuperModuleRep,
+    _build_kac_module,
     _check_form_adjointness,
     _form,
     _int_mul_add,
     _integerize,
     _nonzero_column,
+    action_column,
     direct_sum,
     dual,
     dump_module,
@@ -461,6 +464,32 @@ def test_kac_labels_read_from_four_threads_match_sequential_read():
     assert dict(K.actions) == expected
     # every reader got the one published object per label
     assert all(got[label] is K.actions[label] for got in seen for label in labels)
+
+
+def test_action_column_reads_the_built_label_column(sweep_modules):
+    # a column read before its label is built equals that label's column and
+    # is published once; building the label drops the columns read so far
+    sweep, _ = sweep_modules
+    kacs = [M for _, _, name, M, _ in sweep if name.startswith("kac:")]
+    assert len(kacs) == 25 + 75 + 225
+    for K in kacs:
+        fresh = _build_kac_module(K.meta["weight"], RunConfig.dimension_budget)
+        for label in K.algebra.labels:
+            expected = [K.actions[label].get(i, {}) for i in range(K.dim)]
+            before = [action_column(fresh, label, i) for i in range(K.dim)]
+            assert before == expected, (K, label)
+            assert all(action_column(fresh, label, i) is col for i, col in enumerate(before))
+            assert label not in fresh.actions._built
+            built = fresh.actions[label]
+            assert label not in fresh.actions._columns
+            after = [action_column(fresh, label, i) for i in range(K.dim)]
+            assert after == expected
+            assert all(col is built[i] for i, col in enumerate(after) if i in built)
+    # a module with plain-dict actions reads them
+    L = next(M for m, n, name, M, _ in sweep if (m, n) == (2, 2) and name.startswith("simple:")
+             and M.dim > 1)
+    assert all(action_column(L, label, i) == L.actions[label].get(i, {})
+               for label in L.algebra.labels for i in range(L.dim))
 
 
 def test_verify_rep_gl3_kac_modules():

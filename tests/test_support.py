@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 
+import supvar.support
 from supvar.algebra import detecting_subalgebra, gl_superalgebra
+from supvar.config import DEFAULT_SEED, RunConfig
 from supvar.errors import ShapeMismatch, ZeroPoint
 from supvar.linalg import IncrementalSpan, axpy, span_dim
 from supvar.modules import (
     SuperModuleRep,
+    _build_kac_module,
     direct_sum,
     kac_module,
     simple_module,
@@ -19,6 +23,8 @@ from supvar.roots import parse_weight
 from supvar.support import (
     _deciding_block,
     _free_half_first,
+    _primitive,
+    _sample_point,
     atyp_module,
     compare_support,
     empirical_support,
@@ -45,20 +51,14 @@ def test_zero_point_rejected():
 
 
 def test_scaling_invariance():
+    # a support variety is a cone: the verdict at a is the verdict at every s a, s != 0
     rng = random.Random(41)
-    K = kac_module(parse_weight(2, 2, "1,0|0,-1"))
-    L = simple_module(parse_weight(2, 2, "1,0|0,-1"))
-    for M in (K, L):
-        for _ in range(6):
-            coords = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) *
-                      rng.choice((1, -1)) if rng.random() < 0.8 else Fraction(0)
-                      for _ in range(2)]
-            if all(c == 0 for c in coords):
-                coords[0] = Fraction(1)
+    for M in reference_modules():
+        for coords in reference_points(M):
+            verdict = is_projective_at(M, odd_point(coords))
             c = Fraction(rng.randint(1, 7), rng.randint(1, 5))
-            base = is_projective_at(M, odd_point(coords))
-            scaled = is_projective_at(M, odd_point([c * x for x in coords]))
-            assert base == scaled
+            for s in (c, -1, 3, Fraction(1, 2)):
+                assert is_projective_at(M, odd_point([s * x for x in coords])) == verdict
 
 
 def test_empirical_support_examples():
@@ -260,11 +260,90 @@ def test_deciding_block_verdicts_match_full_zero_block():
 
 
 def test_empirical_support_of_kac_module_builds_only_detecting_columns():
-    K = kac_module(parse_weight(3, 3, "0,0,0|0,0,-1"))
+    # no Kac label is built in full: the rank test reads each column of an
+    # x_t label on its own, and only inside a deciding block, which for a
+    # point with support S lies inside the deciding block of each {t} in S
+    K = _build_kac_module(parse_weight(3, 3, "0,0,0|0,0,-1"), RunConfig.dimension_budget)
     det = detecting_subalgebra(3, 3)
     assert empirical_support(K).subsets == frozenset()
-    # Kac actions are summed per label on first read
-    assert set(K.actions._built) == {lab for t in (1, 2, 3) for lab in det.generator_labels(t)}
+    assert not K.actions._built
+    read = K.actions._columns
+    assert set(read) == {lab for t in (1, 2, 3) for lab in det.generator_labels(t)}
+    for t in (1, 2, 3):
+        block = set(_deciding_block(K, [int(s == t) for s in (1, 2, 3)]))
+        assert len(block) == K.dim // 3 == 512
+        for lab in det.generator_labels(t):
+            assert set(read[lab]) == block
+
+
+def reference_rank_test(M, point):
+    """The integer rank test one point at a time, reading every label of the x_t in full.
+
+    The point is scaled by the lcm of its denominators only, so s a and a
+    are tested apart.
+    """
+    m, n = M.algebra.m, M.algebra.n
+    den = lcm(*[x.denominator for x in point.coords])
+    a = [x.numerator * (den // x.denominator) for x in point.coords]
+    block = _deciding_block(M, a)
+    if not block:
+        return True
+    size = len(block)
+    if size % 2:
+        return False
+    det = detecting_subalgebra(m, n)
+    terms = [(M.actions.get(lab, {}), x) for t, x in enumerate(a) if x
+             for lab in det.generator_labels(t + 1)]
+    in_block = set(block)
+    for action, _ in terms:
+        for i in block:
+            if not in_block.issuperset(action.get(i, ())):
+                raise ShapeMismatch("zero eigenblock is not action stable")
+    span = IncrementalSpan()
+    for i in _free_half_first(M, a, block):
+        col = {}
+        for action, x in terms:
+            axpy(col, action.get(i, {}).items(), x)
+        if span.add(col) and span.dim == size // 2:
+            return True
+    return 2 * span.dim == size
+
+
+def assert_empirical_support_matches_reference(M, samples_per_subset=3, seed=DEFAULT_SEED):
+    """empirical_support(M).tested equals the reference verdict at each sampled point.
+
+    The support is sampled first, so on a Kac module it reads its columns
+    before the reference builds the labels.
+    """
+    tested = empirical_support(M, samples_per_subset, seed).tested
+    m, n = M.algebra.m, M.algebra.n
+    r = min(m, n)
+    points = [(subset, _sample_point(seed, m, n, subset, k, r))
+              for size in range(1, r + 1) for subset in combinations(range(1, r + 1), size)
+              for k in range(samples_per_subset)]
+    assert tested == tuple((subset, pt.coords, reference_rank_test(M, pt))
+                           for subset, pt in points), M
+
+
+def test_empirical_support_matches_the_point_by_point_reference(sweep_modules):
+    sweep, _ = sweep_modules
+    modules = [M for _, _, name, M, _ in sweep if not name.startswith("tensor:")]
+    assert len(modules) == 2 * (25 + 75 + 225)
+    for M in modules:
+        assert_empirical_support_matches_reference(M)
+    assert_empirical_support_matches_reference(modules[-1], samples_per_subset=5, seed=7)
+
+
+@pytest.mark.parametrize("m, n, classes", [(2, 2, 5), (3, 2, 5), (3, 3, 15)])
+def test_empirical_support_tests_each_point_once_up_to_scale(monkeypatch, m, n, classes):
+    # a one-coordinate subset's samples are one point up to scale
+    calls = []
+    monkeypatch.setattr(supvar.support, "is_projective_at",
+                        lambda M, pt: calls.append(pt) or is_projective_at(M, pt))
+    emp = empirical_support(trivial_module(gl_superalgebra(m, n)))
+    r = min(m, n)
+    assert len(emp.tested) == 3 * (2 ** r - 1) and len(calls) == classes
+    assert len({_primitive(pt) for pt in calls}) == classes
 
 
 def test_kac_rank_test_stops_after_the_free_half(monkeypatch):
