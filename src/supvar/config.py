@@ -59,7 +59,10 @@ def load_config(path: str | None = None, env: dict | None = None, **overrides) -
                     raise ValueError(f"{path}:{number}: unknown key {key!r}")
         cfg = replace(cfg, **values)
     if SEED_ENV_VAR in env:
-        cfg = replace(cfg, seed=int(env[SEED_ENV_VAR], 0))
+        try:
+            cfg = replace(cfg, seed=int(env[SEED_ENV_VAR], 0))
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an int, not {env[SEED_ENV_VAR]!r}") from None
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         cfg = replace(cfg, **overrides)

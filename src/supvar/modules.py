@@ -2,9 +2,9 @@
 
 A module stores int sparse columns over one positive denominator ``den``:
 the action of a label is ``actions[label] / den``.  Rationals enter only
-through ``_integerize`` (the L0 closure and the quotient coordinates of
-simple heads); every other construction and every reader works on the ints
-and ``den``, and ``dump_module`` formats ``Fraction(x, den)`` itself.
+through ``_integerize``, on the L0 closure; every other construction and
+every reader works on the ints and ``den``, and ``dump_module`` formats
+``Fraction(x, den)`` itself.
 The L0 inner product and the contravariant form are int sparse columns
 too.  There is no dense matrix form.
 
@@ -42,11 +42,11 @@ Construction chain:
   construction (up to a positive factor, which leaves the radical alone),
   and satisfies <a.u, u'> = <u, tau(a).u'> for the transpose
   tau(E_ab) = E_ba; the radical is then the maximal proper submodule.
-  The form is one sparse int matrix, stored by columns, and one span takes
-  its columns from the highest position down: the columns it accepts are
-  the kept basis, and each Kac basis vector met in a column is projected to
-  the kept coordinates once, by expressing its form column over the kept
-  ones.  The quotient columns combine those projections.
+  The form is one sparse int matrix, stored by columns; ``column_kernel``
+  takes its columns from the highest position down.  The independent ones
+  are the kept basis, and each dependent column's relation is its basis
+  vector's projection to the kept coordinates; the quotient columns sum
+  those in ints over one denominator, divided once by their content.
 
 All reps are immutable after construction.  The actions of Kac modules,
 duals and tensor products only gain labels on first read, and those of Kac
@@ -82,7 +82,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 from weakref import WeakValueDictionary
@@ -96,7 +96,7 @@ from .errors import (
     InvariantBroken,
     NotDominant,
 )
-from .linalg import ONE, IncrementalSpan, axpy, format_scalar, span_dim
+from .linalg import ONE, IncrementalSpan, axpy, column_kernel, format_scalar, span_dim
 from .roots import Weight, dim_L0, format_weight, is_dominant_integral, weight, zero_weight
 
 
@@ -361,10 +361,6 @@ class _ExteriorTable(NamedTuple):
     rows: Mapping      # label -> per column subset, the terms (i, e, c)
 
 
-def _odd(mask: int) -> bool:
-    return bin(mask).count("1") & 1 == 1
-
-
 @lru_cache(maxsize=None)
 def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     """PBW straightening on Lambda(g_-1) alone, as integer terms.
@@ -379,8 +375,9 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     * z = -1: y_k y_S = (-1)^{#{h in S : h < k}} y_{S+k}, and 0 if k is in S.
     * z = 0: a acts as a derivation, y_S a v plus each y_h of S replaced by
       [a, y_h], reordered with its sign.  A non-Cartan [a, y_h] is one other
-      y, so no two places meet; a Cartan one is a multiple of y_h, and those
-      multiples add up in one term (S, None), all of one sign.
+      y_k, so no two places meet: each is one pass over the subsets that
+      hold h and not k, h ascending.  A Cartan E_aa scales y_h by its weight
+      at a, so the multiples add up to S's weight offset at a, one term (S, None).
     * z = +1: x y_h y_rest = [x, y_h] y_rest - y_h x y_rest with h the least
       element of S, one pass over the subsets in PBW order: [x, y_h] is in
       g0, so its terms read the z = 0 rows of the labels of [x, y_h] on rest,
@@ -399,31 +396,34 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     subsets = sorted((tuple(i for i in range(mn) if mask >> i & 1) for mask in range(1 << mn)),
                      key=lambda S: (len(S), S))
     masks = [sum(1 << h for h in S) for S in subsets]
-    index = {mask: i for i, mask in enumerate(masks)}
+    index = sorted(range(1 << mn), key=masks.__getitem__)  # mask -> its position
+    odd = [bin(mask).count("1") & 1 for mask in range(1 << mn)]  # mask -> its parity
+    y_coords = [g.weight_of[y].coords for y in y_labels]
+    offsets = [tuple(map(sum, zip((0,) * (m + n), *(y_coords[h] for h in S)))) for S in subsets]
 
     def lower(label) -> list:
         bit = 1 << y_pos[label]
-        return [[] if s & bit else [(index[s | bit], None, -1 if _odd(s & (bit - 1)) else 1)]
+        return [[] if s & bit else [(index[s | bit], None, -1 if odd[s & (bit - 1)] else 1)]
                 for s in masks]
 
     def derivation(label) -> list:
-        # per h, [label, y_h] = c y_k as (c, k, the bits of h and k, the bits strictly between)
-        moves = [[(c, k, 1 << h | 1 << k, (1 << max(h, k)) - (2 << min(h, k)))
-                  for k, c in ((y_pos[y], c) for y, c in g.bracket(label, y_labels[h]).items())]
-                 for h in range(mn)]
-        out = []
-        for i, (S, s) in enumerate(zip(subsets, masks)):
-            row, cartan = [], 0
-            for h in S:
-                for c, k, flip, between in moves[h]:
-                    if k == h:
-                        cartan += c
-                    elif not s >> k & 1:
-                        row.append((index[s ^ flip], None, -c if _odd(s & between) else c))
-            if cartan:
-                row.append((i, None, cartan))
+        out = [[] for _ in masks]
+        for h in range(mn):
+            for y, c in g.bracket(label, y_labels[h]).items():
+                if (k := y_pos[y]) == h:
+                    continue
+                # one pass over the subsets that hold h and not k; y_k takes
+                # the place of y_h past the bits strictly between them
+                hbit, flip = 1 << h, 1 << h | 1 << k
+                between = (1 << max(h, k)) - (2 << min(h, k))
+                for i, s in enumerate(masks):
+                    if s & flip == hbit:
+                        out[i].append((index[s ^ flip], None, -c if odd[s & between] else c))
+        a = label[1] - 1 if label[1] == label[2] else None  # Cartan E_aa: S's offset at a
+        for i, row in enumerate(out):
+            if a is not None and offsets[i][a]:
+                row.append((i, None, offsets[i][a]))
             row.append((i, label, 1))
-            out.append(row)
         return out
 
     def raising(label) -> list:
@@ -431,23 +431,33 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
         acts = [{}]
         for S, s in zip(subsets[1:], masks[1:]):
             h = S[0]
-            bit = 1 << h
-            rest = index[s ^ bit]
+            bit, low = 1 << h, (1 << h) - 1
+            rest = acts[index[s ^ bit]]
+            if not parts[h]:  # -y_h x y_rest alone: distinct terms stay distinct
+                acts.append({(index[t | bit], e): x if odd[t & low] else -x
+                             for (i, e), x in rest.items() if not (t := masks[i]) & bit})
+                continue
             out: dict = {}
             for row, c in parts[h]:
-                axpy(out, (((i, e), x) for i, e, x in row[rest]), c)
-            axpy(out, (((index[masks[i] | bit], e), -x if _odd(masks[i] & (bit - 1)) else x)
-                       for (i, e), x in acts[rest].items() if not masks[i] & bit), -1)
+                for i, e, x in row[index[s ^ bit]]:
+                    key = (i, e)
+                    out[key] = v = out.get(key, 0) + c * x
+                    if not v:
+                        del out[key]
+            for (i, e), x in rest.items():
+                if not (t := masks[i]) & bit:
+                    key = (index[t | bit], e)
+                    out[key] = v = out.get(key, 0) + (x if odd[t & low] else -x)
+                    if not v:
+                        del out[key]
             acts.append(out)
         return [[(i, e, x) for (i, e), x in out.items()] for out in acts]
 
     build = {-1: lower, 0: derivation, 1: raising}
     rows = _OnFirstRead(g.labels, lambda label: build[g.z_degree[label]](label))
-    y_coords = [g.weight_of[y].coords for y in y_labels]
     return _ExteriorTable(
         subsets=subsets,
-        offsets=[tuple(map(sum, zip((0,) * (m + n), *(y_coords[h] for h in S))))
-                 for S in subsets],
+        offsets=offsets,
         prefixes=["y[" + ",".join(str(h + 1) for h in S) + "]" for S in subsets],
         rows=rows,
     )
@@ -544,8 +554,7 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
 def _integerize(matrices: dict) -> tuple[int, dict]:
     """One common denominator d, and d times each sparse-column matrix, as ints.
 
-    The one place rational matrices become ints: the actions of L0 modules
-    and of simple heads.
+    The one place rational matrices become ints: the actions of L0 modules.
     """
     d = lcm(*{x.denominator for cols in matrices.values()
               for col in cols.values() for x in col.values()})
@@ -680,32 +689,29 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
     G = _form(K)
     _check_form_adjointness(K, G)
 
-    # The int form columns go into one span, from the highest position down.
-    # Column p depends on the columns after it exactly when a radical vector
-    # has its first nonzero entry at p, so the accepted positions are the
-    # kept ones.  G e_i = sum_p y_p G e_p holds exactly when
-    # e_i - sum_p y_p e_p is in the radical, so the coordinates of column i
-    # over the kept columns are those of e_i in the quotient.  Columns of
-    # different weights have disjoint supports, so they never mix in the span.
-    span = IncrementalSpan()
-    # acceptance index -> Kac index
-    accepted = [i for i in reversed(range(K.dim)) if span.add(G[i])]
-    kept = sorted(accepted)
+    # The int form columns go to ``column_kernel`` from the highest position
+    # down, column i at position top - i.  Column i depends on the columns
+    # after it exactly when a radical vector has its first nonzero entry at
+    # i, so the independent ones are the kept ones.  D G e_i = sum_k N_k G e_k
+    # holds exactly when D e_i - sum_k N_k e_k is in the radical, so that
+    # relation is e_i's projection, times D.  Columns of different weights
+    # have disjoint supports, so they never mix.
+    top = K.dim - 1
+    relations = column_kernel([G[i] for i in range(top, -1, -1)])
+    leads = [max(rel) for rel in relations]
+    kept = sorted(set(range(K.dim)).difference(top - p for p in leads))
     new_index = {old: new for new, old in enumerate(kept)}
-    # Kac basis vector -> its kept coordinates modulo the radical; a kept
-    # vector is its own quotient basis vector, with the int coefficient 1
-    projections = {old: ((new, 1),) for new, old in enumerate(kept)}
+    # Kac basis vector -> its kept coordinates modulo the radical, as ints
+    # over L = lcm(D); a kept vector is its own quotient basis vector
+    L = lcm(*(rel[p] for rel, p in zip(relations, leads)))
+    projections = {old: ((new, L),) for new, old in enumerate(kept)}
+    while relations:  # popped, so one copy of the relations is alive
+        rel, p = relations.pop(), leads.pop()
+        f = L // rel.pop(p)
+        projections[top - p] = tuple((new_index[top - k], -x * f) for k, x in rel.items())
 
-    def project(i: int) -> tuple:
-        """Kept coordinates of Kac basis vector i modulo the radical, on first need."""
-        proj = projections.get(i)
-        if proj is None:
-            # column i was offered to the span, so it lies in it
-            coords = span.express(G[i]).items()
-            proj = projections[i] = tuple((new_index[accepted[k]], c) for k, c in coords)
-        return proj
-
-    # quotient coordinates of the int Kac columns, which are K.den times the action
+    # quotient coordinates of the int Kac columns, which are K.den times the
+    # action, over L, then over the least common denominator by one gcd
     actions = {}
     for label in K.algebra.labels:
         kac_cols = K.actions[label]
@@ -713,11 +719,15 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
         for new_col, old in enumerate(kept):
             red: dict = {}
             for i, c in kac_cols.get(old, {}).items():
-                axpy(red, project(i), c)
+                axpy(red, projections[i], c)
             if red:
                 cols[new_col] = red
         actions[label] = cols
-    den, actions = _integerize(actions)
+    common = L if L == 1 else gcd(L, *(x for cols in actions.values()
+                                       for col in cols.values() for x in col.values()))
+    if common != 1:
+        actions = {label: {j: {i: x // common for i, x in col.items()} for j, col in cols.items()}
+                   for label, cols in actions.items()}
     weights = [K.weights[i] for i in kept]
     parities = [K.parities[i] for i in kept]
     names = [K.basis_names[i] for i in kept]
@@ -730,7 +740,7 @@ def simple_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> Supe
 
     return SuperModuleRep(
         K.algebra, parities, weights, actions, basis_names=names,
-        meta={"kind": "simple", "weight": lam, "kac_dim": K.dim}, den=den * K.den,
+        meta={"kind": "simple", "weight": lam, "kac_dim": K.dim}, den=L // common * K.den,
     )
 
 

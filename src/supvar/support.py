@@ -66,9 +66,6 @@ class OddPoint:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(t + 1 for t, c in enumerate(self.coords) if c)
-
 
 def odd_point(coords) -> OddPoint:
     return OddPoint(tuple(scalar(c) for c in coords))

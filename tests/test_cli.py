@@ -324,3 +324,14 @@ def test_seed_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SUPVAR_SEED", "42")
     code, payload = run_json(capsys, "support", "1", "1", "0|0", "--empirical")
     assert code == 0 and payload["subsets"] == [[1]]
+
+
+@pytest.mark.parametrize("value", ["abc", "0x", "2.5", ""])
+def test_seed_env_var_that_is_not_an_int_is_named(capsys, monkeypatch, value):
+    message = f"SUPVAR_SEED must be an int, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(env={"SUPVAR_SEED": value})
+    monkeypatch.setenv("SUPVAR_SEED", value)
+    assert main(["support", "1", "1", "0|0", "--empirical"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err

@@ -691,13 +691,38 @@ def test_simple_module_matches_the_two_stage_reference_quotient(sweep_modules):
     sweep, _ = sweep_modules
     heads = [(lam, M) for _, _, name, M, lam in sweep if name.startswith("simple:")]
     # gl(3|1) 0,-2,-2|2 has K.den 2, so its form layers carry different scales
+    # gl(3|2) 1,1,0|1,-1 has quotient den 2 over its Kac module of dim 576
     heads += [(lam, simple_module(lam)) for lam in (parse_weight(3, 1, "0,-2,-2|2"),
-                                                    parse_weight(3, 2, "1,0,0|0,-1"))]
+                                                    parse_weight(3, 2, "1,0,0|0,-1"),
+                                                    parse_weight(3, 2, "1,1,0|1,-1"))]
     for lam, L in heads:
-        K = kac_module(lam)
-        kept, actions, den = reference_quotient(K)
-        assert L.basis_names == tuple(K.basis_names[i] for i in kept), format_weight(lam)
-        assert (L.actions, L.den) == (actions, den), format_weight(lam)
+        assert_simple_module_matches_reference_quotient(lam, L)
+    L = heads[-1][1]
+    assert (L.den, kac_module(heads[-1][0]).den, L.meta["kac_dim"]) == (2, 1, 576)
+
+
+def assert_simple_module_matches_reference_quotient(lam, L):
+    K = kac_module(lam)
+    kept, actions, den = reference_quotient(K)
+    assert L.basis_names == tuple(K.basis_names[i] for i in kept), format_weight(lam)
+    assert (L.actions, L.den) == (actions, den), format_weight(lam)
+
+
+def test_simple_module_reads_the_quotient_off_one_elimination(monkeypatch, sweep_modules):
+    # the kernel's relations are the projections: no form column is
+    # reduced a second time to express it over the kept ones
+    sweep, _ = sweep_modules
+    lams = [next(lam for _, _, name, _, lam in sweep if name.startswith("simple:")),
+            parse_weight(3, 2, "1,1,0|1,-1")]
+    # the held Kac modules are reused, so no L0 closure (which expresses) runs below
+    held = [kac_module(lam) for lam in lams]
+
+    def express(self, vec):
+        raise AssertionError("simple_module called IncrementalSpan.express")
+
+    monkeypatch.setattr(IncrementalSpan, "express", express)
+    for lam, K in zip(lams, held):
+        assert simple_module(lam).meta["kac_dim"] == K.dim
 
 
 def test_atypical_gl11_simples_are_one_dimensional():
