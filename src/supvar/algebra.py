@@ -197,8 +197,9 @@ class DetectingSubalgebra:
     """The rank-variety home: r odd generators inside gl(m|n).
 
     The odd generators are x_t = E_{m+1-t,m+t} + E_{m+t,m+1-t} for
-    t = 1..min(m,n).  They pairwise supercommute and each square is the
-    diagonal element E_{m+1-t,m+1-t} + E_{m+t,m+t}.
+    t = 1..min(m,n), their labels read from ``generator_labels``.  They
+    pairwise supercommute and each square is the diagonal element
+    E_{m+1-t,m+1-t} + E_{m+t,m+t}, both checked at construction.
     """
 
     def __init__(self, m: int, n: int):
@@ -207,21 +208,22 @@ class DetectingSubalgebra:
         self.m, self.n = m, n
         self.r = min(m, n)
         g = gl_superalgebra(m, n)
-        self.odd_basis = tuple(
-            {("E", m + 1 - t, m + t): 1, ("E", m + t, m + 1 - t): 1}
-            for t in range(1, self.r + 1)
-        )
+        self.odd_basis = tuple(dict.fromkeys(self.generator_labels(t), 1)
+                               for t in range(1, self.r + 1))
         for s, xs in enumerate(self.odd_basis):
             for t, xt in enumerate(self.odd_basis):
                 if s != t and g.bracket_elements(xs, xt):
                     raise InvariantBroken("detecting generators fail to supercommute")
-        # x_t^2 = [x_t, x_t] / 2 is diagonal, so _square_eigenvalues reads it off weights
-        for x in self.odd_basis:
-            if any(a != b or v % 2 for (_, a, b), v in g.bracket_elements(x, x).items()):
-                raise InvariantBroken("a detecting generator square is not diagonal")
+        # x_t^2 = [x_t, x_t] / 2 = E_aa + E_bb for the labels (E_ab, E_ba) of x_t, so
+        # SuperModuleRep._square_eigenvalues reads it off each weight space as mu_a + mu_b
+        for t, x in enumerate(self.odd_basis, 1):
+            (_, a, b), _ = self.generator_labels(t)
+            if g.bracket_elements(x, x) != {("E", a, a): 2, ("E", b, b): 2}:
+                raise InvariantBroken("a detecting generator square is not diagonal E_aa + E_bb")
 
     def generator_labels(self, t: int) -> tuple:
-        """The two matrix-unit labels entering x_t (1-based t)."""
+        """The two matrix-unit labels entering x_t (1-based t): (E_ab, E_ba), the
+        second in g_-1, with a = m+1-t and b = m+t.  The one place that spells them out."""
         m = self.m
         return (("E", m + 1 - t, m + t), ("E", m + t, m + 1 - t))
 

@@ -90,9 +90,10 @@ def atypicality_oracle(lam: Weight) -> int:
     if m * n > 20:
         raise TooLarge(f"oracle bound is mn <= 20, got {m * n}")
     shifted = lam + rho(m, n)
+    # every odd root of gl(m|n) is isotropic
     candidates = [
         r
-        for r in root_system(m, n).isotropic_roots
+        for r in root_system(m, n).odd_roots
         if bilinear_form(r.as_weight(), shifted) == 0
     ]
     pair_ok = {}

@@ -203,13 +203,19 @@ def cmd_dump(args, cfg) -> tuple[int, dict]:
     return OK, dump_module(M)
 
 
-def _add_common(parser):
+# the run options a command may take besides --output and --config
+_OPTIONS = {"seed": {"type": lambda s: int(s, 0)}, "pmax": {"type": int},
+            "samples": {"type": int, "help": "points per subset"},
+            "budget": {"type": int, "help": "dimension budget"}}
+
+
+def _add_common(parser, *options):
+    """--output, --config and the named ``_OPTIONS``: those the command reads, so
+    argparse rejects any other (exit 2)."""
     parser.add_argument("--output", choices=("json", "table"), default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=None)
-    parser.add_argument("--samples", type=int, default=None, help="points per subset")
-    parser.add_argument("--pmax", type=int, default=None)
-    parser.add_argument("--budget", type=int, default=None, help="dimension budget")
+    for name in options:
+        parser.add_argument(f"--{name}", default=None, **_OPTIONS[name])
 
 
 def _add_mn_weight(parser, with_weight=True):
@@ -254,26 +260,26 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--compare", dest="mode", action="store_const", const="compare")
     p.add_argument("--module", choices=("simple", "kac"), default="simple")
     p.set_defaults(mode="compare")
-    _add_common(p)
+    _add_common(p, "seed", "samples", "budget")
     p.set_defaults(func=cmd_support)
 
     p = sub.add_parser("cohom", help="relative cohomology dimensions")
     _add_mn_weight(p, with_weight=False)
     p.add_argument("--coeff", default="trivial", help="trivial | kac:W | simple:W | l0:W")
-    _add_common(p)
+    _add_common(p, "pmax", "budget")
     p.set_defaults(func=cmd_cohom)
 
     p = sub.add_parser("ext", help="Ext dimensions through the relative complex")
     _add_mn_weight(p, with_weight=False)
     p.add_argument("--M", required=True, help="module spec, e.g. kac:0|0")
     p.add_argument("--N", required=True, help="module spec, e.g. trivial")
-    _add_common(p)
+    _add_common(p, "pmax", "budget")
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("kacext", help="Ext out of a Kac module via the layer reduction")
     _add_mn_weight(p)
     p.add_argument("--coeff", default="trivial")
-    _add_common(p)
+    _add_common(p, "pmax", "budget")
     p.set_defaults(func=cmd_kacext)
 
     p = sub.add_parser("clifford", help="block data of a character on the detecting subalgebra")
@@ -284,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divcheck", help="two-divisibility and superdimension law for L(weight)")
     _add_mn_weight(p)
-    _add_common(p)
+    _add_common(p, "budget")
     p.set_defaults(func=cmd_divcheck)
 
     p = sub.add_parser("dump", help="exact action matrices of a constructed module")
     _add_mn_weight(p)
     p.add_argument("--module", choices=("kac", "simple", "l0"), default="kac")
-    _add_common(p)
+    _add_common(p, "budget")
     p.set_defaults(func=cmd_dump)
 
     return parser
@@ -299,13 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    opt = vars(args).get  # None for an option the command does not take
     try:
         cfg = load_config(
             args.config,
-            seed=args.seed,
-            samples_per_subset=args.samples,
-            p_max=args.pmax,
-            dimension_budget=args.budget,
+            seed=opt("seed"),
+            samples_per_subset=opt("samples"),
+            p_max=opt("pmax"),
+            dimension_budget=opt("budget"),
             output=args.output,
         )
     except (OSError, ValueError) as exc:

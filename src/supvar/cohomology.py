@@ -58,7 +58,8 @@ from operator import sub
 
 from .algebra import LieSuperalgebraData, same_algebra
 from .config import RunConfig
-from .errors import ConstructionOverflow, NotDominant, SignConventionBroken, Unsupported
+from .errors import (ConstructionOverflow, NotDominant, ShapeMismatch, SignConventionBroken,
+                     Unsupported)
 from .linalg import axpy, column_kernel, span_dim
 from .modules import SuperModuleRep, dual, tensor
 from .roots import Weight, format_weight, is_dominant_integral, zero_weight
@@ -130,11 +131,8 @@ def _weight_slice(g, M: SuperModuleRep, gens, degree: int, target: Weight,
 
     # needed monomial weight -> module indices, grouped by k_up; an integral
     # Fraction coordinate hashes and compares like the int it equals
-    by_weight: dict = {}
-    for i, w in enumerate(M.weights):
-        by_weight.setdefault(w.coords, []).append(i)
     needed: dict = {}
-    for w, idx in by_weight.items():
+    for w, idx in M.weight_spaces.items():
         need = tuple(map(sub, target.coords, w))
         if any(c.denominator != 1 for c in need):
             continue
@@ -417,20 +415,18 @@ def vanishing_bound(lam: Weight, M: SuperModuleRep) -> int:
     A weight mu of M contributes a lam-weight in degree j exactly when
     mu - lam is a sum of j positive odd roots; with every such root adding one
     to the first-block coordinate sum, the degree is pinned and feasibility is
-    a margin check.
+    a margin check.  Raises ``ShapeMismatch`` unless lam and M are over one
+    gl(m|n).
     """
     m = lam.m
+    if (M.algebra.m, M.algebra.n) != (m, lam.n):
+        raise ShapeMismatch(f"weight over gl({m}|{lam.n}), module over {M.algebra.name}")
     best = -1
-    seen = set()
-    for w in M.weights:
-        delta = w - lam
-        if delta.coords in seen:
+    for w in M.weight_spaces:
+        delta = tuple(map(sub, w, lam.coords))
+        if any(c.denominator != 1 for c in delta):
             continue
-        seen.add(delta.coords)
-        if any(c.denominator != 1 for c in delta.coords):
-            continue
-        first = delta.first_block
-        second = delta.second_block
+        first, second = delta[:m], delta[m:]
         if any(c < 0 for c in first) or any(c > 0 for c in second):
             continue
         total_first = sum(first)

@@ -34,7 +34,9 @@ Construction chain:
   (``action_column``), so a reader of a few columns pays for those alone:
   the rank test reads the 2r labels of the x_t on its deciding blocks only.
   Weights, parities and basis names are built up front from per-subset int
-  offsets and name prefixes the table computes once.
+  offsets and name prefixes the table computes once.  The table is the one
+  record of the PBW layout: basis vector j D + t is y_{S_j} v_t, with D the
+  L0 dimension, and a Kac module carries the table in its ``meta``.
 
 * ``simple_module`` is the quotient of the Kac module by the radical of its
   contravariant form.  The form pairs weight spaces orthogonally, declares
@@ -47,6 +49,10 @@ Construction chain:
   are the kept basis, and each dependent column's relation is its basis
   vector's projection to the kept coordinates; the quotient columns sum
   those in ints over one denominator, divided once by their content.
+
+Every module groups its basis by weight once, on first read
+(``SuperModuleRep.weight_spaces``), and every reader that works one weight
+space at a time reads that grouping.
 
 All reps are immutable after construction.  The actions of Kac modules,
 duals and tensor products only gain labels on first read, and those of Kac
@@ -87,7 +93,8 @@ from operator import add
 from typing import NamedTuple
 from weakref import WeakValueDictionary
 
-from .algebra import LieSuperalgebraData, gl_even_subalgebra, gl_superalgebra, same_algebra
+from .algebra import (LieSuperalgebraData, detecting_subalgebra, gl_even_subalgebra,
+                      gl_superalgebra, same_algebra)
 from .config import RunConfig
 from .errors import (
     AlgebraMismatch,
@@ -128,18 +135,33 @@ class SuperModuleRep:
         return sum(1 if p == 0 else -1 for p in self.parities)
 
     @cached_property
+    def weight_spaces(self) -> dict:
+        """Weight coordinates -> the ascending basis indices of that weight.
+
+        Weights come in the order of their first basis vector.  The one
+        grouping of the basis by weight: the contravariant form, the cochain
+        slices, ``vanishing_bound`` and the rank test's blocks read it.
+        """
+        spaces: dict = {}
+        for i, w in enumerate(self.weights):
+            spaces.setdefault(w.coords, []).append(i)
+        return spaces
+
+    @cached_property
     def _square_eigenvalues(self) -> dict:
         """Basis indices grouped by the eigenvalues of x_1^2, ..., x_r^2 on them.
 
-        x_t^2 = E_{m+1-t,m+1-t} + E_{m+t,m+t} acts on a vector of weight mu by
-        mu_{m+1-t} + mu_{m+t}, an int on integral weights.  Read by the
-        zero-block rank test (``support``).
+        With (E_ab, E_ba) the labels of x_t (``generator_labels``), x_t^2 =
+        E_aa + E_bb acts on the weight space of mu by mu_a + mu_b, an int on
+        integral weights; each group lists its weight spaces in turn.  Read
+        by the zero-block rank test (``support``).
         """
-        m, r = self.algebra.m, min(self.algebra.m, self.algebra.n)
+        det = detecting_subalgebra(self.algebra.m, self.algebra.n)
+        pairs = [det.generator_labels(t)[0][1:] for t in range(1, det.r + 1)]
         groups: dict = {}
-        for i, w in enumerate(self.weights):
-            key = tuple(w.coords[m - t - 1] + w.coords[m + t] for t in range(r))
-            groups.setdefault(key, []).append(i)
+        for coords, idxs in self.weight_spaces.items():
+            key = tuple(coords[a - 1] + coords[b - 1] for a, b in pairs)
+            groups.setdefault(key, []).extend(idxs)
         return groups
 
     def __repr__(self):
@@ -355,7 +377,9 @@ def L0_module(lam: Weight, budget: int = RunConfig.dimension_budget) -> SuperMod
 
 
 class _ExteriorTable(NamedTuple):
+    y_labels: list     # the labels of g_-1, y_h at position h, in label order
     subsets: list      # subsets S of odd negative root positions, in PBW order
+    rest: list         # per subset S, the position of S minus its least element
     offsets: list      # per subset, sum of the weights of its y_h, as int coordinates
     prefixes: list     # per subset, its basis-name prefix "y[...]"
     rows: Mapping      # label -> per column subset, the terms (i, e, c)
@@ -398,6 +422,7 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     masks = [sum(1 << h for h in S) for S in subsets]
     index = sorted(range(1 << mn), key=masks.__getitem__)  # mask -> its position
     odd = [bin(mask).count("1") & 1 for mask in range(1 << mn)]  # mask -> its parity
+    rest = [index[s & (s - 1)] for s in masks]
     y_coords = [g.weight_of[y].coords for y in y_labels]
     offsets = [tuple(map(sum, zip((0,) * (m + n), *(y_coords[h] for h in S)))) for S in subsets]
 
@@ -429,22 +454,22 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     def raising(label) -> list:
         parts = [[(rows[e], c) for e, c in g.bracket(label, y).items()] for y in y_labels]
         acts = [{}]
-        for S, s in zip(subsets[1:], masks[1:]):
+        for S, r in zip(subsets[1:], rest[1:]):
             h = S[0]
             bit, low = 1 << h, (1 << h) - 1
-            rest = acts[index[s ^ bit]]
+            x_rest = acts[r]
             if not parts[h]:  # -y_h x y_rest alone: distinct terms stay distinct
                 acts.append({(index[t | bit], e): x if odd[t & low] else -x
-                             for (i, e), x in rest.items() if not (t := masks[i]) & bit})
+                             for (i, e), x in x_rest.items() if not (t := masks[i]) & bit})
                 continue
             out: dict = {}
             for row, c in parts[h]:
-                for i, e, x in row[index[s ^ bit]]:
+                for i, e, x in row[r]:
                     key = (i, e)
                     out[key] = v = out.get(key, 0) + c * x
                     if not v:
                         del out[key]
-            for (i, e), x in rest.items():
+            for (i, e), x in x_rest.items():
                 if not (t := masks[i]) & bit:
                     key = (index[t | bit], e)
                     out[key] = v = out.get(key, 0) + (x if odd[t & low] else -x)
@@ -456,7 +481,9 @@ def _exterior_actions(m: int, n: int) -> _ExteriorTable:
     build = {-1: lower, 0: derivation, 1: raising}
     rows = _OnFirstRead(g.labels, lambda label: build[g.z_degree[label]](label))
     return _ExteriorTable(
+        y_labels=y_labels,
         subsets=subsets,
+        rest=rest,
         offsets=offsets,
         prefixes=["y[" + ",".join(str(h + 1) for h in S) + "]" for S in subsets],
         rows=rows,
@@ -494,16 +521,12 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
     m, n = lam.m, lam.n
     g = gl_superalgebra(m, n)
     L0 = L0_module(lam, budget)
-    y_labels = [lab for lab in g.labels if g.z_degree[lab] == -1]
     D = L0.dim
-    dim = (1 << len(y_labels)) * D
+    dim = (1 << m * n) * D  # g_-1 has mn labels
     if dim > budget:
         raise ConstructionOverflow(f"Kac module dimension {dim} exceeds budget {budget}")
 
     table = _exterior_actions(m, n)
-    basis = [(S, t) for S in table.subsets for t in range(D)]
-    basis_index = {key: i for i, key in enumerate(basis)}
-
     # y_{S_j} v_t is column j D + t.  right[e][t] is e.v_t as (row, int)
     # pairs over the L0 denominator d0, and right[None][t] is d0 v_t.  The
     # Kac actions are these sums, over the same d0.
@@ -538,11 +561,8 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
     names = [f"{prefix}v{t}" for prefix in table.prefixes for t in range(D)]
     return SuperModuleRep(
         g, parities, weights, _OnFirstRead(g.labels, columns, column), basis_names=names,
-        meta={
-            "kind": "kac", "weight": lam, "l0_gram": L0.meta["gram"],
-            "l0_dim": D, "basis": basis, "basis_index": basis_index,
-            "y_labels": y_labels,
-        },
+        meta={"kind": "kac", "weight": lam, "l0_gram": L0.meta["gram"], "l0_dim": D,
+              "table": table},
         den=d0,
     )
 
@@ -611,34 +631,32 @@ def _form(K: SuperModuleRep) -> dict:
     Only nonzero entries are stored.  Entries follow the peel rule
     <y_h u', w> = <u', tau(y_h) w> down to the top layer, where the form is
     the L0 inner product.  Distinct weight spaces pair to zero because each
-    weight pins the monomial length, so row i = (S, t) is filled on the
-    basis vectors of its own weight from the row of (S[1:], t), one layer
-    up, which the Kac index order fills first.  In ints: with d the module's
-    ``den``, layer k holds d^k times the form whose top layer is the int
-    L0 inner product ``l0_gram``.  G is checked symmetric, so row i is also
-    column i.
+    weight pins the monomial length, so row i = y_S v_t is filled on the
+    basis vectors of its own weight from the row of y_{S - h} v_t, h the
+    least element of S, one layer up, which the Kac index order fills
+    first; the Kac layout is the table's, index i = (position of S) D + t.
+    In ints: with d the module's ``den``, layer k holds d^k times the form
+    whose top layer is the int L0 inner product ``l0_gram``.  G is checked
+    symmetric, so row i is also column i.
     """
     if K.meta.get("kind") != "kac":
         raise FormInconsistent("the contravariant form is seeded on Kac modules")
-    basis = K.meta["basis"]
-    basis_index = K.meta["basis_index"]
-    y_labels = K.meta["y_labels"]
+    table, D = K.meta["table"], K.meta["l0_dim"]
     A = K.actions
     top = K.meta["l0_gram"]
-    by_weight: dict = {}
-    for i, w in enumerate(K.weights):
-        by_weight.setdefault(w.coords, []).append(i)
+    spaces, weights = K.weight_spaces, K.weights
     G = {}
-    for i, (S, t) in enumerate(basis):
-        idxs = by_weight[K.weights[i].coords]
-        if not S:
+    for i in range(K.dim):
+        s, t = divmod(i, D)
+        idxs = spaces[weights[i].coords]
+        if not s:
             # on the top layer the Kac index j is the L0 position
             G[i] = {j: x for j in idxs if (x := top[t].get(j))}
             continue
-        prev = G[basis_index[(S[1:], t)]]
+        prev = G[table.rest[s] * D + t]
         row = G[i] = {}
         if prev:
-            up = A[_transpose_label(y_labels[S[0]])]
+            up = A[_transpose_label(table.y_labels[table.subsets[s][0]])]
             for j in idxs:
                 x = sum(c * prev.get(z, 0) for z, c in up.get(j, {}).items())
                 if x:

@@ -56,9 +56,6 @@ class Weight:
         c = scalar(c)
         return Weight(self.m, self.n, _exact(c * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
     def __str__(self):
         return format_weight(self)
 
@@ -131,7 +128,7 @@ class Root:
 
 
 class RootSystemGL:
-    """All roots of gl(m|n), with the positive/even/odd partitions."""
+    """All roots of gl(m|n), with the positive and the odd ones."""
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -142,10 +139,7 @@ class RootSystemGL:
             Root(m, n, i, j) for i in range(1, size + 1) for j in range(1, size + 1) if i != j
         )
         self.positive_roots = tuple(r for r in self.roots if r.positive)
-        self.even_roots = tuple(r for r in self.roots if r.parity == 0)
         self.odd_roots = tuple(r for r in self.roots if r.parity == 1)
-        # for gl(m|n) every odd root is isotropic
-        self.isotropic_roots = self.odd_roots
 
 
 @lru_cache(maxsize=None)

@@ -18,17 +18,18 @@ The test runs in ints.  A support variety is a cone: X_{sa} = s X_a and
 c(mu) scales by s^2, so the verdict at a equals the verdict at every nonzero
 multiple of a.  So the point is scaled to the primitive int vector whose
 first nonzero entry is positive, and ``empirical_support`` tests each such
-vector once, however many sampled points it stands for.  Each
-module groups its basis once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
-x_t^2-eigenvalues, so M0 is the union of the groups on which c vanishes,
-found per point without a loop over the weights.  Only the groups of M0 on
-which every x_t with a_t != 0 squares to zero are eliminated: on every
-other group of M0, x is free (``_deciding_block`` proves it), so those
-groups cannot change the verdict.  The columns of X there are int
-combinations of the stored int actions of the labels of the x_t with
-a_t != 0, which are the module's ``den`` times the actions; that scales X by
-a nonzero constant, which changes no rank.  Only those columns are read
-(``action_column``), so a Kac module builds no other column of the labels.
+vector once, however many sampled points it stands for.  Each module
+groups its weight spaces once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
+x_t^2-eigenvalues (``_square_eigenvalues``), so M0 is the union of the
+groups on which c vanishes, found per point without a loop over the
+weights.  Only the groups of M0 on which every x_t with a_t != 0 squares
+to zero are eliminated: on every other group of M0, x is free
+(``_deciding_block`` proves it), so those groups cannot change the verdict.
+The columns of X there are int combinations of the stored int actions of
+the labels of the x_t with a_t != 0, which are the module's ``den`` times
+the actions; that scales X by a nonzero constant, which changes no rank.
+Only those columns are read (``action_column``), so a Kac module builds no
+other column of the labels.
 
 The empirical support samples deterministic rational points with prescribed
 coordinate support and reports which coordinate subspaces contain a
@@ -102,22 +103,24 @@ def _deciding_block(M: SuperModuleRep, a) -> list[int]:
 def _free_half_first(M: SuperModuleRep, a, block: list[int]) -> list[int]:
     """The block, with the Kac basis vectors y_S v with f_{t0} not in S first.
 
-    Here t0 is the first t with a_t != 0 and f_t = E_{m+t,m+1-t}, the g_-1
-    part of x_t.  On a Kac module x sends y_S v to (f ^ y_S) v, one layer
-    down, plus terms one layer up, with f = sum a_t f_t.  Wedging by f is
-    injective on the y_S with f_{t0} not in S, since f_{t0} lies in f with
-    the coefficient a_{t0} != 0.  So in a vanishing combination of the X
-    columns of that half, the deepest layer's coefficients vanish, and those
-    columns are independent.  Toggling f_{t0} in S keeps every
-    x_t^2-eigenvalue, so that half is half the block, and the rank test
-    stops after its size/2 columns.  Any other module keeps the block order.
+    Here t0 is the first t with a_t != 0 and f_t, the second label of
+    ``generator_labels(t)``, is the g_-1 part of x_t.  On a Kac module x
+    sends y_S v to (f ^ y_S) v, one layer down, plus terms one layer up,
+    with f = sum a_t f_t.  Wedging by f is injective on the y_S with f_{t0}
+    not in S, since f_{t0} lies in f with the coefficient a_{t0} != 0.  So
+    in a vanishing combination of the X columns of that half, the deepest
+    layer's coefficients vanish, and those columns are independent.
+    Toggling f_{t0} in S keeps every x_t^2-eigenvalue, so that half is half
+    the block, and the rank test stops after its size/2 columns.  Any other
+    module keeps the block order.
     """
     if M.meta.get("kind") != "kac":
         return block
     t0 = next(t for t, x in enumerate(a) if x) + 1
-    f = M.meta["y_labels"].index(("E", M.algebra.m + t0, M.algebra.m + 1 - t0))
-    basis = M.meta["basis"]
-    return sorted(block, key=lambda i: f in basis[i][0])
+    f_t0 = detecting_subalgebra(M.algebra.m, M.algebra.n).generator_labels(t0)[1]
+    table, D = M.meta["table"], M.meta["l0_dim"]
+    f = table.y_labels.index(f_t0)
+    return sorted(block, key=lambda i: f in table.subsets[i // D])
 
 
 def _primitive(point: OddPoint) -> tuple[int, ...]:

@@ -178,8 +178,11 @@ def test_detecting_squares_are_diagonal():
         for t, x in enumerate(d.odd_basis):
             sq = {k: Fraction(v, 2) for k, v in g.bracket_elements(x, x).items()}
             assert all(a == b for (_, a, b) in sq)
-            # x_t^2 = E_{m+1-t,m+1-t} + E_{m+t,m+t}, which SuperModuleRep._square_eigenvalues reads
+            # x_t^2 = E_{m+1-t,m+1-t} + E_{m+t,m+t} = E_aa + E_bb for the labels (E_ab, E_ba)
+            # of generator_labels(t), as SuperModuleRep._square_eigenvalues reads it
             assert sq == {("E", m - t, m - t): 1, ("E", m + t + 1, m + t + 1): 1}
+            (_, a, b), _ = d.generator_labels(t + 1)
+            assert sq == {("E", a, a): 1, ("E", b, b): 1}
         for s in range(d.r):
             for t in range(d.r):
                 if s != t:

@@ -203,6 +203,44 @@ def test_budget_exceeded_exit_3(capsys):
     capsys.readouterr()
 
 
+# the run options each command reads; --output and --config go on every command
+TAKES = {
+    "atyp": set(), "clifford": set(),
+    "support": {"--seed", "--samples", "--budget"},
+    "cohom": {"--pmax", "--budget"}, "ext": {"--pmax", "--budget"},
+    "kacext": {"--pmax", "--budget"}, "divcheck": {"--budget"}, "dump": {"--budget"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = supvar.cli.build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    assert commands.keys() == TAKES.keys()
+    for name, command in commands.items():
+        flags = {f for action in command._actions for f in action.option_strings}
+        assert flags & {"--seed", "--samples", "--pmax", "--budget"} == TAKES[name], name
+        assert {"--output", "--config"} <= flags, name
+    # 27 settable flags, where every command once took all six (48)
+    assert sum(len(flags) + 2 for flags in TAKES.values()) == 27
+
+
+@pytest.mark.parametrize("argv", [
+    ["atyp", "2", "2", "0,0|0,0", "--pmax", "3"],
+    ["atyp", "2", "2", "0,0|0,0", "--budget", "1"],
+    ["clifford", "2", "2", "0,0|0,0", "--seed", "1"],
+    ["cohom", "1", "1", "--samples", "2"],
+    ["divcheck", "1", "1", "1|0", "--pmax", "2"],
+    ["dump", "1", "1", "1|0", "--seed", "1"],
+    ["kacext", "1", "1", "0|0", "--samples", "2"],
+])
+def test_an_option_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_invariant_broken_exit_4(capsys, monkeypatch):
     # an internal invariant failure is a bug, not malformed input
     for exc in (FormInconsistent, SignConventionBroken):

@@ -18,7 +18,8 @@ from supvar.cohomology import (
     vanishing_bound,
 )
 from supvar.config import RunConfig
-from supvar.errors import ConstructionOverflow, NotDominant, SignConventionBroken, Unsupported
+from supvar.errors import (ConstructionOverflow, NotDominant, ShapeMismatch,
+                           SignConventionBroken, Unsupported)
 from supvar.linalg import ONE, axpy, column_kernel, span_dim
 from supvar.modules import (
     SuperModuleRep,
@@ -467,6 +468,19 @@ def test_vanishing_bounds():
         bound = vanishing_bound(lam, M)
         dims = kac_ext_dims(lam, M, bound + 3).dims
         assert all(d == 0 for d in dims[bound:])
+
+
+def test_vanishing_bound_rejects_a_weight_of_another_shape():
+    # the module's weight spaces are keyed by bare coordinate tuples, which
+    # map(sub, ...) would truncate silently; gl(3|2) and gl(2|3) weights even
+    # have one length
+    M = trivial_module(gl_superalgebra(3, 3))
+    assert vanishing_bound(parse_weight(3, 3, "0,0,0|0,0,0"), M) == 1
+    with pytest.raises(ShapeMismatch):
+        vanishing_bound(parse_weight(2, 2, "0,0|0,0"), M)
+    with pytest.raises(ShapeMismatch):
+        vanishing_bound(parse_weight(3, 2, "0,0,0|0,0"),
+                        kac_module(parse_weight(2, 3, "0,0|0,0,0")))
 
 
 def test_ext_with_mixed_condition_keys():

@@ -259,7 +259,12 @@ def reference_kac(lam):
 def assert_kac_matches_reference(lam):
     K = kac_module(lam)
     basis, weights, actions = reference_kac(lam)
-    assert K.meta["basis"] == basis
+    # the layout is the table's alone: y_{S_j} v_t at j D + t, and S_j minus
+    # its least element at rest[j]
+    table, D = K.meta["table"], K.meta["l0_dim"]
+    assert [(S, t) for S in table.subsets for t in range(D)] == basis
+    assert [table.subsets[r] for r in table.rest[1:]] == [S[1:] for S in table.subsets[1:]]
+    assert K.meta.keys().isdisjoint({"basis", "basis_index", "y_labels"})
     assert list(K.weights) == weights
     K_actions = fraction_actions(K)
     for label in K.algebra.labels:
@@ -555,7 +560,9 @@ def test_form_check_runs_beyond_the_old_size_limit(monkeypatch):
 
     def broken_form(K):
         G = original(K)
-        i = next(i for i, (S, _) in enumerate(K.meta["basis"]) if len(S) == 2)
+        # the first vector of the first two-element subset, y_S v_0
+        i = K.meta["l0_dim"] * next(j for j, S in enumerate(K.meta["table"].subsets)
+                                    if len(S) == 2)
         G[i][i] = G[i].get(i, 0) + 1
         return G
 
@@ -692,8 +699,11 @@ def test_simple_module_matches_the_two_stage_reference_quotient(sweep_modules):
     heads = [(lam, M) for _, _, name, M, lam in sweep if name.startswith("simple:")]
     # gl(3|1) 0,-2,-2|2 has K.den 2, so its form layers carry different scales
     # gl(3|2) 1,1,0|1,-1 has quotient den 2 over its Kac module of dim 576
+    # gl(4|2) and gl(2|4) heads come from Kac forms of dim 2048
     heads += [(lam, simple_module(lam)) for lam in (parse_weight(3, 1, "0,-2,-2|2"),
                                                     parse_weight(3, 2, "1,0,0|0,-1"),
+                                                    parse_weight(4, 2, "1,0,0,0|0,-1"),
+                                                    parse_weight(2, 4, "1,0|0,0,0,-1"),
                                                     parse_weight(3, 2, "1,1,0|1,-1"))]
     for lam, L in heads:
         assert_simple_module_matches_reference_quotient(lam, L)
@@ -706,6 +716,21 @@ def assert_simple_module_matches_reference_quotient(lam, L):
     kept, actions, den = reference_quotient(K)
     assert L.basis_names == tuple(K.basis_names[i] for i in kept), format_weight(lam)
     assert (L.actions, L.den) == (actions, den), format_weight(lam)
+
+
+def test_weight_spaces_group_the_basis_by_weight(sweep_modules):
+    # by hand: each distinct weight, in the order of its first basis vector,
+    # with every index of that weight, ascending
+    sweep, _ = sweep_modules
+    modules = [M for _, _, name, M, _ in sweep if not name.startswith("tensor:")]
+    modules += [next(M for _, _, name, M, _ in sweep if name.startswith("tensor:")),
+                dual(modules[-2])]
+    assert [M.meta["kind"] for M in modules[-4:]] == ["kac", "simple", "tensor", "dual"]
+    for M in modules:
+        by_hand = [(w.coords, [i for i, v in enumerate(M.weights) if v == w])
+                   for w in dict.fromkeys(M.weights)]
+        assert list(M.weight_spaces.items()) == by_hand, M
+        assert M.weight_spaces is M.weight_spaces
 
 
 def test_simple_module_reads_the_quotient_off_one_elimination(monkeypatch, sweep_modules):

@@ -142,6 +142,26 @@ def _zero_block(M, a):
                   if not sum(x * x * k for x, k in zip(a, key)) for i in idxs)
 
 
+@pytest.mark.parametrize("m, n, text", [(3, 2, "1,0,0|0,-1"), (2, 3, "1,0|0,0,-1")])
+def test_square_eigenvalue_keys_are_the_squares_of_the_generators(m, n, text):
+    # [x_t, x_t] = 2 x_t^2 is diagonal, so x_t^2 acts on weight mu by half its
+    # coefficients paired with mu; every basis vector sits in the group of its values
+    det = detecting_subalgebra(m, n)
+    g = gl_superalgebra(m, n)
+    squares = [g.bracket_elements(x, x) for x in det.odd_basis]
+    assert all(a == b for sq in squares for (_, a, b) in sq)
+    lam = parse_weight(m, n, text)
+    for M in (kac_module(lam), simple_module(lam)):
+        grouped = []
+        for key, idxs in M._square_eigenvalues.items():
+            for i in idxs:
+                mu = M.weights[i].coords
+                assert key == tuple(sum(Fraction(c, 2) * mu[a - 1] for (_, a, _), c in sq.items())
+                                    for sq in squares)
+            grouped += idxs
+        assert sorted(grouped) == list(range(M.dim))
+
+
 def reference_zero_block(M, point):
     """Indices of the weight vectors x^2 kills, c(mu) summed in Fractions weight by weight."""
     m, r = M.algebra.m, point.r
@@ -184,11 +204,12 @@ def reference_is_projective_at(M, point):
 
 
 def reference_modules():
-    # K(0,-2,-2|2) on gl(3|1) has action denominator 2
+    # K(0,-2,-2|2) on gl(3|1) has action denominator 2; gl(2|3) has m < n
     modules = [kac_module(parse_weight(2, 2, "1,0|0,-1")),
                simple_module(parse_weight(2, 2, "1,0|0,-1")),
                kac_module(parse_weight(3, 1, "0,-2,-2|2")),
-               kac_module(parse_weight(3, 2, "1,0,0|0,-1"))]
+               kac_module(parse_weight(3, 2, "1,0,0|0,-1")),
+               kac_module(parse_weight(2, 3, "0,0|0,0,0"))]
     assert modules[2].den == 2
     return modules
 
@@ -332,6 +353,24 @@ def test_empirical_support_matches_the_point_by_point_reference(sweep_modules):
     for M in modules:
         assert_empirical_support_matches_reference(M)
     assert_empirical_support_matches_reference(modules[-1], samples_per_subset=5, seed=7)
+
+
+@pytest.mark.parametrize("m, n, text", [(2, 3, "0,0|0,0,0"), (4, 2, "1,0,0,0|0,-1"),
+                                        (2, 4, "1,0|0,0,0,-1")])
+def test_empirical_support_matches_the_reference_with_m_and_n_apart(monkeypatch, m, n, text):
+    K = kac_module(parse_weight(m, n, text))
+    assert K.dim == {(2, 3): 64, (4, 2): 2048, (2, 4): 2048}[m, n]
+    assert_empirical_support_matches_reference(K)
+    # the free half is offered first, its f_t0 read from generator_labels, so
+    # the test stops after half of the deciding block
+    calls = []
+    add = IncrementalSpan.add
+    monkeypatch.setattr(IncrementalSpan, "add",
+                        lambda span, vec: calls.append(vec) or add(span, vec))
+    for a in ([0, 1], [1, -1]):
+        calls.clear()
+        assert is_projective_at(K, odd_point(a))
+        assert 2 * len(calls) == len(_deciding_block(K, a)) > 0
 
 
 @pytest.mark.parametrize("m, n, classes", [(2, 2, 5), (3, 2, 5), (3, 3, 15)])
