@@ -239,13 +239,27 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser: it rejects an option it does not take under its own usage.
+
+    Left to the top-level parser, ``unrecognized arguments`` would come with
+    the usage of ``supvar`` itself, not the flags the command does take.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="supvar",
         description="Exact computations with gl(m|n) supermodules: atypicality, "
                     "support varieties, relative cohomology, Clifford block data.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("atyp", help="defect, atypicality, witness roots")
     _add_mn_weight(p)

@@ -31,7 +31,7 @@ Construction chain:
   steps run on first read: the table straightens a label's row the first
   time a Kac module asks for it, and a Kac module sums a label's int
   columns the first time a reader asks for them, or one column at a time
-  (``action_column``), so a reader of a few columns pays for those alone:
+  (``action_columns``), so a reader of a few columns pays for those alone:
   the rank test reads the 2r labels of the x_t on its deciding blocks only.
   Weights, parities and basis names are built up front from per-subset int
   offsets and name prefixes the table computes once.  The table is the one
@@ -164,6 +164,11 @@ class SuperModuleRep:
             groups.setdefault(key, []).extend(idxs)
         return groups
 
+    @cached_property
+    def _rank_plans(self) -> dict:
+        """Nonzero pattern of a point -> the rank test's plan for it (``support._rank_plan``)."""
+        return {}
+
     def __repr__(self):
         return f"SuperModuleRep(dim={self.dim}, algebra={self.algebra.name})"
 
@@ -176,8 +181,9 @@ class _OnFirstRead(Mapping):
     readers racing on one key all get the first published value, which
     equals what a sequential read builds.  Iteration follows the key order
     given.  With ``build_column(key, i) == build(key).get(i, {})``,
-    ``column(key, i)`` of a value not yet built builds that column alone and
-    publishes it by the same rule; building the value drops those columns.
+    ``columns(key, idxs)`` of a value not yet built builds those columns
+    alone and publishes each by the same rule; building the value drops
+    them.
     """
 
     __slots__ = ("_keys", "_build", "_built", "_build_column", "_columns")
@@ -199,13 +205,17 @@ class _OnFirstRead(Mapping):
         self._columns.pop(key, None)
         return value
 
-    def column(self, key, i) -> dict:
+    def columns(self, key, idxs) -> list:
         built = self._built.get(key)
         if built is None and self._build_column is not None and key in self._keys:
             cols = self._columns.setdefault(key, {})
-            col = cols.get(i)
-            return cols.setdefault(i, self._build_column(key, i)) if col is None else col
-        return (self[key] if built is None else built).get(i, {})
+            out = []
+            for i in idxs:
+                col = cols.get(i)
+                out.append(cols.setdefault(i, self._build_column(key, i)) if col is None else col)
+            return out
+        built = self[key] if built is None else built
+        return [built.get(i, {}) for i in idxs]
 
     def __iter__(self):
         return iter(self._keys)
@@ -214,11 +224,12 @@ class _OnFirstRead(Mapping):
         return len(self._keys)
 
 
-def action_column(M: SuperModuleRep, label, i: int) -> dict:
-    """Column i of M's stored int action of label; on a Kac module, only that column is built."""
+def action_columns(M: SuperModuleRep, label, idxs) -> list:
+    """Columns idxs of M's stored int action of label; on a Kac module, only those are built."""
     if isinstance(M.actions, _OnFirstRead):
-        return M.actions.column(label, i)
-    return M.actions.get(label, {}).get(i, {})
+        return M.actions.columns(label, idxs)
+    cols = M.actions.get(label, {})
+    return [cols.get(i, {}) for i in idxs]
 
 
 def _empty_actions(algebra) -> dict:
@@ -554,9 +565,19 @@ def _build_kac_module(lam: Weight, budget: int) -> SuperModuleRep:
             axpy(col, right[e][t], c, i * D)
         return col
 
+    # one Weight per distinct weight, and one list of shifted L0 weights per distinct offset
     l0_coords = [w.coords for w in L0.weights]
-    weights = [Weight(m, n, tuple(map(add, w, offset)))
-               for offset in table.offsets for w in l0_coords]
+    interned: dict = {}
+    shifted: dict = {}
+    weights = []
+    for offset in table.offsets:
+        row = shifted.get(offset)
+        if row is None:
+            row = shifted[offset] = []
+            for w in l0_coords:
+                c = tuple(map(add, w, offset))
+                row.append(interned.get(c) or interned.setdefault(c, Weight(m, n, c)))
+        weights += row
     parities = [len(S) % 2 for S in table.subsets for _ in range(D)]
     names = [f"{prefix}v{t}" for prefix in table.prefixes for t in range(D)]
     return SuperModuleRep(
@@ -813,7 +834,16 @@ def tensor(M: SuperModuleRep, N: SuperModuleRep) -> SuperModuleRep:
         return cols
 
     parities = [(M.parities[i] + N.parities[j]) % 2 for i in range(M.dim) for j in range(N.dim)]
-    weights = [M.weights[i] + N.weights[j] for i in range(M.dim) for j in range(N.dim)]
+    # one Weight per distinct sum, added once per pair of weight spaces
+    weights = [None] * (M.dim * dn)
+    sums: dict = {}
+    for ii in M.weight_spaces.values():
+        for jj in N.weight_spaces.values():
+            w = M.weights[ii[0]] + N.weights[jj[0]]
+            w = sums.setdefault(w.coords, w)
+            for i in ii:
+                for j in jj:
+                    weights[i * dn + j] = w
     names = [f"{M.basis_names[i]}@{N.basis_names[j]}" for i in range(M.dim) for j in range(N.dim)]
     return SuperModuleRep(M.algebra, parities, weights, _OnFirstRead(M.algebra.labels, columns),
                           basis_names=names, meta={"kind": "tensor"}, den=den)
@@ -833,7 +863,9 @@ def dual(M: SuperModuleRep) -> SuperModuleRep:
                 cols.setdefault(k, {})[j] = c if (odd and M.parities[k]) else -c
         return cols
 
-    weights = [-w for w in M.weights]
+    # one Weight per distinct weight, negated once per weight space
+    negated = {coords: -M.weights[idxs[0]] for coords, idxs in M.weight_spaces.items()}
+    weights = [negated[w.coords] for w in M.weights]
     names = [f"{name}*" for name in M.basis_names]
     return SuperModuleRep(M.algebra, M.parities, weights, _OnFirstRead(M.algebra.labels, columns),
                           basis_names=names, meta={"kind": "dual"}, den=M.den)

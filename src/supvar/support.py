@@ -20,21 +20,29 @@ multiple of a.  So the point is scaled to the primitive int vector whose
 first nonzero entry is positive, and ``empirical_support`` tests each such
 vector once, however many sampled points it stands for.  Each module
 groups its weight spaces once by the tuple (mu_{m+1-t} + mu_{m+t})_t of
-x_t^2-eigenvalues (``_square_eigenvalues``), so M0 is the union of the
-groups on which c vanishes, found per point without a loop over the
-weights.  Only the groups of M0 on which every x_t with a_t != 0 squares
-to zero are eliminated: on every other group of M0, x is free
-(``_deciding_block`` proves it), so those groups cannot change the verdict.
-The columns of X there are int combinations of the stored int actions of
-the labels of the x_t with a_t != 0, which are the module's ``den`` times
-the actions; that scales X by a nonzero constant, which changes no rank.
-Only those columns are read (``action_column``), so a Kac module builds no
-other column of the labels.
+x_t^2-eigenvalues (``_square_eigenvalues``).  Only the groups on which
+every x_t with a_t != 0 squares to zero are eliminated: on every other
+group of the zero block M0, x is free (``_deciding_block`` proves it), so
+those groups cannot change the verdict.
+
+Everything but the elimination depends on the point only through its
+pattern, the set of t with a_t != 0.  So a module keeps one plan per
+pattern (``_rank_plan``), built on the pattern's first point: the deciding
+block in the order the test offers it (``_free_half_first``), the block
+stability check, and per block column the int column of each x_t with
+a_t != 0, the sum of its two labels' stored int actions, which are the
+module's ``den`` times the actions; that scales X by a nonzero constant,
+which changes no rank.  Only those columns are read (``action_columns``), so
+a Kac module builds no other column of the labels.  Per point, the test
+only combines the plan's columns with the coordinates a_t and eliminates
+until the rank reaches size/2.
 
 The empirical support samples deterministic rational points with prescribed
 coordinate support and reports which coordinate subspaces contain a
-non-projective point.  Resolution is coordinate subspaces only: a union of
-non-coordinate subspaces would be under-reported.
+non-projective point.  The points depend only on (seed, m, n, samples per
+subset), so they are drawn once per such key (``_sample_plan``) and every
+module of one algebra reuses them.  Resolution is coordinate subspaces only:
+a union of non-coordinate subspaces would be under-reported.
 """
 
 from __future__ import annotations
@@ -42,15 +50,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import detecting_subalgebra
 from .atypicality import SupportDescription, defect, sorted_nonempty, theoretical_support
 from .config import DEFAULT_SEED, RunConfig
 from .errors import ShapeMismatch, ZeroPoint
-from .linalg import ZERO, IncrementalSpan, axpy, scalar
-from .modules import SuperModuleRep, action_column, simple_module
+from .linalg import ONE, ZERO, IncrementalSpan, axpy, scalar
+from .modules import SuperModuleRep, action_columns, simple_module
 from .roots import Weight
 
 
@@ -96,8 +106,13 @@ def _deciding_block(M: SuperModuleRep, a) -> list[int]:
     satisfies f'^2 = 0 and x f' + f' x = 1, so every v with x v = 0 is
     x (f' v): x has rank exactly half there, whatever the module.
     """
-    return sorted(i for key, idxs in M._square_eigenvalues.items()
-                  if not any(k for x, k in zip(a, key) if x) for i in idxs)
+    ts = [t for t, x in enumerate(a) if x]
+    block = []
+    for key, idxs in M._square_eigenvalues.items():
+        if not any(map(key.__getitem__, ts)):
+            block += idxs
+    block.sort()
+    return block
 
 
 def _free_half_first(M: SuperModuleRep, a, block: list[int]) -> list[int]:
@@ -120,7 +135,8 @@ def _free_half_first(M: SuperModuleRep, a, block: list[int]) -> list[int]:
     f_t0 = detecting_subalgebra(M.algebra.m, M.algebra.n).generator_labels(t0)[1]
     table, D = M.meta["table"], M.meta["l0_dim"]
     f = table.y_labels.index(f_t0)
-    return sorted(block, key=lambda i: f in table.subsets[i // D])
+    has_f = [f in S for S in table.subsets]
+    return [i for i in block if not has_f[i // D]] + [i for i in block if has_f[i // D]]
 
 
 def _primitive(point: OddPoint) -> tuple[int, ...]:
@@ -131,41 +147,82 @@ def _primitive(point: OddPoint) -> tuple[int, ...]:
     return tuple(x // g for x in a)
 
 
+class _RankPlan(NamedTuple):
+    """The rank test of one nonzero pattern, all but the point's coordinates.
+
+    ``size`` is the size of the deciding block.  ``columns`` lists its
+    columns in the order the test offers them (``_free_half_first``), each
+    as the int columns of the x_t with a_t != 0, t ascending; empty when the
+    size alone decides.
+    """
+
+    size: int
+    columns: tuple
+
+
+def _rank_plan(M: SuperModuleRep, a) -> _RankPlan:
+    """M's plan for the nonzero pattern of a, built on its first read and kept on M.
+
+    A plan is published with one ``setdefault``, as ``_OnFirstRead``
+    publishes a label, and only once its block stability check has passed:
+    a module that fails it keeps no plan and fails again on every point of
+    the pattern.
+    """
+    pattern = tuple(x != 0 for x in a)
+    plan = M._rank_plans.get(pattern)
+    if plan is None:
+        plan = M._rank_plans.setdefault(pattern, _build_rank_plan(M, a))
+    return plan
+
+
+def _build_rank_plan(M: SuperModuleRep, a) -> _RankPlan:
+    block = _deciding_block(M, a)
+    size = len(block)
+    if not size or size % 2:
+        return _RankPlan(size, ())
+    det = detecting_subalgebra(M.algebra.m, M.algebra.n)
+    in_block = set(block)
+    xs = []
+    for t, x in enumerate(a):
+        if not x:
+            continue
+        xt = {i: {} for i in block}
+        xs.append(xt)
+        for lab in det.generator_labels(t + 1):
+            for i, col in zip(block, action_columns(M, lab, block)):
+                # every label of X keeps the block, checked on each label up
+                # front: the early exit leaves some columns of X unoffered
+                if not in_block.issuperset(col):
+                    raise ShapeMismatch("zero eigenblock is not action stable")
+                axpy(xt[i], col.items(), ONE)
+    order = _free_half_first(M, a, block)
+    return _RankPlan(size, tuple(zip(*[[xt[i] for i in order] for xt in xs])))
+
+
 def is_projective_at(M: SuperModuleRep, point: OddPoint) -> bool:
     """Projectivity of M over the subalgebra generated by sum a_t x_t."""
     if point.is_zero():
         raise ZeroPoint("the origin lies in every support variety by convention")
-    m, n = M.algebra.m, M.algebra.n
-    r = defect(m, n)
+    r = defect(M.algebra.m, M.algebra.n)
     if point.r != r:
         raise ShapeMismatch(f"point has {point.r} coordinates, defect is {r}")
     # the support is a cone, so test the point scaled to a primitive int vector
     a = _primitive(point)
-
-    block = _deciding_block(M, a)
-    if not block:
+    size, columns = _rank_plan(M, a)
+    if not size:
         return True
-    size = len(block)
     if size % 2:
         return False
-
-    det = detecting_subalgebra(m, n)
-    terms = [({i: action_column(M, lab, i) for i in block}, x) for t, x in enumerate(a) if x
-             for lab in det.generator_labels(t + 1)]
-    in_block = set(block)
-    # every label of X keeps the block, checked on each label up front: the
-    # early exit leaves some columns of X unoffered
-    for action, _ in terms:
-        if not all(in_block.issuperset(col) for col in action.values()):
-            raise ShapeMismatch("zero eigenblock is not action stable")
-
     # rank <= size/2 since X squares to 0 on the block, so stop once that bound is hit
     target = size // 2
     span = IncrementalSpan()
-    for i in _free_half_first(M, a, block):
-        col: dict = {}
-        for action, x in terms:
-            axpy(col, action[i].items(), x)
+    coeffs = [x for x in a if x]
+    for parts in columns:
+        col = parts[0]  # one coordinate, scaled to 1: the column of x_t itself
+        if len(coeffs) > 1:
+            col = {}
+            for xt, x in zip(parts, coeffs):
+                axpy(col, xt.items(), x)
         if span.add(col) and span.dim == target:
             return True
     return 2 * span.dim == size
@@ -192,6 +249,19 @@ def _sample_point(seed: int, m: int, n: int, subset: tuple[int, ...], index: int
     return OddPoint(tuple(coords))
 
 
+@lru_cache(maxsize=16)
+def _sample_plan(seed: int, m: int, n: int, samples_per_subset: int) -> tuple:
+    """The points ``empirical_support`` tests, in order, as (subset, point, primitive key)."""
+    r = defect(m, n)
+    plan = []
+    for size in range(1, r + 1):
+        for subset in combinations(range(1, r + 1), size):
+            for k in range(samples_per_subset):
+                pt = _sample_point(seed, m, n, subset, k, r)
+                plan.append((subset, pt, _primitive(pt)))
+    return tuple(plan)
+
+
 def empirical_support(M: SuperModuleRep, samples_per_subset: int = RunConfig.samples_per_subset,
                       seed: int = DEFAULT_SEED) -> EmpiricalSupport:
     """Test every nonempty coordinate subset at sampled rational points.
@@ -207,17 +277,13 @@ def empirical_support(M: SuperModuleRep, samples_per_subset: int = RunConfig.sam
     found = set()
     # the support is a cone: one test per point up to scale
     verdicts: dict = {}
-    for size in range(1, r + 1):
-        for subset in combinations(range(1, r + 1), size):
-            for k in range(samples_per_subset):
-                pt = _sample_point(seed, m, n, subset, k, r)
-                key = _primitive(pt)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = is_projective_at(M, pt)
-                tested.append((subset, pt.coords, verdict))
-                if not verdict:
-                    found.add(frozenset(subset))
+    for subset, pt, key in _sample_plan(seed, m, n, samples_per_subset):
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = is_projective_at(M, pt)
+        tested.append((subset, pt.coords, verdict))
+        if not verdict:
+            found.add(frozenset(subset))
     dim = max((len(s) for s in found), default=0)
     return EmpiricalSupport(r=r, tested=tuple(tested), subsets=frozenset(found), dim=dim)
 

@@ -239,6 +239,8 @@ def test_an_option_the_command_does_not_read_exits_2(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    # the command's own usage, which lists the flags it does take
+    assert err.startswith(f"usage: supvar {argv[0]} ")
 
 
 def test_invariant_broken_exit_4(capsys, monkeypatch):

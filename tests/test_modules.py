@@ -33,7 +33,7 @@ from supvar.modules import (
     _int_mul_add,
     _integerize,
     _nonzero_column,
-    action_column,
+    action_columns,
     direct_sum,
     dual,
     dump_module,
@@ -481,20 +481,21 @@ def test_action_column_reads_the_built_label_column(sweep_modules):
         fresh = _build_kac_module(K.meta["weight"], RunConfig.dimension_budget)
         for label in K.algebra.labels:
             expected = [K.actions[label].get(i, {}) for i in range(K.dim)]
-            before = [action_column(fresh, label, i) for i in range(K.dim)]
+            before = [action_columns(fresh, label, [i])[0] for i in range(K.dim)]
             assert before == expected, (K, label)
-            assert all(action_column(fresh, label, i) is col for i, col in enumerate(before))
+            assert all(a is b for a, b in zip(action_columns(fresh, label, range(K.dim)), before))
             assert label not in fresh.actions._built
             built = fresh.actions[label]
             assert label not in fresh.actions._columns
-            after = [action_column(fresh, label, i) for i in range(K.dim)]
+            after = action_columns(fresh, label, range(K.dim))
             assert after == expected
             assert all(col is built[i] for i, col in enumerate(after) if i in built)
     # a module with plain-dict actions reads them
     L = next(M for m, n, name, M, _ in sweep if (m, n) == (2, 2) and name.startswith("simple:")
              and M.dim > 1)
-    assert all(action_column(L, label, i) == L.actions[label].get(i, {})
-               for label in L.algebra.labels for i in range(L.dim))
+    assert all(action_columns(L, label, range(L.dim)) == [L.actions[label].get(i, {})
+                                                         for i in range(L.dim)]
+               for label in L.algebra.labels)
 
 
 def test_verify_rep_gl3_kac_modules():
@@ -1017,6 +1018,23 @@ def test_tensor_dual_parity():
     for label in g.labels:
         assert PP.actions[label] == L.actions[label]
     assert PP.parities == L.parities
+
+
+def test_one_weight_object_per_distinct_weight():
+    # Kac modules, tensor products and duals build each distinct weight once
+    lam = parse_weight(2, 2, "1,0|0,-1")
+    K, L = kac_module(lam), simple_module(lam)
+    L0, table = L0_module(lam), supvar.modules._exterior_actions(2, 2)
+    DL = dual(L)
+    T, DK = tensor(K, DL), dual(K)
+    assert K.weights == tuple(weight(2, 2, offset) + w for offset in table.offsets
+                              for w in L0.weights)
+    assert T.weights == tuple(u + w for u in K.weights for w in DL.weights)
+    assert DK.weights == tuple(-w for w in K.weights)
+    for M in (K, DL, T, DK):
+        first: dict = {}
+        assert all(first.setdefault(w.coords, w) is w for w in M.weights)
+        assert len(set(map(id, M.weights))) == len(M.weight_spaces) < M.dim
 
 
 def test_algebra_mismatch():

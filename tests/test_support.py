@@ -24,6 +24,7 @@ from supvar.support import (
     _deciding_block,
     _free_half_first,
     _primitive,
+    _sample_plan,
     _sample_point,
     atyp_module,
     compare_support,
@@ -400,7 +401,9 @@ def test_kac_rank_test_stops_after_the_free_half(monkeypatch):
     assert 2 * len(calls) == len(_deciding_block(K, [0, 1, 1])) == 528
 
 
-def test_block_leak_on_a_column_after_the_early_exit_is_caught():
+def leaky_kac_module():
+    """K(0,0|0,0) on gl(2|2), and a copy whose first label of x_1 sends the deciding
+    block's last offered column at (1, 0) outside that block."""
     K = kac_module(parse_weight(2, 2, "0,0|0,0"))
     a = [1, 0]
     block = _deciding_block(K, a)
@@ -413,6 +416,80 @@ def test_block_leak_on_a_column_after_the_early_exit_is_caught():
     actions[label].setdefault(last, {})[outside] = 1
     leaky = SuperModuleRep(K.algebra, K.parities, K.weights, actions,
                            basis_names=K.basis_names, meta=K.meta, den=K.den)
-    assert is_projective_at(K, odd_point(a))
+    return K, leaky
+
+
+def test_block_leak_on_a_column_after_the_early_exit_is_caught():
+    K, leaky = leaky_kac_module()
+    assert is_projective_at(K, odd_point([1, 0]))
     with pytest.raises(ShapeMismatch, match="not action stable"):
-        is_projective_at(leaky, odd_point(a))
+        is_projective_at(leaky, odd_point([1, 0]))
+
+
+def test_a_block_leak_fails_every_point_of_its_pattern_and_keeps_no_plan():
+    _, leaky = leaky_kac_module()
+    sampled = [pt.coords for subset, pt, _ in _sample_plan(DEFAULT_SEED, 2, 2, 3) if subset == (1,)]
+    F = Fraction
+    for coords in sampled + [(1, 0), (F(-3, 4), 0), (7, 0)]:
+        with pytest.raises(ShapeMismatch, match="not action stable"):
+            is_projective_at(leaky, odd_point(coords))
+        assert (True, False) not in leaky._rank_plans
+    with pytest.raises(ShapeMismatch, match="not action stable"):
+        empirical_support(leaky)
+    assert (True, False) not in leaky._rank_plans
+    # x_2 alone reads no label of x_1, so its pattern is planned and kept
+    assert is_projective_at(leaky, odd_point([0, 1]))
+    assert (False, True) in leaky._rank_plans
+
+
+def test_empirical_support_builds_one_plan_per_nonzero_pattern(monkeypatch):
+    # a fresh module: 15 points up to scale over 7 patterns of gl(3|3)
+    K = _build_kac_module(parse_weight(3, 3, "0,0,0|0,0,-1"), RunConfig.dimension_budget)
+    builds, points = [], []
+    build = supvar.support._build_rank_plan
+    monkeypatch.setattr(supvar.support, "_build_rank_plan",
+                        lambda M, a: builds.append(a) or build(M, a))
+    monkeypatch.setattr(supvar.support, "is_projective_at",
+                        lambda M, pt: points.append(pt) or is_projective_at(M, pt))
+    assert empirical_support(K).subsets == frozenset()
+    patterns = [tuple(x != 0 for x in a) for a in builds]
+    assert len(points) == 15 and len(builds) == len(set(patterns)) == 7
+    assert set(K._rank_plans) == set(patterns)
+
+
+def test_rank_plans_are_reused_and_match_the_reference(monkeypatch, sweep_modules):
+    sweep, _ = sweep_modules
+    modules = [M for _, _, name, M, _ in sweep if not name.startswith("tensor:")]
+    builds = []
+    build = supvar.support._build_rank_plan
+    monkeypatch.setattr(supvar.support, "_build_rank_plan",
+                        lambda M, a: builds.append(a) or build(M, a))
+    seen = set()
+    for M in modules:
+        emp = empirical_support(M)
+        plans = dict(M._rank_plans)
+        built = len(builds)
+        # one test per point up to scale: the reference reads every action in Fractions
+        points = {_primitive(odd_point(coords)): coords for _, coords, _ in emp.tested}
+        for coords in points.values():
+            pt = odd_point(coords)
+            verdict = is_projective_at(M, pt)
+            assert verdict == reference_is_projective_at(M, pt), (M, coords)
+            seen.add(verdict)
+        assert len(builds) == built
+        assert all(M._rank_plans[key] is plan for key, plan in plans.items())
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed, m, n, samples", [(DEFAULT_SEED, 3, 3, 3), (DEFAULT_SEED, 2, 2, 1),
+                                                 (7, 3, 2, 5), (123, 2, 4, 2), (-5, 1, 1, 1)])
+def test_sample_plan_is_the_sampled_point_sequence(seed, m, n, samples):
+    r = min(m, n)
+    expected = []
+    for size in range(1, r + 1):
+        for subset in combinations(range(1, r + 1), size):
+            for k in range(samples):
+                pt = _sample_point(seed, m, n, subset, k, r)
+                expected.append((subset, pt, _primitive(pt)))
+    assert _sample_plan(seed, m, n, samples) == tuple(expected)
+    assert len(expected) == samples * (2 ** r - 1)
