@@ -199,7 +199,8 @@ class DetectingSubalgebra:
     The odd generators are x_t = E_{m+1-t,m+t} + E_{m+t,m+1-t} for
     t = 1..min(m,n), their labels read from ``generator_labels``.  They
     pairwise supercommute and each square is the diagonal element
-    E_{m+1-t,m+1-t} + E_{m+t,m+t}, both checked at construction.
+    E_{m+1-t,m+1-t} + E_{m+t,m+t}, both checked at construction.  The rank
+    test offers first the columns f_t0 does not kill (``support._RankPlan``).
     """
 
     def __init__(self, m: int, n: int):

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import sub
 
-from .algebra import LieSuperalgebraData, same_algebra
+from .algebra import LieSuperalgebraData, gl_superalgebra, same_algebra
 from .config import RunConfig
 from .errors import (ConstructionOverflow, NotDominant, ShapeMismatch, SignConventionBroken,
                      Unsupported)
@@ -371,16 +371,19 @@ def kac_ext_dims(lam: Weight, M: SuperModuleRep, p_max: int,
     Everything is restricted to the lam weight slices, which is exact because
     the differential and the multiplicity count both preserve weights.
     Raises ``NotDominant`` unless lam is dominant integral, as no K(lam)
-    exists then.
+    exists then, ``ShapeMismatch`` unless M is over gl(m|n) of lam's shape,
+    and ``Unsupported`` unless M is a module over it.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     if not is_dominant_integral(lam):
         raise NotDominant(f"{format_weight(lam)} is not dominant integral")
     g = M.algebra
+    if (g.m, g.n) != (lam.m, lam.n):
+        raise ShapeMismatch(f"weight over gl({lam.m}|{lam.n}), module over {g.name}")
+    if not same_algebra(g, gl_superalgebra(lam.m, lam.n)):
+        raise Unsupported("module is not a representation of the given algebra")
     g1_labels = [lab for lab in g.labels if g.z_degree[lab] == 1]
-    if not g1_labels:
-        raise Unsupported("algebra carries no degree-one part")
 
     slices = [
         _weight_slice(g, M, g1_labels, j, lam, budget) for j in range(p_max + 2)

@@ -11,8 +11,10 @@ there; the verdict is decided on the zero block M0, where <x> acts like an
 exterior algebra on one generator and projectivity means rank(X|M0) equals
 dim(M0)/2.  Because X restricted to M0 squares to zero, its rank never
 exceeds dim(M0)/2, so the elimination can stop early once that bound is hit.
-On a Kac module the first half of the columns offered is independent
-(``_free_half_first``), so it stops after half of the block's columns.
+Every module offers its columns in one order: first those that f_t0, the
+g_-1 label of the first x_t with a_t != 0, does not kill, then the rest.
+On a Kac module the first half is independent (``_RankPlan`` proves it),
+so the test stops after half of the block's columns.
 
 The test runs in ints.  A support variety is a cone: X_{sa} = s X_a and
 c(mu) scales by s^2, so the verdict at a equals the verdict at every nonzero
@@ -28,14 +30,14 @@ those groups cannot change the verdict.
 Everything but the elimination depends on the point only through its
 pattern, the set of t with a_t != 0.  So a module keeps one plan per
 pattern (``_rank_plan``), built on the pattern's first point: the deciding
-block in the order the test offers it (``_free_half_first``), the block
-stability check, and per block column the int column of each x_t with
-a_t != 0, the sum of its two labels' stored int actions, which are the
-module's ``den`` times the actions; that scales X by a nonzero constant,
-which changes no rank.  Only those columns are read (``action_columns``), so
-a Kac module builds no other column of the labels.  Per point, the test
-only combines the plan's columns with the coordinates a_t and eliminates
-until the rank reaches size/2.
+block in the order the test offers it, the block stability check, and
+per block column the int column of each x_t with a_t != 0, the sum of its
+two labels' stored int actions, which are the module's ``den`` times the
+actions; that scales X by a nonzero constant, which changes no rank.  Only
+those columns are read (``action_columns``), so a Kac module builds no
+other column of the labels.  Per point, the test only combines the plan's
+columns with the coordinates a_t and eliminates until the rank reaches
+size/2.
 
 The empirical support samples deterministic rational points with prescribed
 coordinate support and reports which coordinate subspaces contain a
@@ -55,10 +57,10 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .algebra import detecting_subalgebra
+from .algebra import detecting_subalgebra, gl_superalgebra, same_algebra
 from .atypicality import SupportDescription, defect, sorted_nonempty, theoretical_support
 from .config import DEFAULT_SEED, RunConfig
-from .errors import ShapeMismatch, ZeroPoint
+from .errors import ShapeMismatch, Unsupported, ZeroPoint
 from .linalg import ONE, ZERO, IncrementalSpan, axpy, scalar
 from .modules import SuperModuleRep, action_columns, simple_module
 from .roots import Weight
@@ -115,30 +117,6 @@ def _deciding_block(M: SuperModuleRep, a) -> list[int]:
     return block
 
 
-def _free_half_first(M: SuperModuleRep, a, block: list[int]) -> list[int]:
-    """The block, with the Kac basis vectors y_S v with f_{t0} not in S first.
-
-    Here t0 is the first t with a_t != 0 and f_t, the second label of
-    ``generator_labels(t)``, is the g_-1 part of x_t.  On a Kac module x
-    sends y_S v to (f ^ y_S) v, one layer down, plus terms one layer up,
-    with f = sum a_t f_t.  Wedging by f is injective on the y_S with f_{t0}
-    not in S, since f_{t0} lies in f with the coefficient a_{t0} != 0.  So
-    in a vanishing combination of the X columns of that half, the deepest
-    layer's coefficients vanish, and those columns are independent.
-    Toggling f_{t0} in S keeps every x_t^2-eigenvalue, so that half is half
-    the block, and the rank test stops after its size/2 columns.  Any other
-    module keeps the block order.
-    """
-    if M.meta.get("kind") != "kac":
-        return block
-    t0 = next(t for t, x in enumerate(a) if x) + 1
-    f_t0 = detecting_subalgebra(M.algebra.m, M.algebra.n).generator_labels(t0)[1]
-    table, D = M.meta["table"], M.meta["l0_dim"]
-    f = table.y_labels.index(f_t0)
-    has_f = [f in S for S in table.subsets]
-    return [i for i in block if not has_f[i // D]] + [i for i in block if has_f[i // D]]
-
-
 def _primitive(point: OddPoint) -> tuple[int, ...]:
     """The point scaled to a primitive int vector whose first nonzero entry is positive."""
     den = lcm(*[x.denominator for x in point.coords])
@@ -151,9 +129,19 @@ class _RankPlan(NamedTuple):
     """The rank test of one nonzero pattern, all but the point's coordinates.
 
     ``size`` is the size of the deciding block.  ``columns`` lists its
-    columns in the order the test offers them (``_free_half_first``), each
-    as the int columns of the x_t with a_t != 0, t ascending; empty when the
-    size alone decides.
+    columns in the order the test offers them, each as the int columns of
+    the x_t with a_t != 0, t ascending; empty when the size alone decides.
+    Any order gives the verdict; this one is the columns that f_t0 does not
+    kill, then the rest, each in block order, with t0 the first t with
+    a_t != 0 and f_t in g_-1 the second label of ``generator_labels(t)``.
+    On a Kac module f_t0 y_S v is nonzero exactly when f_t0 is not in S,
+    and x sends y_S v to (f ^ y_S) v, one layer down, plus terms one layer
+    up, with f = sum a_t f_t.  Wedging by f is injective on the y_S with
+    f_t0 not in S, as a_t0 != 0, so in a vanishing combination of the X
+    columns of that half the deepest layer's coefficients vanish: those
+    columns are independent.  Toggling f_t0 in S keeps every
+    x_t^2-eigenvalue, so they are half the block, and the test stops after
+    size/2 adds.
     """
 
     size: int
@@ -195,17 +183,23 @@ def _build_rank_plan(M: SuperModuleRep, a) -> _RankPlan:
                 if not in_block.issuperset(col):
                     raise ShapeMismatch("zero eigenblock is not action stable")
                 axpy(xt[i], col.items(), ONE)
-    order = _free_half_first(M, a, block)
+    # the columns f_t0 does not kill first, t0 the first t with a_t != 0
+    f_t0 = det.generator_labels(next(t for t, x in enumerate(a) if x) + 1)[1]
+    moved = dict(zip(block, action_columns(M, f_t0, block)))
+    order = sorted(block, key=lambda i: not moved[i])
     return _RankPlan(size, tuple(zip(*[[xt[i] for i in order] for xt in xs])))
 
 
 def is_projective_at(M: SuperModuleRep, point: OddPoint) -> bool:
     """Projectivity of M over the subalgebra generated by sum a_t x_t."""
-    if point.is_zero():
-        raise ZeroPoint("the origin lies in every support variety by convention")
-    r = defect(M.algebra.m, M.algebra.n)
+    m, n = M.algebra.m, M.algebra.n
+    if not same_algebra(M.algebra, gl_superalgebra(m, n)):
+        raise Unsupported(f"the rank test needs a gl({m}|{n})-module, not {M.algebra.name}")
+    r = defect(m, n)
     if point.r != r:
         raise ShapeMismatch(f"point has {point.r} coordinates, defect is {r}")
+    if point.is_zero():
+        raise ZeroPoint("the origin lies in every support variety by convention")
     # the support is a cone, so test the point scaled to a primitive int vector
     a = _primitive(point)
     size, columns = _rank_plan(M, a)

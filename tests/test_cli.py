@@ -189,6 +189,12 @@ def test_kacext_of_a_weight_that_is_not_dominant_exits_2(capsys):
     assert out == "" and "is not dominant integral" in err
 
 
+def test_kacext_with_coefficients_over_the_even_part_exits_2(capsys):
+    assert main(["kacext", "2", "1", "1,0|0", "--coeff", "l0:1,0|0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not a representation of the given algebra" in err
+
+
 def test_negative_pmax_exits_2(capsys):
     # --pmax goes through RunConfig validation like a config-file p_max
     for argv in (["cohom", "2", "2"], ["ext", "2", "2", "--M", "trivial", "--N", "trivial"],

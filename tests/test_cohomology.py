@@ -22,6 +22,7 @@ from supvar.errors import (ConstructionOverflow, NotDominant, ShapeMismatch,
                            SignConventionBroken, Unsupported)
 from supvar.linalg import ONE, axpy, column_kernel, span_dim
 from supvar.modules import (
+    L0_module,
     SuperModuleRep,
     dual,
     kac_module,
@@ -528,11 +529,23 @@ def test_larger_complex_runs_clean():
 
 
 def test_kac_ext_needs_degree_one_part():
+    # a module over the even part is not a representation of gl(1|1)
     g0 = gl_even_subalgebra(1, 1)
     from supvar.modules import trivial_module as tm
 
-    with pytest.raises(Unsupported):
+    with pytest.raises(Unsupported, match="not a representation of the given algebra"):
         kac_ext_dims(parse_weight(1, 1, "0|0"), tm(g0), 2)
+    lam = parse_weight(2, 1, "1,0|0")
+    with pytest.raises(Unsupported, match="not a representation of the given algebra"):
+        kac_ext_dims(lam, L0_module(lam), 2)
+
+
+def test_kac_ext_dims_rejects_a_module_of_another_shape():
+    with pytest.raises(ShapeMismatch, match=r"weight over gl\(1\|1\), module over gl\(2\|2\)"):
+        kac_ext_dims(weight(1, 1, (0, 0)), trivial_module(gl_superalgebra(2, 2)), 2)
+    # gl(2|1) and gl(1|2) weights have one length
+    with pytest.raises(ShapeMismatch):
+        kac_ext_dims(weight(2, 1, (0, 0, 0)), trivial_module(gl_superalgebra(1, 2)), 2)
 
 
 def test_complex_over_another_algebra_of_the_same_name_is_refused():

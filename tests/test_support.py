@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -8,21 +8,23 @@ import pytest
 import supvar.support
 from supvar.algebra import detecting_subalgebra, gl_superalgebra
 from supvar.config import DEFAULT_SEED, RunConfig
-from supvar.errors import ShapeMismatch, ZeroPoint
+from supvar.errors import ShapeMismatch, Unsupported, ZeroPoint
 from supvar.linalg import IncrementalSpan, axpy, span_dim
 from supvar.modules import (
+    L0_module,
     SuperModuleRep,
     _build_kac_module,
     direct_sum,
     kac_module,
+    parity_shift,
     simple_module,
     tensor,
     trivial_module,
 )
-from supvar.roots import parse_weight
+from supvar.roots import parse_weight, weight
 from supvar.support import (
+    _build_rank_plan,
     _deciding_block,
-    _free_half_first,
     _primitive,
     _sample_plan,
     _sample_point,
@@ -49,6 +51,23 @@ def test_zero_point_rejected():
     C = trivial_module(gl_superalgebra(2, 2))
     with pytest.raises(ZeroPoint):
         is_projective_at(C, odd_point([0, 0]))
+
+
+def test_point_length_is_checked_before_zero():
+    C = trivial_module(gl_superalgebra(2, 2))
+    for coords in ([], [0], [0, 0, 0], [1, 0, 0]):
+        with pytest.raises(ShapeMismatch, match="defect is 2"):
+            is_projective_at(C, odd_point(coords))
+
+
+def test_rank_test_refuses_a_module_over_the_even_part():
+    # x_t is odd, so it is not in gl(2) + gl(2) and acts on no L0 module
+    L = L0_module(weight(2, 2, (1, 0, 0, -1)))
+    with pytest.raises(Unsupported, match=r"needs a gl\(2\|2\)-module"):
+        empirical_support(L)
+    with pytest.raises(Unsupported, match=r"needs a gl\(2\|2\)-module"):
+        is_projective_at(L, odd_point([1, 0]))
+    assert not L._rank_plans
 
 
 def test_scaling_invariance():
@@ -298,6 +317,56 @@ def test_empirical_support_of_kac_module_builds_only_detecting_columns():
             assert set(read[lab]) == block
 
 
+def free_half_first(M, a, block):
+    """The block, with the Kac basis vectors y_S v with f_{t0} not in S first.
+
+    The reference order, read off the Kac PBW layout in ``meta``: t0 is the
+    first t with a_t != 0 and f_t, the second label of
+    ``generator_labels(t)``, is the g_-1 part of x_t.  Any other module
+    keeps the block order.
+    """
+    if M.meta.get("kind") != "kac":
+        return block
+    t0 = next(t for t, x in enumerate(a) if x) + 1
+    f_t0 = detecting_subalgebra(M.algebra.m, M.algebra.n).generator_labels(t0)[1]
+    table, D = M.meta["table"], M.meta["l0_dim"]
+    f = table.y_labels.index(f_t0)
+    has_f = [f in S for S in table.subsets]
+    return [i for i in block if not has_f[i // D]] + [i for i in block if has_f[i // D]]
+
+
+def assert_plan_order_is_the_reference(M):
+    """On every nonzero pattern, the plan offers the x_t columns in ``free_half_first`` order."""
+    det = detecting_subalgebra(M.algebra.m, M.algebra.n)
+    planned = 0
+    for pattern in product((0, 1), repeat=det.r):
+        if not any(pattern):
+            continue
+        size, columns = _build_rank_plan(M, pattern)
+        if not columns:
+            continue
+        xs = []
+        for t, x in enumerate(pattern):
+            if x:
+                xt = {}
+                for lab in det.generator_labels(t + 1):
+                    for i, col in M.actions[lab].items():
+                        axpy(xt.setdefault(i, {}), col.items(), 1)
+                xs.append(xt)
+        order = free_half_first(M, pattern, _deciding_block(M, pattern))
+        assert len(order) == size
+        assert columns == tuple(zip(*[[xt.get(i, {}) for i in order] for xt in xs])), (M, pattern)
+        planned += 1
+    return planned
+
+
+def test_plan_order_is_the_kac_free_half_on_the_sweep(sweep_modules):
+    sweep, _ = sweep_modules
+    modules = [M for _, _, name, M, _ in sweep if name.startswith("kac:")]
+    assert len(modules) == 25 + 75 + 225
+    assert sum(map(assert_plan_order_is_the_reference, modules)) > 0
+
+
 def reference_rank_test(M, point):
     """The integer rank test one point at a time, reading every label of the x_t in full.
 
@@ -322,7 +391,7 @@ def reference_rank_test(M, point):
             if not in_block.issuperset(action.get(i, ())):
                 raise ShapeMismatch("zero eigenblock is not action stable")
     span = IncrementalSpan()
-    for i in _free_half_first(M, a, block):
+    for i in free_half_first(M, a, block):
         col = {}
         for action, x in terms:
             axpy(col, action.get(i, {}).items(), x)
@@ -362,6 +431,7 @@ def test_empirical_support_matches_the_reference_with_m_and_n_apart(monkeypatch,
     K = kac_module(parse_weight(m, n, text))
     assert K.dim == {(2, 3): 64, (4, 2): 2048, (2, 4): 2048}[m, n]
     assert_empirical_support_matches_reference(K)
+    assert assert_plan_order_is_the_reference(K) > 0
     # the free half is offered first, its f_t0 read from generator_labels, so
     # the test stops after half of the deciding block
     calls = []
@@ -401,6 +471,24 @@ def test_kac_rank_test_stops_after_the_free_half(monkeypatch):
     assert 2 * len(calls) == len(_deciding_block(K, [0, 1, 1])) == 528
 
 
+@pytest.mark.parametrize("build, a, adds, size", [
+    (lambda: parity_shift(kac_module(parse_weight(3, 3, "1,0,0|0,0,-1"))), [0, 1, 1], 264, 528),
+    (lambda: direct_sum(kac_module(parse_weight(2, 2, "0,0|0,0")),
+                        kac_module(parse_weight(2, 2, "1,0|0,-1"))), [1, 0], 16, 32),
+], ids=["parity_shift", "direct_sum"])
+def test_rank_test_offers_the_columns_f_t0_moves_first_on_any_module(monkeypatch, build, a,
+                                                                      adds, size):
+    # the offer order reads the f_t0 columns, not the Kac layout, so a parity
+    # shift or a sum of Kac modules stops after half of its block too
+    M = build()
+    calls = []
+    add = IncrementalSpan.add
+    monkeypatch.setattr(IncrementalSpan, "add",
+                        lambda span, vec: calls.append(vec) or add(span, vec))
+    assert is_projective_at(M, odd_point(a))
+    assert (len(calls), len(_deciding_block(M, a))) == (adds, size)
+
+
 def leaky_kac_module():
     """K(0,0|0,0) on gl(2|2), and a copy whose first label of x_1 sends the deciding
     block's last offered column at (1, 0) outside that block."""
@@ -409,7 +497,7 @@ def leaky_kac_module():
     block = _deciding_block(K, a)
     outside = next(i for i in range(K.dim) if i not in block)
     # offered last, after the size/2 columns that end the test on K
-    last = _free_half_first(K, a, block)[-1]
+    last = free_half_first(K, a, block)[-1]
     label = detecting_subalgebra(2, 2).generator_labels(1)[0]
     actions = {lab: {j: dict(col) for j, col in K.actions[lab].items()}
                for lab in K.algebra.labels}
