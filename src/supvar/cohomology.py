@@ -349,7 +349,15 @@ class ExtTable:
 
 def ext_dims(M: SuperModuleRep, N: SuperModuleRep, p_max: int,
              budget: int = RunConfig.dimension_budget) -> ExtTable:
-    """Ext^p(M, N) for p = 0..p_max through the relative complex of M* tensor N."""
+    """Ext^p(M, N) for p = 0..p_max through the relative complex of M* tensor N.
+
+    Raises ``Unsupported`` unless M and N are modules over gl(m|n) itself: the
+    complex of a module over the even part would compute its (g0, g0)
+    cohomology instead.
+    """
+    for X in (M, N):
+        if not same_algebra(X.algebra, gl_superalgebra(X.algebra.m, X.algebra.n)):
+            raise Unsupported("module is not a representation of the given algebra")
     coeff = tensor(dual(M), N)
     dims = cohomology_dims(M.algebra, coeff, p_max, budget)
     return ExtTable(tuple(dims), route="full-complex")

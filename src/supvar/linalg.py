@@ -15,6 +15,8 @@ and ``kernel_basis`` (and ``solve``, over ``express``) return ``Fraction``s;
 only for the benchmark tracer and the tests.  ``axpy``, the one
 accumulate-and-drop-zero loop, adds stored int-keyed pairs at an offset
 (``shift``), so a caller that lays its rows out in blocks never rebuilds keys.
+``running_sums`` and ``column_sums`` sum a flat run of terms column by
+column, with no loop in Python (``modules.verify_rep``'s packed columns).
 
 No result depends on the pivot order.  Ranks and span membership are
 invariants of the subspace, and coordinates over independent vectors are
@@ -32,7 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain
 from math import gcd, lcm, prod
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch
@@ -87,6 +91,22 @@ def axpy(out: dict, items: Iterable, c, shift: int = 0) -> None:
             out[k] = nv
         else:
             out.pop(k, None)
+
+
+def running_sums(terms: Iterable, lengths: Iterable):
+    """The running sums of ``terms`` through the end of each column 0, 1, ...
+
+    ``terms`` run column by column and column j holds ``lengths[j]`` of
+    them, so column j's own sum is the difference of two neighbours.
+    """
+    prefix = list(accumulate(terms, initial=0))
+    return map(prefix.__getitem__, accumulate(lengths))
+
+
+def column_sums(terms: Iterable, lengths: Iterable):
+    """The sums of ``terms`` over each column 0, 1, ..., laid out as for ``running_sums``."""
+    at = list(running_sums(terms, lengths))
+    return map(sub, at, chain((0,), at))
 
 
 class RationalMatrix:

@@ -195,6 +195,12 @@ def test_kacext_with_coefficients_over_the_even_part_exits_2(capsys):
     assert out == "" and "not a representation of the given algebra" in err
 
 
+def test_ext_of_modules_over_the_even_part_exits_2(capsys):
+    assert main(["ext", "2", "1", "--M", "l0:1,0|0", "--N", "l0:1,0|0", "--pmax", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not a representation of the given algebra" in err
+
+
 def test_negative_pmax_exits_2(capsys):
     # --pmax goes through RunConfig validation like a config-file p_max
     for argv in (["cohom", "2", "2"], ["ext", "2", "2", "--M", "trivial", "--N", "trivial"],

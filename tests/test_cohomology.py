@@ -540,6 +540,16 @@ def test_kac_ext_needs_degree_one_part():
         kac_ext_dims(lam, L0_module(lam), 2)
 
 
+def test_ext_dims_needs_modules_over_gl():
+    # over the even part the complex of M* tensor N is the (g0, g0) one, whose
+    # Ext^0 = 1 is no Ext over gl(m|n); either module over it is refused
+    lam = parse_weight(2, 1, "1,0|0")
+    L0, K = L0_module(lam), kac_module(lam)
+    for M, N in [(L0, L0), (K, trivial_module(gl_even_subalgebra(2, 1))), (L0, K)]:
+        with pytest.raises(Unsupported, match="not a representation of the given algebra"):
+            ext_dims(M, N, 2)
+
+
 def test_kac_ext_dims_rejects_a_module_of_another_shape():
     with pytest.raises(ShapeMismatch, match=r"weight over gl\(1\|1\), module over gl\(2\|2\)"):
         kac_ext_dims(weight(1, 1, (0, 0)), trivial_module(gl_superalgebra(2, 2)), 2)

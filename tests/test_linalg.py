@@ -15,9 +15,11 @@ from supvar.linalg import (
     RationalMatrix,
     axpy,
     column_kernel,
+    column_sums,
     format_scalar,
     kernel_basis,
     rank,
+    running_sums,
     scalar,
     solve,
     span_dim,
@@ -282,6 +284,15 @@ def test_axpy_branches_match_a_per_entry_reference(shift):
     out = {shift + 1: 3, shift + 2: 1}
     axpy(out, [(1, 1), (2, 5)], -3, shift)
     assert out == {shift + 2: -14}
+
+
+def test_running_and_column_sums_read_empty_columns_as_zero():
+    # terms run column by column; lengths 2, 0, 3, 0 give columns
+    # [1, 2], [], [3, 4, 5], []
+    terms, lengths = [1, 2, 3, 4, 5], [2, 0, 3, 0]
+    assert list(running_sums(iter(terms), iter(lengths))) == [3, 3, 15, 15]
+    assert list(column_sums(iter(terms), iter(lengths))) == [3, 0, 12, 0]
+    assert list(column_sums([], [])) == []
 
 
 def test_float_entries_rejected():

@@ -858,8 +858,9 @@ def test_verify_rep_checks_odd_squares():
 
 
 def bracket_failures(M, pairs):
-    """The pairs (a, b) of ``pairs`` on which A_a A_b - s A_b A_a = d [a, b] fails,
-    as a generator, so a caller after the verdict stops at the first."""
+    """(a, b, least failing column) for the pairs of ``pairs`` on which
+    A_a A_b - s A_b A_a = d [a, b] fails, by dict-of-dict products, as a
+    generator, so a caller after the verdict stops at the first."""
     g, d = M.algebra, M.den
     A = {label: M.actions.get(label, {}) for label in g.labels}
     identity = {i: {i: 1} for i in range(M.dim)}
@@ -870,8 +871,16 @@ def bracket_failures(M, pairs):
         _int_mul_add(out, A[b], A[a], -s)
         for e, c in g.bracket(a, b).items():
             _int_mul_add(out, A[e], identity, -d * c)
-        if _nonzero_column(out) is not None:
-            yield a, b
+        j = _nonzero_column(out)
+        if j is not None:
+            yield a, b, j
+
+
+def bracket_messages(M):
+    """``verify_rep``'s bracket messages for M, read off the dict reference on
+    the Serre pairs."""
+    return [f"bracket compatibility fails on ({a}, {b}) column {j}"
+            for a, b, j in bracket_failures(M, M.algebra.serre_pairs)]
 
 
 def all_pairs(g):
@@ -891,7 +900,8 @@ def generator_pairs(g):
 
 def all_pairs_bracket_failures(M):
     """The failing pairs, in label order, of the bracket identity over every label
-    pair: the all-pairs reference for ``verify_rep``, which checks Serre pairs only."""
+    pair, each with its least failing column: the all-pairs reference for
+    ``verify_rep``, which checks Serre pairs only."""
     return list(bracket_failures(M, all_pairs(M.algebra)))
 
 
@@ -905,8 +915,9 @@ def reference_pairs(g):
 
 
 def assert_same_verdict(M):
-    """verify_rep, the all-pairs and the generator-pair references agree; returns
-    the verdict.
+    """verify_rep, the all-pairs and the generator-pair references agree, and on
+    a failure verify_rep names the failing Serre pairs and least columns the
+    dict reference finds; returns the verdict.
 
     The generator pairs are a subset of all pairs, so when all pairs pass they
     pass too; the generator-pair reference runs only on an all-pairs failure.
@@ -918,6 +929,7 @@ def assert_same_verdict(M):
     assert ok == (failure is None), (problems[:3], failure)
     if failure is not None:
         assert next(bracket_failures(M, generators), None) is not None, (problems[:3], failure)
+        assert problems == bracket_messages(M), problems[:3]
     return ok
 
 
@@ -979,6 +991,76 @@ def test_serre_pairs_match_both_references_on_corruptions(m, n):
     assert assert_same_verdict(K)
     verdicts = [assert_same_verdict(C) for C in single_entry_corruptions(K)]
     assert len(verdicts) == 2 * ((m + n) ** 2 - m - n) and not any(verdicts)
+
+
+def test_packed_check_matches_the_dict_reference_on_sweep_corruptions(sweep_modules):
+    # every seventh Kac and simple module of the sweep (all three algebras), and
+    # each single-entry corruption of it: the verdict, the failing pairs and
+    # their least columns equal the dict-of-dict reference
+    sweep, _ = sweep_modules
+    heads = [M for _, _, name, M, _ in sweep if name.startswith(("kac:", "simple:"))][::7]
+    verdicts = []  # a corruption may be a representation again; none here is
+    for M in heads:
+        assert verify_rep(M) == (True, [])
+        for C in single_entry_corruptions(M):
+            ok, problems = verify_rep(C)
+            assert problems == bracket_messages(C) and ok == (not problems), problems[:3]
+            verdicts.append(ok)
+    assert (len(heads), len(verdicts), sum(verdicts)) == (93, 1748, 0)
+
+
+def scaled(M, f):
+    """M with its actions and den multiplied by f: the same representation."""
+    actions = {label: {i: {j: f * c for j, c in col.items()} for i, col in M.actions[label].items()}
+               for label in M.algebra.labels}
+    return SuperModuleRep(M.algebra, M.parities, M.weights, actions, den=f * M.den)
+
+
+def test_packed_check_is_exact_on_entries_past_64_bits():
+    # the slot width grows with the entries and den: scaled by 2^64 + 1 the
+    # module still passes, and one entry moved by the scaled den fails at the
+    # reference's pairs and columns
+    for M in (simple_module(parse_weight(2, 2, "1,0|0,-1")),
+              kac_module(parse_weight(3, 2, "1,0,0|0,-1"))):
+        H = scaled(M, 2**64 + 1)
+        assert H.den > 2**64 and verify_rep(H) == (True, [])
+        verdicts = []
+        for C in single_entry_corruptions(H):
+            ok, problems = verify_rep(C)
+            assert problems == bracket_messages(C), problems[:3]
+            verdicts.append(ok)
+        assert len(verdicts) == 2 * len([x for x in M.algebra.labels if x[1] != x[2]])
+        assert not any(verdicts)
+
+
+@pytest.mark.parametrize("k", [16, 32, 64, 128])
+def test_a_failure_that_fixed_width_slots_would_carry_away_is_reported(k):
+    # gl(1|1) on e0, e1 (even, weight 0) and e2, e3 (odd, weight (1,-1)):
+    # E12 sends e0 -> e2, e1 -> e3 and E21 sends e2 -> 2^k e0 - e1, so
+    # [E12, E21] = E11 + E22 fails on column 0 by (2^k, -1), which slots of
+    # width k would pack to 2^k - 2^k = 0
+    g = gl_superalgebra(1, 1)
+    weights = [weight(1, 1, (0, 0))] * 2 + [weight(1, 1, (1, -1))] * 2
+    actions = {("E", 1, 1): {2: {2: 1}, 3: {3: 1}}, ("E", 1, 2): {0: {2: 1}, 1: {3: 1}},
+               ("E", 2, 1): {2: {0: 2**k, 1: -1}}, ("E", 2, 2): {2: {2: -1}, 3: {3: -1}}}
+    M = SuperModuleRep(g, [0, 0, 1, 1], weights, actions)
+    expected = [f"bracket compatibility fails on ({('E', 1, 2)}, {('E', 2, 1)}) column 0"]
+    assert bracket_messages(M) == expected
+    assert verify_rep(M) == (False, expected)
+
+
+def test_a_weight_break_is_reported_without_bracket_messages():
+    # the packing and the Serre-pair proof read the weight grading, so the
+    # bracket identities run only after the parity, weight and Cartan checks
+    # pass; here they fail too, by the dict reference, and are not reported
+    K = kac_module(parse_weight(2, 2, "1,0|0,-1"))
+    label = ("E", 1, 2)  # even: e_i -> e_i keeps the parity and breaks the weight
+    i = next(i for i, col in K.actions[label].items() if col)
+    actions = {lab: K.actions[lab] for lab in K.algebra.labels}
+    actions[label] = {**K.actions[label], i: {i: K.den}}
+    M = SuperModuleRep(K.algebra, K.parities, K.weights, actions, den=K.den)
+    assert verify_rep(M) == (False, [f"weight breaks: {label} sends {i} to {i}"])
+    assert bracket_messages(M)
 
 
 def test_algebra_not_generated_by_chevalley_generators_is_rejected():
