@@ -41,7 +41,7 @@ from .cohomology import (
     kac_ext_dims,
     vanishing_bound,
 )
-from .config import DEFAULT_SEED, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import (
     AlgebraMismatch,
     AssumptionViolated,

@@ -98,7 +98,7 @@ def cmd_support(args, cfg) -> tuple[int, dict]:
     if args.mode == "empirical":
         builder = kac_module if args.module == "kac" else simple_module
         M = builder(lam, cfg.dimension_budget)
-        emp = empirical_support(M, cfg.samples_per_subset, cfg.seed)
+        emp = empirical_support(M)
         payload.update(
             module=args.module,
             r=emp.r,
@@ -107,7 +107,7 @@ def cmd_support(args, cfg) -> tuple[int, dict]:
             note="coordinate-subspace resolution only",
         )
         return OK, payload
-    cmp = compare_support(lam, cfg.samples_per_subset, cfg.seed, cfg.dimension_budget)
+    cmp = compare_support(lam, cfg.dimension_budget)
     payload.update(
         r=cmp.theoretical.r,
         match=cmp.match,
@@ -204,9 +204,7 @@ def cmd_dump(args, cfg) -> tuple[int, dict]:
 
 
 # the run options a command may take besides --output and --config
-_OPTIONS = {"seed": {"type": lambda s: int(s, 0)}, "pmax": {"type": int},
-            "samples": {"type": int, "help": "points per subset"},
-            "budget": {"type": int, "help": "dimension budget"}}
+_OPTIONS = {"pmax": {"type": int}, "budget": {"type": int, "help": "dimension budget"}}
 
 
 def _add_common(parser, *options):
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--compare", dest="mode", action="store_const", const="compare")
     p.add_argument("--module", choices=("simple", "kac"), default="simple")
     p.set_defaults(mode="compare")
-    _add_common(p, "seed", "samples", "budget")
+    _add_common(p, "budget")
     p.set_defaults(func=cmd_support)
 
     p = sub.add_parser("cohom", help="relative cohomology dimensions")
@@ -323,8 +321,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(
             args.config,
-            seed=opt("seed"),
-            samples_per_subset=opt("samples"),
             p_max=opt("pmax"),
             dimension_budget=opt("budget"),
             output=args.output,

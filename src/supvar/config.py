@@ -1,18 +1,12 @@
-"""Run configuration: bounds, seed, output mode."""
+"""Run configuration: bounds and output mode."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-
-DEFAULT_SEED = 0xD15EA5E
-SEED_ENV_VAR = "SUPVAR_SEED"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = DEFAULT_SEED
-    samples_per_subset: int = 3
     p_max: int = 6
     dimension_budget: int = 20000
     output: str = "json"
@@ -22,19 +16,18 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, not {value!r}")
-        for name, least in (("samples_per_subset", 1), ("p_max", 0), ("dimension_budget", 1)):
+        for name, least in (("p_max", 0), ("dimension_budget", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if self.output not in ("json", "table"):
             raise ValueError("output must be 'json' or 'table'")
 
 
-_INT_KEYS = ("seed", "samples_per_subset", "p_max", "dimension_budget")
+_INT_KEYS = ("p_max", "dimension_budget")
 
 
-def load_config(path: str | None = None, env: dict | None = None, **overrides) -> RunConfig:
-    """Defaults, then config file, then SUPVAR_SEED, then explicit overrides."""
-    env = os.environ if env is None else env
+def load_config(path: str | None = None, **overrides) -> RunConfig:
+    """Defaults, then config file, then explicit overrides."""
     cfg = RunConfig()
     if path:
         values = {}
@@ -58,11 +51,6 @@ def load_config(path: str | None = None, env: dict | None = None, **overrides) -
                 else:
                     raise ValueError(f"{path}:{number}: unknown key {key!r}")
         cfg = replace(cfg, **values)
-    if SEED_ENV_VAR in env:
-        try:
-            cfg = replace(cfg, seed=int(env[SEED_ENV_VAR], 0))
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an int, not {env[SEED_ENV_VAR]!r}") from None
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         cfg = replace(cfg, **overrides)

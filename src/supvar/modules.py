@@ -91,7 +91,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, count, permutations, repeat
+from itertools import accumulate, chain, combinations, compress, count, permutations, repeat
 from math import gcd, lcm
 from operator import add, eq, lshift, mul, sub, xor
 from typing import NamedTuple
@@ -270,13 +270,8 @@ def _highest_weight_tensor(mu: tuple[int, ...]) -> dict:
         h = sum(1 for part in mu if part >= col)
         column: dict = {}
         for perm in permutations(range(1, h + 1)):
-            sign = 1
-            perm_list = list(perm)
-            for i in range(len(perm_list)):
-                for j in range(i + 1, len(perm_list)):
-                    if perm_list[i] > perm_list[j]:
-                        sign = -sign
-            column[perm] = sign
+            # the sign of perm: -1 to the number of its inversions
+            column[perm] = (-1) ** sum(a > b for a, b in combinations(perm, 2))
         vec = {
             i1 + i2: c1 * c2 for i1, c1 in vec.items() for i2, c2 in column.items()
         }
@@ -928,12 +923,14 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     """Exact parity, weight, and bracket compatibility of the actions.
 
     Every stored entry must be an int over a positive int ``den``; the
-    other checks run only then.  Each nonzero entry must respect parity and
-    weight, and Cartan elements must act diagonally by the labeled weight
-    coordinates; the rank-variety tests rely on that.  The bracket
-    identities run only once these checks pass: the packing below and the
-    proof that the Serre pairs suffice both read the grading, so a module
-    that fails them gets their messages and no bracket message.
+    other checks run only then.  Every column and row index must lie in
+    range(M.dim), checked by a column count and the least and greatest row
+    of each label, so no index wraps around or raises.  Each nonzero entry
+    must respect parity and weight, and Cartan elements must act diagonally
+    by the labeled weight coordinates; the rank-variety tests rely on that.
+    The bracket identities run only once these checks pass: the packing
+    below and the proof that the Serre pairs suffice both read the grading,
+    so a module that fails them gets their messages and no bracket message.
 
     Parity and weight are read off int keys.  e_j of weight mu and parity p
     has key 2 sum_t D mu_t B^t + p, with D the common denominator of the
@@ -1003,16 +1000,17 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
             key[j], slot[j] = k + M.parities[j] % 2, p
     # each label flat: its rows and values column by column, columns 0, 1, ...
     # in turn, and the column lengths; a label with an entry off its class,
-    # or a column outside the basis, is read entry by entry below
-    flat, misplaced = {}, []
+    # or a column or row outside the basis, is read entry by entry below
+    flat, misplaced, basis = {}, [], range(M.dim)
     for label in g.labels:
         cols, pa, step = A[label], g.parity[label], key_of(g.weight_of[label].coords)
-        cs = list(map(cols.get, range(M.dim), repeat({})))
+        cs = list(map(cols.get, basis, repeat({})))
         rows, lengths = list(chain.from_iterable(cs)), list(map(len, cs))
         flat[label] = rows, list(chain.from_iterable(map(dict.values, cs))), lengths
         targets = chain.from_iterable(
             map(repeat, map(add, map(xor, key, repeat(pa)), repeat(step)), lengths))
-        if len(rows) != sum(map(len, cols.values())) or not all(
+        if (rows and not 0 <= min(rows) <= max(rows) < M.dim) or len(cols) != sum(
+                map(cols.__contains__, basis)) or not all(
                 map(eq, map(key.__getitem__, rows), targets)):
             misplaced.append(label)
     problems = [] if isinstance(d, int) and d > 0 else [f"den {d!r} is not a positive int"]
@@ -1027,8 +1025,14 @@ def verify_rep(M: SuperModuleRep) -> tuple[bool, list[str]]:
     for label in misplaced:
         pa, shift = g.parity[label], g.weight_of[label].coords
         for i, col in A[label].items():
+            if i not in basis:
+                problems.append(f"index breaks: {label} has column {i}, outside {basis}")
+                continue
             target = tuple(map(add, coords[i], shift))
             for j, c in col.items():
+                if j not in basis:
+                    problems.append(f"index breaks: {label} sends {i} to {j}, outside {basis}")
+                    continue
                 if c and (M.parities[j] - M.parities[i] - pa) % 2 != 0:
                     problems.append(f"parity breaks: {label} sends {i} to {j}")
                 if c and coords[j] != target:

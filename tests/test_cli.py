@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import supvar.cli
 import supvar.modules
 from supvar.cli import main
-from supvar.config import DEFAULT_SEED, RunConfig, load_config
+from supvar.config import RunConfig, load_config
 from supvar.errors import (
     FormInconsistent,
     InvariantBroken,
@@ -218,7 +219,7 @@ def test_budget_exceeded_exit_3(capsys):
 # the run options each command reads; --output and --config go on every command
 TAKES = {
     "atyp": set(), "clifford": set(),
-    "support": {"--seed", "--samples", "--budget"},
+    "support": {"--budget"},
     "cohom": {"--pmax", "--budget"}, "ext": {"--pmax", "--budget"},
     "kacext": {"--pmax", "--budget"}, "divcheck": {"--budget"}, "dump": {"--budget"},
 }
@@ -232,8 +233,9 @@ def test_each_command_takes_only_the_options_it_reads():
         flags = {f for action in command._actions for f in action.option_strings}
         assert flags & {"--seed", "--samples", "--pmax", "--budget"} == TAKES[name], name
         assert {"--output", "--config"} <= flags, name
-    # 27 settable flags, where every command once took all six (48)
-    assert sum(len(flags) + 2 for flags in TAKES.values()) == 27
+    # 25 settable flags, where every command once took all six (48); no
+    # command takes --seed or --samples, since the support sampler has one setting
+    assert sum(len(flags) + 2 for flags in TAKES.values()) == 25
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,6 +246,8 @@ def test_each_command_takes_only_the_options_it_reads():
     ["divcheck", "1", "1", "1|0", "--pmax", "2"],
     ["dump", "1", "1", "1|0", "--seed", "1"],
     ["kacext", "1", "1", "0|0", "--samples", "2"],
+    ["support", "2", "2", "0,0|0,0", "--empirical", "--seed", "1"],
+    ["support", "1", "1", "0|0", "--samples", "3"],
 ])
 def test_an_option_the_command_does_not_read_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -306,16 +310,17 @@ def test_table_output(capsys):
     assert "atyp = 1" in out and "defect = 1" in out
 
 
-def test_config_precedence(tmp_path):
+def test_config_precedence(tmp_path, monkeypatch):
+    # defaults < config file < flags; no environment variable is read
+    assert [f.name for f in fields(RunConfig)] == ["p_max", "dimension_budget", "output"]
+    assert RunConfig() == RunConfig(p_max=6, dimension_budget=20000, output="json")
     path = tmp_path / "supvar.conf"
-    path.write_text("seed = 0x123\nsamples_per_subset = 5\n# comment\noutput = table\n")
-    cfg = load_config(str(path), env={})
-    assert cfg.seed == 0x123 and cfg.samples_per_subset == 5 and cfg.output == "table"
-    cfg = load_config(str(path), env={"SUPVAR_SEED": "7"})
-    assert cfg.seed == 7
-    cfg = load_config(str(path), env={"SUPVAR_SEED": "7"}, seed=99)
-    assert cfg.seed == 99
-    assert RunConfig().seed == DEFAULT_SEED
+    path.write_text("p_max = 0x3\ndimension_budget = 500\n# comment\noutput = table\n")
+    monkeypatch.setenv("SUPVAR_SEED", "7")
+    cfg = load_config(str(path))
+    assert cfg == RunConfig(p_max=3, dimension_budget=500, output="table")
+    cfg = load_config(str(path), p_max=5, dimension_budget=None)
+    assert cfg == RunConfig(p_max=5, dimension_budget=500, output="table")
 
 
 def test_config_rejects_bad_values():
@@ -328,43 +333,45 @@ def test_config_rejects_bad_values():
     ("samples = 5", "unknown key 'samples'"),
     ("budget = 10", "unknown key 'budget'"),
     ("p_max 2", "'p_max 2' is not 'key = value'"),
-], ids=["pmax", "samples", "budget", "no-equals"])
+    ("seed = 1", "unknown key 'seed'"),
+    ("samples_per_subset = 3", "unknown key 'samples_per_subset'"),
+], ids=["pmax", "samples", "budget", "no-equals", "seed", "samples_per_subset"])
 def test_config_file_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, line, message):
-    # the CLI's flag names are not config keys; a line that would leave the
-    # default in place silently is an error naming the line and the key
+    # the CLI's flag names are not config keys, nor are the removed sampler
+    # settings; a line that would leave the default in place silently is an
+    # error naming the line and the key
     path = tmp_path / "supvar.conf"
     path.write_text(f"# bounds\n\np_max = 3\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
-        load_config(str(path), env={})
+        load_config(str(path))
     assert main(["cohom", "1", "1", "--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
 
 
 @pytest.mark.parametrize("key, value", [
-    ("p_max", "two"), ("seed", "0x"), ("samples_per_subset", "2.5"), ("dimension_budget", "")])
+    ("p_max", "two"), ("p_max", "0x"), ("dimension_budget", "2.5"), ("dimension_budget", "")])
 def test_config_file_names_the_line_and_key_of_a_value_that_is_not_an_int(
         tmp_path, capsys, key, value):
     path = tmp_path / "supvar.conf"
     path.write_text(f"p_max = 3\n# bounds\n{key} = {value}\n")
     message = f"{path}:3: {key} must be an int, not {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_config(str(path), env={})
+        load_config(str(path))
     assert main(["cohom", "1", "1", "--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("field", ["seed", "samples_per_subset", "p_max", "dimension_budget"])
+@pytest.mark.parametrize("field", ["p_max", "dimension_budget"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "7", None])
 def test_config_rejects_a_value_that_is_not_an_int(field, value):
-    # a bool is an int subclass, but never a count or a seed
+    # a bool is an int subclass, but never a count
     with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an int, not {value!r}')}$"):
         RunConfig(**{field: value})
 
 
-@pytest.mark.parametrize("bound, least", [
-    ("samples_per_subset", 1), ("p_max", 0), ("dimension_budget", 1)])
+@pytest.mark.parametrize("bound, least", [("p_max", 0), ("dimension_budget", 1)])
 def test_config_names_the_bound_it_rejects(bound, least):
     # p_max = 0 is valid, so the message states each bound's own least value
     assert getattr(RunConfig(**{bound: least}), bound) == least
@@ -373,17 +380,10 @@ def test_config_names_the_bound_it_rejects(bound, least):
 
 
 def test_seed_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SUPVAR_SEED", "42")
-    code, payload = run_json(capsys, "support", "1", "1", "0|0", "--empirical")
-    assert code == 0 and payload["subsets"] == [[1]]
-
-
-@pytest.mark.parametrize("value", ["abc", "0x", "2.5", ""])
-def test_seed_env_var_that_is_not_an_int_is_named(capsys, monkeypatch, value):
-    message = f"SUPVAR_SEED must be an int, not {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_config(env={"SUPVAR_SEED": value})
-    monkeypatch.setenv("SUPVAR_SEED", value)
-    assert main(["support", "1", "1", "0|0", "--empirical"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and message in err
+    # the support sampler has one setting, so SUPVAR_SEED is not read, whatever it holds
+    argv = ["support", "1", "1", "0|0", "--empirical"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["subsets"] == [[1]]
+    for value in ("42", "abc", "0x", "2.5", ""):
+        monkeypatch.setenv("SUPVAR_SEED", value)
+        assert run_cli(capsys, *argv) == (0, out)

@@ -1063,6 +1063,49 @@ def test_a_weight_break_is_reported_without_bracket_messages():
     assert bracket_messages(M)
 
 
+def copied_actions(M):
+    return {lab: {i: dict(col) for i, col in M.actions.get(lab, {}).items()}
+            for lab in M.algebra.labels}
+
+
+@pytest.mark.parametrize("m, n, text", [(1, 1, "1|0"), (2, 1, "2,0|0")])
+def test_verify_rep_rejects_rows_at_minus_one(m, n, text):
+    # row -1 would read the parity and weight of row dim - 1, which the
+    # moved entries match, so only the index check can see the move
+    K = kac_module(parse_weight(m, n, text))
+    actions, last, expected = copied_actions(K), K.dim - 1, []
+    for label in [lab for lab in K.algebra.labels if lab[1] != lab[2]]:
+        for i, col in actions[label].items():
+            if last in col:
+                col[-1] = col.pop(last)
+                expected.append(f"index breaks: {label} sends {i} to -1, outside range(0, {K.dim})")
+    assert expected
+    M = SuperModuleRep(K.algebra, K.parities, K.weights, actions, den=K.den)
+    assert verify_rep(M) == (False, expected)
+
+
+def test_verify_rep_rejects_a_column_at_minus_one():
+    # a copy of a valid column would pass every check read at column dim - 1
+    K = kac_module(parse_weight(2, 1, "2,0|0"))
+    label = ("E", 1, 2)
+    for copied in (dict(K.actions[label][K.dim - 1]), {}):
+        actions = copied_actions(K)
+        actions[label][-1] = copied
+        M = SuperModuleRep(K.algebra, K.parities, K.weights, actions, den=K.den)
+        expected = f"index breaks: {label} has column -1, outside range(0, 12)"
+        assert verify_rep(M) == (False, [expected])
+
+
+def test_verify_rep_rejects_indices_past_the_basis():
+    T = trivial_module(gl_superalgebra(1, 1))
+    label = ("E", 1, 2)
+    for col, row, message in [(3, 0, "has column 3"), (0, 1, "sends 0 to 1")]:
+        actions = copied_actions(T)
+        actions[label][col] = {row: 1}
+        M = SuperModuleRep(T.algebra, T.parities, T.weights, actions)
+        assert verify_rep(M) == (False, [f"index breaks: {label} {message}, outside range(0, 1)"])
+
+
 def test_algebra_not_generated_by_chevalley_generators_is_rejected():
     # the span of E11, E22, E33, E13 is closed under the bracket, but none of
     # its labels is a Chevalley generator, so no definition pair reaches E13

@@ -7,7 +7,7 @@ import pytest
 
 import supvar.support
 from supvar.algebra import detecting_subalgebra, gl_superalgebra
-from supvar.config import DEFAULT_SEED, RunConfig
+from supvar.config import RunConfig
 from supvar.errors import ShapeMismatch, Unsupported, ZeroPoint
 from supvar.linalg import IncrementalSpan, axpy, span_dim
 from supvar.modules import (
@@ -35,6 +35,18 @@ from supvar.support import (
     odd_point,
 )
 from views import fraction_actions
+
+# the support sampler's one setting: its seed and its points per coordinate subset
+SEED, SAMPLES = 0xD15EA5E, 3
+
+
+def sample_points(m, n, seed=SEED, samples=SAMPLES):
+    """(subset, point) for each of ``samples`` points per nonempty coordinate subset,
+    drawn at seed, in the order ``empirical_support`` tests them."""
+    r = min(m, n)
+    return [(subset, _sample_point(seed, m, n, subset, k, r))
+            for size in range(1, r + 1) for subset in combinations(range(1, r + 1), size)
+            for k in range(samples)]
 
 
 def test_projectivity_examples():
@@ -100,8 +112,8 @@ def test_empirical_support_examples():
 
 def test_empirical_support_deterministic():
     L = simple_module(parse_weight(2, 2, "1,0|0,-1"))
-    a = empirical_support(L, samples_per_subset=2, seed=123)
-    b = empirical_support(L, samples_per_subset=2, seed=123)
+    a = empirical_support(L)
+    b = empirical_support(L)
     assert a == b
 
 
@@ -235,15 +247,16 @@ def reference_modules():
 
 
 def reference_points(M):
-    """The sampled points of two empirical supports of M, then fixed extra ones."""
+    """The sampled points of M's empirical support, 2 more per subset drawn at seed 7,
+    then fixed extra ones."""
     F = Fraction
     extra = {1: [(F(2, 3),), (F(-5, 7),)],
              2: [(F(1, 2), F(-2, 3)), (F(3, 4), F(5, 6)), (F(-7, 5), F(7, 10)),
                  (F(1, 2), F(-1, 2)), (F(2, 3), F(4, 6)), (F(-3, 8), F(0))],
              3: [(F(1, 2), F(-2, 3), F(3, 4)), (F(1), F(-1), F(0)), (F(2, 5), F(0), F(-2, 5))]}
     emp = empirical_support(M)
-    other = empirical_support(M, samples_per_subset=2, seed=7)
-    return [coords for _, coords, _ in emp.tested + other.tested] + extra[emp.r]
+    other = [pt.coords for _, pt in sample_points(M.algebra.m, M.algebra.n, seed=7, samples=2)]
+    return [coords for _, coords, _ in emp.tested] + other + extra[emp.r]
 
 
 def test_integer_rank_test_matches_fraction_reference():
@@ -400,18 +413,14 @@ def reference_rank_test(M, point):
     return 2 * span.dim == size
 
 
-def assert_empirical_support_matches_reference(M, samples_per_subset=3, seed=DEFAULT_SEED):
+def assert_empirical_support_matches_reference(M):
     """empirical_support(M).tested equals the reference verdict at each sampled point.
 
     The support is sampled first, so on a Kac module it reads its columns
     before the reference builds the labels.
     """
-    tested = empirical_support(M, samples_per_subset, seed).tested
-    m, n = M.algebra.m, M.algebra.n
-    r = min(m, n)
-    points = [(subset, _sample_point(seed, m, n, subset, k, r))
-              for size in range(1, r + 1) for subset in combinations(range(1, r + 1), size)
-              for k in range(samples_per_subset)]
+    tested = empirical_support(M).tested
+    points = sample_points(M.algebra.m, M.algebra.n)
     assert tested == tuple((subset, pt.coords, reference_rank_test(M, pt))
                            for subset, pt in points), M
 
@@ -422,7 +431,10 @@ def test_empirical_support_matches_the_point_by_point_reference(sweep_modules):
     assert len(modules) == 2 * (25 + 75 + 225)
     for M in modules:
         assert_empirical_support_matches_reference(M)
-    assert_empirical_support_matches_reference(modules[-1], samples_per_subset=5, seed=7)
+    # 5 more points per subset, drawn at seed 7, through the same rank test
+    M = modules[-1]
+    for _, pt in sample_points(M.algebra.m, M.algebra.n, seed=7, samples=5):
+        assert is_projective_at(M, pt) == reference_rank_test(M, pt), (M, pt)
 
 
 @pytest.mark.parametrize("m, n, text", [(2, 3, "0,0|0,0,0"), (4, 2, "1,0,0,0|0,-1"),
@@ -516,7 +528,7 @@ def test_block_leak_on_a_column_after_the_early_exit_is_caught():
 
 def test_a_block_leak_fails_every_point_of_its_pattern_and_keeps_no_plan():
     _, leaky = leaky_kac_module()
-    sampled = [pt.coords for subset, pt, _ in _sample_plan(DEFAULT_SEED, 2, 2, 3) if subset == (1,)]
+    sampled = [pt.coords for subset, pt, _ in _sample_plan(2, 2) if subset == (1,)]
     F = Fraction
     for coords in sampled + [(1, 0), (F(-3, 4), 0), (7, 0)]:
         with pytest.raises(ShapeMismatch, match="not action stable"):
@@ -569,15 +581,10 @@ def test_rank_plans_are_reused_and_match_the_reference(monkeypatch, sweep_module
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("seed, m, n, samples", [(DEFAULT_SEED, 3, 3, 3), (DEFAULT_SEED, 2, 2, 1),
-                                                 (7, 3, 2, 5), (123, 2, 4, 2), (-5, 1, 1, 1)])
-def test_sample_plan_is_the_sampled_point_sequence(seed, m, n, samples):
-    r = min(m, n)
-    expected = []
-    for size in range(1, r + 1):
-        for subset in combinations(range(1, r + 1), size):
-            for k in range(samples):
-                pt = _sample_point(seed, m, n, subset, k, r)
-                expected.append((subset, pt, _primitive(pt)))
-    assert _sample_plan(seed, m, n, samples) == tuple(expected)
-    assert len(expected) == samples * (2 ** r - 1)
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 2), (3, 2), (2, 4), (1, 1)])
+def test_sample_plan_is_the_sampled_point_sequence(m, n):
+    expected = tuple((subset, pt, _primitive(pt)) for subset, pt in sample_points(m, n))
+    assert _sample_plan(m, n) == expected
+    assert len(expected) == SAMPLES * (2 ** min(m, n) - 1)
+    # drawn once per algebra
+    assert _sample_plan(m, n) is _sample_plan(m, n)
